@@ -286,14 +286,11 @@ def forgetting_profile(
     rows: list[ForgettingRow] = []
     for q in q_values:
         for m in range(q, top):
+            bound = forgetting_gap_bound(nus, q, m)
             ell_cap = top - m if max_ell is None else min(max_ell, top - m)
             for ell in range(1, ell_cap + 1):
                 gap = abs(profiles[m][q] - profiles[m + ell][q])
-                rows.append(
-                    ForgettingRow(
-                        q=q, m=m, ell=ell, gap=gap, bound=forgetting_gap_bound(nus, q, m)
-                    )
-                )
+                rows.append(ForgettingRow(q=q, m=m, ell=ell, gap=gap, bound=bound))
     return rows
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -181,9 +182,16 @@ def cmd_loglik(args) -> int:
 
 def cmd_fit(args) -> int:
     config = _load_config(args)
+    fit_cfg = config.get("fit", {})
+    if not isinstance(fit_cfg, dict):
+        raise ConfigError("config key fit must be an object")
+    fit_cfg = dict(fit_cfg)
+    known = {f.name for f in dataclasses.fields(estimator.FitConfig)}
+    for key in fit_cfg:
+        if key not in known:
+            raise ConfigError(f"unknown key fit.{key}")
     ds = _dataset(config, args)
     kernel = kernel_from_config(_require(config, "model", "kernel"))
-    fit_cfg = dict(config.get("fit", {}))
     support = fit_cfg.pop("support", _require(config, "model", "support"))
     candidates = fit_cfg.pop("candidates", None)
     if candidates is not None:

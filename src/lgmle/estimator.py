@@ -9,6 +9,7 @@ list and takes the argmax (ties broken by lowest candidate index).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,14 +32,15 @@ class FitConfig:
 
     ``mode`` is "em" or "grid".  EM initialization: "uniform" starts at the
     flat simplex (additional restarts use random draws), "random" draws every
-    start from Dirichlet(1,..,1), "explicit" takes ``init_list``.  Grid mode
-    ignores the EM fields and scans ``candidates``.
+    start from Dirichlet(1,..,1), "explicit" takes ``init_list``: one entry
+    per restart, each a distribution or a plain probability list over
+    ``support``.  Grid mode ignores the EM fields and scans ``candidates``.
     """
 
     support: tuple[float, ...]
     mode: str = "em"
     init: str = "uniform"
-    init_list: list[DiscreteDistribution] | None = None
+    init_list: list[DiscreteDistribution | Sequence[float]] | None = None
     max_iters: int = 200
     tol: float = 1e-8
     restarts: int = 1
@@ -107,7 +109,15 @@ def _em_starts(config: FitConfig) -> list[np.ndarray]:
     if config.init == "explicit":
         if not config.init_list or len(config.init_list) < config.restarts:
             raise ValueError("explicit init requires init_list with one entry per restart")
-        return [np.asarray(d.probs, dtype=float) for d in config.init_list[: config.restarts]]
+        for k, entry in enumerate(config.init_list[: config.restarts]):
+            probs = entry.probs if isinstance(entry, DiscreteDistribution) else entry
+            try:
+                starts.append(DiscreteDistribution(support, probs).probs)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"init_list[{k}] is not a distribution on the support: {exc}"
+                ) from exc
+        return starts
     for r in range(config.restarts):
         if config.init == "uniform" and r == 0:
             starts.append(uniform(support).probs)

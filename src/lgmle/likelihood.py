@@ -3,9 +3,17 @@
 The joint law of outcomes factorizes over chain blocks: block q couples the
 latent weights of layers q and q+1 through the product of edge kernels over
 the cross edges q<->q+1 and the within edges of layer q+1.  Eliminating the
-layer blocks in order gives the exact marginal likelihood in
-O(sum_q s^(|V_q|+|V_q+1|)) time; one block transition matrix is held at a
-time.
+layer blocks in order gives the exact marginal likelihood.  Each block acts
+on state vectors of s^|V_q| entries through one of two engines:
+
+* dense: the block's s^|V_q| x s^|V_q+1| transition matrix is built once and
+  applied as a matrix product, O(sum_q s^(|V_q|+|V_q+1|)) time and memory.
+  Used when every block of the chain fits ``_BLOCK_CACHE_BUDGET`` entries.
+* factored: the block stays a product of pairwise edge factors, contracted
+  with the state vector one factor at a time in an order compiled once per
+  positional plan (variable elimination, Koller & Friedman 2009, ch. 9).  A
+  step costs about s^(max(|V_q|, |V_q+1|)+1) per edge factor, so chains whose
+  dense blocks would not fit in memory (n=4 and n=5 at small s) stay cheap.
 
 All arithmetic runs in rescaled probability space with per-block shifts
 tracked in log scale (the standard scaled forward-backward scheme), so block
@@ -19,6 +27,8 @@ messages rely on this order.
 
 from __future__ import annotations
 
+import logging
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +43,13 @@ from .errors import (
 from .kernels import EpsilonCertificate, Kernel, epsilon_floor
 from .simulator import Dataset
 
+log = logging.getLogger(__name__)
+
 _BRUTE_FORCE_CAP = 1_000_000
-_BLOCK_CACHE_BUDGET = 4_000_000  # total cached transition-matrix entries
+# Chains whose dense blocks hold at most this many entries in total run on
+# the dense engine; larger ones run factored.
+_BLOCK_CACHE_BUDGET = 4_000_000
+_SUBSCRIPTS = string.ascii_letters  # np.einsum's index alphabet
 _digits_cache: dict[tuple[int, int], np.ndarray] = {}
 _flat_cache: dict[tuple, np.ndarray] = {}
 
@@ -80,6 +95,74 @@ def _flat_index(s, wq, wq1, pos_lo, pos_hi, lo_in_q: bool) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _ContractionPlan:
+    """A tensor x contracted with fixed factors, as two-operand einsum steps.
+
+    ``folds`` combine factors with each other; they do not involve x and run
+    once per block in :meth:`prepare`.  ``steps`` run on every call, each one
+    contracting the running tensor with one prepared operand, so a call does
+    no path search.
+    """
+
+    folds: tuple[tuple[str, int, int], ...]  # (subscripts, operand a, operand b)
+    steps: tuple[tuple[str, int], ...]  # (subscripts, operand)
+
+    def prepare(self, factors: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+        """The operands of ``steps``, in order, for one block's factors."""
+        operands = list(factors)
+        for sub, a, b in self.folds:
+            operands.append(np.einsum(sub, operands[a], operands[b]))
+        return tuple(operands[k] for _, k in self.steps)
+
+    def run(self, x: np.ndarray, operands: tuple[np.ndarray, ...]) -> np.ndarray:
+        for (sub, _), operand in zip(self.steps, operands):
+            x = np.einsum(sub, x, operand)
+        return x
+
+
+def _compile_plan(
+    s: int, x_sub: str, out_sub: str, factor_subs: tuple[str, ...]
+) -> _ContractionPlan:
+    """Order the contraction ``x_sub,factor_subs... -> out_sub`` once.
+
+    ``np.einsum_path`` picks the pairwise order greedily; no intermediate may
+    exceed one state tensor times s, which keeps constant folds from growing
+    into the dense block.
+    """
+    shapes = [(1,) + (s,) * (len(x_sub) - 1)] + [(s,) * len(f) for f in factor_subs]
+    limit = s ** max(len(x_sub), len(out_sub))
+    path, _ = np.einsum_path(
+        ",".join((x_sub,) + factor_subs) + "->" + out_sub,
+        *(np.empty(shape) for shape in shapes),
+        optimize=("greedy", limit),
+    )
+    # Replay the path: each entry pops two operands and appends their
+    # contraction.  Operand id None marks the tensor derived from x.
+    live: list[tuple[str, int | None]] = [(x_sub, None)]
+    live += [(sub, k) for k, sub in enumerate(factor_subs)]
+    folds: list[tuple[str, int, int]] = []
+    steps: list[tuple[str, int]] = []
+    next_id = len(factor_subs)
+    for pair in path[1:]:
+        i, j = sorted(pair)
+        b, a = live.pop(j), live.pop(i)
+        if live:
+            rest = "".join(sub for sub, _ in live) + out_sub
+            result = "".join(c for c in dict.fromkeys(a[0] + b[0]) if c in rest)
+        else:
+            result = out_sub
+        if a[1] is not None and b[1] is not None:
+            folds.append((f"{a[0]},{b[0]}->{result}", a[1], b[1]))
+            live.append((result, next_id))
+            next_id += 1
+        else:
+            x, operand = (a, b) if a[1] is None else (b, a)
+            steps.append((f"{x[0]},{operand[0]}->{result}", operand[1]))
+            live.append((result, None))
+    return _ContractionPlan(tuple(folds), tuple(steps))
+
+
+@dataclass(frozen=True)
 class BackwardMessages:
     """Conditional block distributions P(V_k | X_{k:m}) for k = q..m+1.
 
@@ -114,12 +197,16 @@ class LayerChainModel:
 
     Block transition matrices depend on the kernel and the support grid but
     not on the simplex weights, so a model can be reused across candidate
-    distributions (EM iterations, grid scans) on a fixed support.  Matrices
-    are cached when the total size is modest, otherwise streamed per block.
-    All methods are pure; instances are safe for concurrent reads.
+    distributions (EM iterations, grid scans) on a fixed support.  ``engine``
+    says how blocks are applied: "dense" caches every transition matrix when
+    their total size fits ``_BLOCK_CACHE_BUDGET``; "factored" keeps each
+    block as its edge factors and contracts them with the state vectors in
+    an order compiled here, once per positional plan.  Both engines give the
+    same per-block log normalizers up to float64 roundoff.  All methods are
+    pure; instances are safe for concurrent reads.
     """
 
-    def __init__(self, dataset: Dataset, kernel: Kernel, support, cache_blocks: bool | None = None):
+    def __init__(self, dataset: Dataset, kernel: Kernel, support):
         self.dataset = dataset
         self.kernel = kernel
         self.support = np.asarray(support, dtype=float)
@@ -168,11 +255,22 @@ class LayerChainModel:
         total_entries = sum(
             self.s ** (self.widths[q] + self.widths[q + 1]) for q in range(self.num_blocks)
         )
-        if cache_blocks is None:
-            cache_blocks = total_entries <= _BLOCK_CACHE_BUDGET
-        self._block_store: list[tuple[np.ndarray, float]] | None = None
-        if cache_blocks:
-            self._block_store = [self._build_block(q) for q in range(self.num_blocks)]
+        self._mats: list[np.ndarray] | None = None
+        self._factored: list[tuple] | None = None
+        if total_entries <= _BLOCK_CACHE_BUDGET:
+            self.engine = "dense"
+            built = [self._build_block(q) for q in range(self.num_blocks)]
+            self._mats = [mat for mat, _ in built]
+            self._shifts = [shift for _, shift in built]
+        else:
+            self.engine = "factored"
+            self._factored, self._shifts = self._compile_factored()
+        log.debug(
+            "layer chain model: engine=%s blocks=%d max_state=%d",
+            self.engine,
+            self.num_blocks,
+            self.s ** max(self.widths),
+        )
 
     # -- block construction -------------------------------------------------
 
@@ -195,10 +293,78 @@ class LayerChainModel:
         shift = float(logM.max())
         return np.exp(logM - shift), shift
 
-    def _block(self, q: int) -> tuple[np.ndarray, float]:
-        if self._block_store is not None:
-            return self._block_store[q]
-        return self._build_block(q)
+    def _block_factors(self, q: int) -> tuple[tuple[str, ...], list[np.ndarray]]:
+        """Einsum subscripts and log tables of block q's edge factors.
+
+        Subscript 0 is the batch axis, 1..w_q the nodes of layer q and the
+        next w_{q+1} those of layer q+1, each by position in its layer.  A
+        layer-q node without a cross edge gets a unit factor, so every index
+        of either layer occurs in some factor.  Factors are sorted by
+        subscripts: blocks with one positional plan list them alike.
+        """
+        wq = self.widths[q]
+        lower = _SUBSCRIPTS[1 : 1 + wq]
+        upper = _SUBSCRIPTS[1 + wq : 1 + wq + self.widths[q + 1]]
+        factors: dict[str, np.ndarray] = {}
+        for xi, (_, _, _, pos_lo, pos_hi, lo_in_q) in self._cross_ops[q]:
+            sub = lower[pos_lo] + upper[pos_hi] if lo_in_q else upper[pos_lo] + lower[pos_hi]
+            factors[sub] = self.log_table[xi]
+        for xi, pa, pb in self._within_ops[q]:
+            factors[upper[pa] + upper[pb]] = self.log_table[xi]
+        for c in lower:
+            if not any(c in sub for sub in factors):
+                factors[c] = np.zeros(self.s)
+        subs = tuple(sorted(factors))
+        return subs, [factors[sub] for sub in subs]
+
+    def _compile_factored(self) -> tuple[list[tuple], list[float]]:
+        """Per block: (push plan, its operands, pull plan, its operands), and
+        the block's log shift.
+
+        Each edge table is scaled by its maximum and the maxima summed into
+        the shift, so no entry of the implied block matrix exceeds 1.
+        """
+        plans: dict[tuple, tuple[_ContractionPlan, _ContractionPlan]] = {}
+        blocks: list[tuple] = []
+        shifts: list[float] = []
+        for q in range(self.num_blocks):
+            subs, tables = self._block_factors(q)
+            wq, wq1 = self.widths[q], self.widths[q + 1]
+            key = (wq, wq1, subs)
+            if key not in plans:
+                lower = _SUBSCRIPTS[: 1 + wq]
+                upper = _SUBSCRIPTS[0] + _SUBSCRIPTS[1 + wq : 1 + wq + wq1]
+                plans[key] = (
+                    _compile_plan(self.s, lower, upper, subs),
+                    _compile_plan(self.s, upper, lower, subs),
+                )
+            push, pull = plans[key]
+            maxima = [float(t.max()) for t in tables]
+            factors = [np.exp(t - m) for t, m in zip(tables, maxima)]
+            blocks.append((push, push.prepare(factors), pull, pull.prepare(factors)))
+            shifts.append(sum(maxima))
+        return blocks, shifts
+
+    def _push(self, q: int, x: np.ndarray) -> np.ndarray:
+        """x @ M_q for layer-q state vectors x, shape (..., s**w_q)."""
+        if self._mats is not None:
+            return x @ self._mats[q]
+        plan, operands, _, _ = self._factored[q]
+        out = plan.run(x.reshape((-1,) + (self.s,) * self.widths[q]), operands)
+        return out.reshape(x.shape[:-1] + (-1,))
+
+    def _matrix(self, q: int) -> np.ndarray:
+        """M_q, scaled by its shift; the factored engine pushes the identity."""
+        if self._mats is not None:
+            return self._mats[q]
+        return self._push(q, np.eye(self.s ** self.widths[q]))
+
+    def _pull(self, q: int, x: np.ndarray) -> np.ndarray:
+        """M_q @ x for one layer-(q+1) state vector x."""
+        if self._mats is not None:
+            return self._mats[q] @ x
+        _, _, plan, operands = self._factored[q]
+        return plan.run(x.reshape((1,) + (self.s,) * self.widths[q + 1]), operands).ravel()
 
     # -- priors ---------------------------------------------------------------
 
@@ -220,13 +386,12 @@ class LayerChainModel:
         constants = np.empty(self.num_blocks)
         total = 0.0
         for q in range(self.num_blocks):
-            mat, shift = self._block(q)
-            w = (w @ mat) * self._prior(probs, q + 1)
+            w = self._push(q, w) * self._prior(probs, q + 1)
             c = float(w.sum())
             if c <= 0.0:
                 raise H1Violated(f"zero likelihood mass at block {q}")
             w /= c
-            constants[q] = np.log(c) + shift
+            constants[q] = np.log(c) + self._shifts[q]
             total += constants[q]
         return total, constants
 
@@ -242,14 +407,13 @@ class LayerChainModel:
         alphas.append(w)
         loglik = 0.0
         for q in range(self.num_blocks):
-            mat, shift = self._block(q)
-            w = (w @ mat) * self._prior(probs, q + 1)
+            w = self._push(q, w) * self._prior(probs, q + 1)
             c = float(w.sum())
             if c <= 0.0:
                 raise H1Violated(f"zero likelihood mass at block {q}")
             w = w / c
             alphas.append(w)
-            loglik += np.log(c) + shift
+            loglik += np.log(c) + self._shifts[q]
         out = np.empty((self.dataset.graph.N, self.s))
         beta = np.ones(self.s ** self.widths[-1])
         for q in range(self.num_blocks, -1, -1):
@@ -261,8 +425,7 @@ class LayerChainModel:
                     digits[:, pos], weights=gamma, minlength=self.s
                 )
             if q > 0:
-                mat, _ = self._block(q - 1)
-                beta = mat @ (self._prior(probs, q) * beta)
+                beta = self._pull(q - 1, self._prior(probs, q) * beta)
                 beta /= beta.max()
         return out, loglik
 
@@ -275,13 +438,12 @@ class LayerChainModel:
         messages = [np.log(u)]
         normalizers = [0.0]
         for k in range(m, q - 1, -1):
-            mat, shift = self._block(k)
-            u = self._prior(probs, k) * (mat @ u)
+            u = self._prior(probs, k) * self._pull(k, u)
             c = float(u.sum())
             if c <= 0.0:
                 raise H1Violated(f"zero conditional mass at block {k}")
             u /= c
-            log_z += np.log(c) + shift
+            log_z += np.log(c) + self._shifts[k]
             with np.errstate(divide="ignore"):
                 messages.append(np.log(u))
             normalizers.append(log_z)
@@ -325,7 +487,7 @@ class LayerChainModel:
         kernels = []
         g = np.ones(self.s ** self.widths[q])  # P(X_{q:k-1} | V_k), scaled
         for k in range(q, m):
-            mat, _ = self._block(k)
+            mat = self._matrix(k)
             weighted = self._prior(probs, k)[:, None] * g[:, None] * mat
             denom = weighted.sum(axis=0)
             if np.any(denom <= 0.0):

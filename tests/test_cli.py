@@ -151,3 +151,28 @@ def test_unknown_kernel_exit_2(tmp_path, base_config, capsys):
     cfg = base_config(model={"kernel": {"variant": "mystery"}, "support": [1.0], "pi_star": [1.0], "pi": [1.0]})
     assert run(["loglik", "--config", cfg]) == 2
     assert "mystery" in capsys.readouterr().err
+
+
+def test_fit_explicit_init_from_config(tmp_path, base_config, capsys):
+    fit = {"mode": "em", "max_iters": 50, "tol": 1e-8}
+    out = tmp_path / "fit"
+    assert run(["fit", "--config", base_config(extra={"fit": fit}), "--out", out]) == 0
+    first = json.loads((out / "fit.json").read_text())
+    refit = dict(fit, init="explicit", init_list=[first["pi_hat"]["probs"]])
+    assert run(["fit", "--config", base_config(extra={"fit": refit}), "--out", out]) == 0
+    # EM restarted at the fitted weights begins at the fit's final value
+    doc = json.loads((out / "fit.json").read_text())
+    assert doc["trajectory"][0] == first["final_log_lik"]
+
+    for bad in ([0.2, 0.3, 0.5], [0.7, 0.7], "uniform"):
+        bad_fit = dict(fit, init="explicit", init_list=[bad])
+        assert run(["fit", "--config", base_config(extra={"fit": bad_fit})]) == 2
+        assert "init_list[0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fit, message", [({"mode": "em", "bogus": 1}, "unknown key fit.bogus"), ([1], "fit must be")]
+)
+def test_fit_section_validated_exit_2(base_config, capsys, fit, message):
+    assert run(["fit", "--config", base_config(extra={"fit": fit})]) == 2
+    assert message in capsys.readouterr().err

@@ -1,7 +1,11 @@
+import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgmle import (
     DiscreteDistribution,
@@ -26,10 +30,16 @@ from lgmle import (
     uniform,
     uniform_kernel,
 )
+from lgmle import likelihood
 from lgmle.kernels import block_log_kernel
 from lgmle.likelihood import LayerChainModel
 
-from conftest import enumerate_window_logprob, small_instances
+from conftest import (
+    enumerate_window_logprob,
+    kernel_variants,
+    random_distribution,
+    small_instances,
+)
 
 
 def test_uniform_kernel_closed_form():
@@ -269,3 +279,89 @@ def test_contraction_envelope():
         assert step.tv <= step.step_factor * prev + 1e-12
         assert step.tv <= step.cumulative_bound + 1e-12
         prev = step.tv
+
+
+def _model(ds, pi, kernel, engine):
+    """A model on the given engine, chosen through the dense-block budget."""
+    budget = {"dense": 10**12, "factored": 0}[engine]
+    with mock.patch.object(likelihood, "_BLOCK_CACHE_BUDGET", budget):
+        model = LayerChainModel(ds, kernel, pi.support)
+    assert model.engine == engine
+    return model
+
+
+@pytest.mark.parametrize("engine", ["dense", "factored"])
+@pytest.mark.parametrize("N, n", [(14, 3), (18, 4)])
+def test_wide_layers_match_enumeration(engine, N, n):
+    # s=3 exceeds the enumeration cap at these N (3**14 > 1e6), so only s=2 runs
+    rng = np.random.default_rng(N)
+    for s in (2, 3):
+        if s**N > likelihood._BRUTE_FORCE_CAP:
+            continue
+        for kernel in kernel_variants():
+            pi = random_distribution(rng, s)
+            ds = simulate(pi, kernel, N, n, seed=int(rng.integers(1, 2**31)))
+            model = _model(ds, pi, kernel, engine)
+            bf = brute_force_log_likelihood(ds, pi, kernel)
+            assert abs(model.log_likelihood(pi.probs) - bf) <= 1e-10 * abs(bf)
+            oracle = brute_force_node_marginals(ds, pi, kernel)
+            assert np.max(np.abs(model.node_marginals(pi.probs) - oracle)) < 1e-10
+            q = m = 2
+            direct = enumerate_window_logprob(ds, pi, kernel, q, m) - enumerate_window_logprob(
+                ds, pi, kernel, q + 1, m
+            )
+            assert model.conditional_log_prob(pi.probs, q, m) == pytest.approx(direct, abs=1e-11)
+
+
+@given(
+    n=st.integers(2, 4),
+    s=st.integers(2, 3),
+    extra=st.integers(0, 3),
+    kernel_index=st.integers(0, 3),
+    seed=st.integers(1, 2**31 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_factored_engine_matches_dense(n, s, extra, kernel_index, seed):
+    rng = np.random.default_rng(seed)
+    kernel = kernel_variants()[kernel_index]
+    pi = random_distribution(rng, s)
+    ds = simulate(pi, kernel, 4 * n + 2 + 2 * extra, n, seed=seed)
+    dense = _model(ds, pi, kernel, "dense")
+    factored = _model(ds, pi, kernel, "factored")
+
+    total_d, const_d = dense.forward_constants(pi.probs)
+    total_f, const_f = factored.forward_constants(pi.probs)
+    np.testing.assert_allclose(const_f, const_d, rtol=1e-12)
+    assert total_f == pytest.approx(total_d, rel=1e-12)
+
+    marg_d, ll_d = dense.posterior_pass(pi.probs)
+    marg_f, ll_f = factored.posterior_pass(pi.probs)
+    assert np.max(np.abs(marg_f - marg_d)) <= 1e-12
+    assert ll_f == pytest.approx(ll_d, rel=1e-12)
+
+    top = ds.layers.q_max - 1
+    if top < 2:
+        return
+    msgs_d = dense.backward_messages(pi.probs, 2, top)
+    msgs_f = factored.backward_messages(pi.probs, 2, top)
+    for a, b in zip(msgs_d.log_messages, msgs_f.log_messages):
+        assert np.max(np.abs(np.exp(a) - np.exp(b))) <= 1e-12
+    np.testing.assert_allclose(
+        msgs_f.log_normalizers, msgs_d.log_normalizers, rtol=1e-12, atol=1e-12
+    )
+    for a, b in zip(
+        dense.backward_kernels(pi.probs, 2, top), factored.backward_kernels(pi.probs, 2, top)
+    ):
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("engine", ["dense", "factored"])
+def test_model_logs_engine_at_debug(engine, caplog):
+    pi = uniform([1.0, 2.0, 4.0])
+    k = bradley_terry()
+    ds = simulate(pi, k, 20, 3, seed=1)
+    with caplog.at_level(logging.DEBUG, logger="lgmle"):
+        model = _model(ds, pi, k, engine)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"layer chain model: engine={engine} blocks={model.num_blocks} max_state={3**4}"
+    ]
