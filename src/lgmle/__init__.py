@@ -14,6 +14,7 @@ from .analysis import (
     ScalingTable,
     estimate_limit_likelihood,
     excess_risk,
+    excess_risks,
     forgetting_profile,
     product_tv_distance,
     risk_bound_rhs,

@@ -16,7 +16,6 @@ is far more stable than either arm alone.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .distributions import DiscreteDistribution
 from .errors import LayerOutOfRange
 from .estimator import FitConfig, fit_mle
 from .kernels import Kernel, epsilon_floor
-from .likelihood import LayerChainModel, _digits
+from .likelihood import LayerChainModel, _digits, _per_support
 from .simulator import Dataset, simulate
 
 # -- metrics ----------------------------------------------------------------
@@ -183,22 +182,48 @@ def excess_risk(
     Both arms are evaluated on the same simulated datasets, so for
     ``pi == pi_star`` the estimate is exactly zero.
     """
+    return excess_risks([pi], kernel, pi_star, params)[0]
+
+
+def excess_risks(
+    candidates,
+    kernel: Kernel,
+    pi_star: DiscreteDistribution,
+    params: RiskParams | None = None,
+) -> list[RiskReport]:
+    """:func:`excess_risk` of every candidate, on one set of datasets.
+
+    Each replicate dataset is simulated once, and pi_star and every
+    candidate are scored on it with one chain model per distinct support,
+    built one at a time.  The reports equal those of per-candidate
+    :func:`excess_risk` calls exactly.
+    """
     params = params or RiskParams()
+    arms = [pi_star, *candidates]
     datasets = _risk_datasets(kernel, pi_star, params)
-    star_vals = _normalized_logliks(datasets, pi_star, kernel)
-    pi_vals = _normalized_logliks(datasets, pi, kernel)
-    diffs = star_vals - pi_vals
-    return RiskReport(
-        pi=pi,
-        L_hat_star=float(star_vals.mean()),
-        L_hat_star_stderr=_stderr(star_vals),
-        L_hat_pi=float(pi_vals.mean()),
-        L_hat_pi_stderr=_stderr(pi_vals),
-        excess_risk=float(diffs.mean()),
-        excess_stderr=_stderr(diffs),
-        N_used=params.N,
-        replicates=params.replicates,
-    )
+    vals = np.empty((len(arms), len(datasets)))
+    for r, ds in enumerate(datasets):
+        vals[:, r] = _per_support(
+            ds, kernel, arms, lambda model, pi: model.log_likelihood(pi.probs) / ds.layers.q_max
+        )
+    star_vals = vals[0]
+    reports = []
+    for pi, pi_vals in zip(arms[1:], vals[1:]):
+        diffs = star_vals - pi_vals
+        reports.append(
+            RiskReport(
+                pi=pi,
+                L_hat_star=float(star_vals.mean()),
+                L_hat_star_stderr=_stderr(star_vals),
+                L_hat_pi=float(pi_vals.mean()),
+                L_hat_pi_stderr=_stderr(pi_vals),
+                excess_risk=float(diffs.mean()),
+                excess_stderr=_stderr(diffs),
+                N_used=params.N,
+                replicates=params.replicates,
+            )
+        )
+    return reports
 
 
 # -- deviation-bound scale and entropy ----------------------------------------
@@ -259,28 +284,21 @@ def forgetting_gap_bound(nus: dict[int, float], q: int, m: int) -> float:
     return prod / nus[q]
 
 
-def forgetting_profile(
-    dataset: Dataset,
-    pi: DiscreteDistribution,
-    kernel: Kernel,
-    q_values=None,
-    max_ell: int | None = None,
-) -> list[ForgettingRow]:
-    """Measured horizon-extension gaps of the conditional block likelihoods.
-
-    For every interior q and every horizon pair (m, m + ell) the row records
-    |log P(X_q | X_{q+1:m}) - log P(X_q | X_{q+1:m+ell})| next to its
-    geometric envelope.  One backward sweep per horizon.
-    """
+def _interior_profiles(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel):
+    """(model, epsilon, profiles): ``profiles[m][q]`` is log P(X_q | X_{q+1:m})
+    for every interior window, from one backward sweep per horizon m."""
     model = LayerChainModel(dataset, kernel, pi.support)
+    epsilon = epsilon_floor(kernel, pi.support).epsilon
     top = dataset.layers.q_max - 1
+    profiles = {m: model.conditional_profile(pi.probs, m) for m in range(2, top + 1)}
+    return model, epsilon, profiles
+
+
+def _forgetting_rows(model, epsilon, profiles, q_values=None, max_ell=None):
+    top = model.layers.q_max - 1
     if top < 2:
         raise LayerOutOfRange("graph too small: no interior window")
-    epsilon = epsilon_floor(kernel, pi.support).epsilon
     nus = _interior_nus(model, epsilon)
-    profiles = {
-        m: model.conditional_profile(pi.probs, m) for m in range(2, top + 1)
-    }
     if q_values is None:
         q_values = range(2, top + 1)
     rows: list[ForgettingRow] = []
@@ -294,19 +312,42 @@ def forgetting_profile(
     return rows
 
 
+def _magnitude_rows(model, epsilon, profiles) -> list[tuple[int, int, float, float]]:
+    rows = []
+    for m, profile in profiles.items():
+        for q, value in profile.items():
+            rows.append((q, m, abs(value), model.block_sizes[q] * math.log(1.0 / epsilon)))
+    return rows
+
+
+def forgetting_profile(
+    dataset: Dataset,
+    pi: DiscreteDistribution,
+    kernel: Kernel,
+    q_values=None,
+    max_ell: int | None = None,
+) -> list[ForgettingRow]:
+    """Measured horizon-extension gaps of the conditional block likelihoods.
+
+    For every interior q and every horizon pair (m, m + ell) the row records
+    |log P(X_q | X_{q+1:m}) - log P(X_q | X_{q+1:m+ell})| next to its
+    geometric envelope.  One backward sweep per horizon.
+    """
+    return _forgetting_rows(*_interior_profiles(dataset, pi, kernel), q_values, max_ell)
+
+
 def conditional_magnitude_rows(
     dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel
 ) -> list[tuple[int, int, float, float]]:
     """(q, m, |log P(X_q | X_{q+1:m})|, |X_q| log(1/epsilon)) on the interior."""
-    model = LayerChainModel(dataset, kernel, pi.support)
-    top = dataset.layers.q_max - 1
-    epsilon = epsilon_floor(kernel, pi.support).epsilon
-    rows = []
-    for m in range(2, top + 1):
-        profile = model.conditional_profile(pi.probs, m)
-        for q, value in profile.items():
-            rows.append((q, m, abs(value), model.block_sizes[q] * math.log(1.0 / epsilon)))
-    return rows
+    return _magnitude_rows(*_interior_profiles(dataset, pi, kernel))
+
+
+def _diagnose_rows(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel):
+    """(forgetting_profile rows, conditional_magnitude_rows rows) from one
+    model and one backward sweep per horizon."""
+    profiles = _interior_profiles(dataset, pi, kernel)
+    return _forgetting_rows(*profiles), _magnitude_rows(*profiles)
 
 
 @dataclass(frozen=True)
@@ -507,7 +548,6 @@ def scaling_experiment(
     eval_replicates: int = 8,
     t: float | None = None,
     covering_constant: float = 10.0,
-    threads: int = 1,
 ) -> ScalingTable:
     """Median excess risk of the fitted MLE per graph size, with the bound scale.
 
@@ -535,12 +575,7 @@ def scaling_experiment(
     for N in N_list:
         seeds = np.random.SeedSequence([base_seed, N]).generate_state(seeds_per_n)
         seeds = [int(s) for s in seeds]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                excesses = list(pool.map(lambda s: one_seed(N, s), seeds))
-        else:
-            excesses = [one_seed(N, s) for s in seeds]
-        arr = np.array(excesses)
+        arr = np.array([one_seed(N, s) for s in seeds])
         q25, q50, q75 = np.percentile(arr, [25, 50, 75])
         rows.append(
             ScalingRow(
@@ -597,13 +632,17 @@ def z_process_concentration(
     if m < 2:
         raise LayerOutOfRange("graph too small: no interior window")
     num_layers = m - 1
+    pi_list = list(pi_list)
+    all_sums = np.empty((len(pi_list), replicates))
+    for r, ds in enumerate(datasets):
+        all_sums[:, r] = _per_support(
+            ds,
+            kernel,
+            pi_list,
+            lambda model, pi: np.mean(list(model.conditional_profile(pi.probs, m).values())),
+        )
     out = []
-    for pi in pi_list:
-        sums = np.empty(replicates)
-        for r, ds in enumerate(datasets):
-            model = LayerChainModel(ds, kernel, pi.support)
-            profile = model.conditional_profile(pi.probs, m)
-            sums[r] = np.mean(list(profile.values()))
+    for pi, sums in zip(pi_list, all_sums):
         centered = sums - sums.mean()
         sigma = centered.std(ddof=1) if replicates > 1 else 0.0
         degenerate = sigma <= 1e-12 * max(1.0, float(np.abs(sums).max()))

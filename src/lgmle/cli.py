@@ -17,7 +17,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -235,15 +234,7 @@ def cmd_risk(args) -> int:
         ),
         min_q_max=int(a_cfg.get("min_q_max", 30)),
     )
-
-    def one(pi):
-        return analysis.excess_risk(pi, kernel, pi_star, params)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(one, candidates))
-    else:
-        reports = [one(pi) for pi in candidates]
+    reports = analysis.excess_risks(candidates, kernel, pi_star, params)
     out = _out_dir(args)
     rows = [
         (
@@ -296,13 +287,12 @@ def cmd_diagnose(args) -> int:
         else _distribution(config, "pi_star")
     )
     out = _out_dir(args)
-    forgetting = analysis.forgetting_profile(ds, pi, kernel)
+    forgetting, magnitude = analysis._diagnose_rows(ds, pi, kernel)
     _write_csv(
         os.path.join(out, "forgetting.csv"),
         ["q", "m", "ell", "gap", "bound"],
         [(r.q, r.m, r.ell, r.gap, r.bound) for r in forgetting],
     )
-    magnitude = analysis.conditional_magnitude_rows(ds, pi, kernel)
     _write_csv(
         os.path.join(out, "conditional_magnitude.csv"),
         ["q", "m", "abs_log_prob", "bound"],
@@ -370,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory (default: cwd)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
         if "normalizers_out" in extra:
             p.add_argument(
                 "--normalizers-out",

@@ -17,7 +17,7 @@ import numpy as np
 from .distributions import DiscreteDistribution, random_simplex, uniform
 from .errors import NoCandidates
 from .kernels import Kernel
-from .likelihood import LayerChainModel
+from .likelihood import LayerChainModel, _per_support
 from .simulator import Dataset
 
 # EM keeps every support point at this floor instead of letting weights hit
@@ -86,6 +86,10 @@ def em_step(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -> Discr
     return pi.with_probs(_floor_simplex(marginals.mean(axis=0)))
 
 
+def _log_likelihood(model: LayerChainModel, pi: DiscreteDistribution) -> float:
+    return model.log_likelihood(pi.probs)
+
+
 def _em_run(model: LayerChainModel, start: np.ndarray, config: FitConfig):
     probs = np.asarray(start, dtype=float)
     marginals, ll = model.posterior_pass(probs)
@@ -140,10 +144,7 @@ def fit_mle(dataset: Dataset, kernel: Kernel, config: FitConfig) -> FitResult:
     if config.mode == "grid":
         if not config.candidates:
             raise NoCandidates("grid mode needs a non-empty candidate list")
-        values = []
-        for cand in config.candidates:
-            model = LayerChainModel(dataset, kernel, cand.support)
-            values.append(model.log_likelihood(cand.probs))
+        values = _per_support(dataset, kernel, config.candidates, _log_likelihood)
         best = 0
         for idx, value in enumerate(values):
             if value > values[best]:
@@ -184,8 +185,5 @@ def profile_likelihood(
 ) -> list[tuple[DiscreteDistribution, float]]:
     """Per-candidate log-likelihood normalized by the layer count q_max."""
     q_max = dataset.layers.q_max
-    out = []
-    for cand in candidates:
-        model = LayerChainModel(dataset, kernel, cand.support)
-        out.append((cand, model.log_likelihood(cand.probs) / q_max))
-    return out
+    values = _per_support(dataset, kernel, candidates, _log_likelihood)
+    return [(cand, value / q_max) for cand, value in zip(candidates, values)]

@@ -40,7 +40,7 @@ from .errors import (
     LayerOutOfRange,
     TooLargeForBruteForce,
 )
-from .kernels import EpsilonCertificate, Kernel, epsilon_floor
+from .kernels import Kernel, epsilon_floor
 from .simulator import Dataset
 
 log = logging.getLogger(__name__)
@@ -374,6 +374,18 @@ class LayerChainModel:
             return probs
         return probs[_digits(self.s, width)].prod(axis=1)
 
+    def _priors(self, probs: np.ndarray) -> list[np.ndarray]:
+        """``_prior(probs, q)`` for every layer q, built once per distinct width.
+
+        Layers of one width share one array (at width 1, ``probs`` itself), so
+        sweeps must not write into a prior in place.
+        """
+        by_width: dict[int, np.ndarray] = {}
+        for q, width in enumerate(self.widths):
+            if width not in by_width:
+                by_width[width] = self._prior(probs, q)
+        return [by_width[width] for width in self.widths]
+
     # -- forward / backward sweeps ---------------------------------------------
 
     def log_likelihood(self, probs) -> float:
@@ -381,12 +393,12 @@ class LayerChainModel:
 
     def forward_constants(self, probs) -> tuple[float, np.ndarray]:
         """(log-likelihood, per-block log normalizer) for simplex ``probs``."""
-        probs = np.asarray(probs, dtype=float)
-        w = self._prior(probs, 0)
+        priors = self._priors(np.asarray(probs, dtype=float))
+        w = priors[0]
         constants = np.empty(self.num_blocks)
         total = 0.0
         for q in range(self.num_blocks):
-            w = self._push(q, w) * self._prior(probs, q + 1)
+            w = self._push(q, w) * priors[q + 1]
             c = float(w.sum())
             if c <= 0.0:
                 raise H1Violated(f"zero likelihood mass at block {q}")
@@ -401,13 +413,13 @@ class LayerChainModel:
 
     def posterior_pass(self, probs) -> tuple[np.ndarray, float]:
         """(node marginals, log-likelihood) from one forward-backward sweep."""
-        probs = np.asarray(probs, dtype=float)
+        priors = self._priors(np.asarray(probs, dtype=float))
         alphas: list[np.ndarray] = []
-        w = self._prior(probs, 0)
+        w = priors[0]
         alphas.append(w)
         loglik = 0.0
         for q in range(self.num_blocks):
-            w = self._push(q, w) * self._prior(probs, q + 1)
+            w = self._push(q, w) * priors[q + 1]
             c = float(w.sum())
             if c <= 0.0:
                 raise H1Violated(f"zero likelihood mass at block {q}")
@@ -425,20 +437,20 @@ class LayerChainModel:
                     digits[:, pos], weights=gamma, minlength=self.s
                 )
             if q > 0:
-                beta = self._pull(q - 1, self._prior(probs, q) * beta)
+                beta = self._pull(q - 1, priors[q] * beta)
                 beta /= beta.max()
         return out, loglik
 
     def backward_messages(self, probs, q: int, m: int) -> BackwardMessages:
         """Messages P(V_k | X_{k:m}) and log P(X_{k:m}) for k = q..m+1."""
         self._check_window(q, m)
-        probs = np.asarray(probs, dtype=float)
-        u = self._prior(probs, m + 1)
+        priors = self._priors(np.asarray(probs, dtype=float))
+        u = priors[m + 1]
         log_z = 0.0
         messages = [np.log(u)]
         normalizers = [0.0]
         for k in range(m, q - 1, -1):
-            u = self._prior(probs, k) * self._pull(k, u)
+            u = priors[k] * self._pull(k, u)
             c = float(u.sum())
             if c <= 0.0:
                 raise H1Violated(f"zero conditional mass at block {k}")
@@ -483,12 +495,12 @@ class LayerChainModel:
         conditioning window starting at q.
         """
         self._check_window(q, m)
-        probs = np.asarray(probs, dtype=float)
+        priors = self._priors(np.asarray(probs, dtype=float))
         kernels = []
         g = np.ones(self.s ** self.widths[q])  # P(X_{q:k-1} | V_k), scaled
         for k in range(q, m):
             mat = self._matrix(k)
-            weighted = self._prior(probs, k)[:, None] * g[:, None] * mat
+            weighted = priors[k][:, None] * g[:, None] * mat
             denom = weighted.sum(axis=0)
             if np.any(denom <= 0.0):
                 raise H1Violated(f"zero conditional mass at block {k}")
@@ -551,6 +563,24 @@ class LayerChainModel:
 
 def _model(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -> LayerChainModel:
     return LayerChainModel(dataset, kernel, pi.support)
+
+
+def _per_support(dataset: Dataset, kernel: Kernel, dists, score) -> list:
+    """``score(model, d)`` for every distribution d in ``dists``, in order.
+
+    Distributions on a common support share one model.  Models are built one
+    support at a time and dropped after their last use, so at most one is
+    alive.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for k, d in enumerate(dists):
+        groups.setdefault(tuple(d.support), []).append(k)
+    out = [None] * len(dists)
+    for indices in groups.values():
+        model = LayerChainModel(dataset, kernel, dists[indices[0]].support)
+        for k in indices:
+            out[k] = score(model, dists[k])
+    return out
 
 
 def log_likelihood(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -> float:
@@ -646,8 +676,3 @@ def backward_contraction_profile(
         m = dataset.layers.q_max - 1
     return model.contraction_profile(pi.probs, q, m, mu1=mu1, mu2=mu2, epsilon=epsilon)
 
-
-def certified_nu(kernel: Kernel, pi: DiscreteDistribution, n: int) -> tuple[EpsilonCertificate, float]:
-    """(epsilon certificate, nu = epsilon**(n(n-1))) for interior blocks."""
-    cert = epsilon_floor(kernel, pi.support)
-    return cert, cert.epsilon ** (n * (n - 1))

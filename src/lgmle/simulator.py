@@ -124,13 +124,18 @@ def simulate(
 
 
 def dataset_to_json_dict(ds: Dataset) -> dict:
-    return {
+    """JSON form of ``ds``.  ``"strict": false`` is written only for graphs
+    outside the n < N/4 bound, which reload through the relaxed scheduler."""
+    doc = {
         "N": ds.graph.N,
         "n": ds.graph.n,
         "seed": ds.seed,
         "outcomes": [[i, j, x] for i, j, x in ds.outcome_list()],
         "weights": None if ds.true_weights is None else ds.true_weights.tolist(),
     }
+    if 4 * ds.graph.n >= ds.graph.N:
+        doc["strict"] = False
+    return doc
 
 
 def dataset_to_json(ds: Dataset, path) -> None:
@@ -140,15 +145,25 @@ def dataset_to_json(ds: Dataset, path) -> None:
 
 
 def dataset_from_json_dict(doc: dict, strict: bool = True) -> Dataset:
+    """Inverse of :func:`dataset_to_json_dict`.  The graph is rebuilt with the
+    relaxed scheduler if ``strict`` is False or the document says so."""
+    doc_strict = doc.get("strict", True)
+    if not isinstance(doc_strict, bool):
+        raise ValueError(f"dataset key strict must be true or false, got {doc_strict!r}")
     graph = (
         build_schedule(doc["N"], doc["n"])
-        if strict
+        if strict and doc_strict
         else build_schedule_unchecked(doc["N"], doc["n"])
     )
     outcomes = {(i, j): x for i, j, x in doc["outcomes"]}
-    missing = [e for e in graph.edge_pairs() if e not in outcomes]
+    edges = graph.edge_pairs()
+    missing = [e for e in edges if e not in outcomes]
     if missing:
         raise ValueError(f"outcomes missing for edges {missing[:5]}")
+    if len(outcomes) > len(edges):
+        scheduled = set(edges)
+        extra = [e for e in outcomes if e not in scheduled]
+        raise ValueError(f"outcomes for edges not in the schedule {extra[:5]}")
     weights = doc.get("weights")
     return Dataset(
         graph=graph,

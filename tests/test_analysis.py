@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from lgmle import (
     degree_model,
     estimate_limit_likelihood,
     excess_risk,
+    excess_risks,
     point_mass,
     product_tv_distance,
     risk_bound_rhs,
@@ -158,6 +160,28 @@ def test_excess_risk_uniform_kernel_zero_for_any_candidate():
     other = DiscreteDistribution([1.0, 3.0], [0.9, 0.1])
     report = excess_risk(other, k, pi_star, RiskParams(N=400, n=2, replicates=4, base_seed=9))
     assert report.excess_risk == 0.0
+
+
+def test_excess_risks_equal_per_candidate_excess_risk():
+    pi_star = DiscreteDistribution([1.0, 3.0], [0.3, 0.7])
+    candidates = [
+        DiscreteDistribution([1.0, 3.0], [0.6, 0.4]),
+        pi_star,
+        DiscreteDistribution([1.0, 2.0, 3.0], [0.2, 0.3, 0.5]),
+        DiscreteDistribution([1.0, 3.0], [0.1, 0.9]),
+    ]
+    k = bradley_terry()
+    params = RiskParams(N=300, n=2, replicates=3, base_seed=12, min_q_max=20)
+    reports = excess_risks(candidates, k, pi_star, params)
+    assert len(reports) == len(candidates)
+    for cand, report in zip(candidates, reports):
+        single = excess_risk(cand, k, pi_star, params)
+        assert report.pi is cand
+        for field in dataclasses.fields(report):
+            if field.name != "pi":
+                assert getattr(report, field.name) == getattr(single, field.name), field.name
+    assert reports[1].excess_risk == 0.0 and reports[1].excess_stderr == 0.0
+    assert excess_risks([], k, pi_star, params) == []
 
 
 def test_excess_risk_positive_for_far_candidate():

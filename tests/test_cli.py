@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from lgmle import analysis
 from lgmle.cli import main
+from lgmle.likelihood import LayerChainModel
 
 
 def run(args):
@@ -123,6 +125,63 @@ def test_risk_thread_count_does_not_change_results(tmp_path, base_config):
     assert run(["risk", "--config", cfg, "--out", out1, "--threads", 1]) == 0
     assert run(["risk", "--config", cfg, "--out", out2, "--threads", 4]) == 0
     assert (out1 / "risk.csv").read_bytes() == (out2 / "risk.csv").read_bytes()
+
+
+def test_risk_builds_one_model_per_replicate(tmp_path, base_config, monkeypatch):
+    replicates, candidates = 3, [[0.4, 0.6], [0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]
+    cfg = base_config(
+        extra={
+            "candidates": candidates,
+            "analysis": {"N": 300, "n": 2, "replicates": replicates, "base_seed": 5, "min_q_max": 20},
+        }
+    )
+    counts = {"simulate": 0, "model": 0}
+    simulate, init = analysis.simulate, LayerChainModel.__init__
+
+    def counting_simulate(*args, **kwargs):
+        counts["simulate"] += 1
+        return simulate(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        counts["model"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "simulate", counting_simulate)
+    monkeypatch.setattr(LayerChainModel, "__init__", counting_init)
+    assert run(["risk", "--config", cfg, "--out", tmp_path / "risk", "--threads", 1]) == 0
+    assert counts == {"simulate": replicates, "model": replicates}
+    doc = json.loads((tmp_path / "risk" / "risk.json").read_text())
+    assert len(doc["reports"]) == len(candidates)
+
+
+def test_relaxed_dataset_round_trips(tmp_path, base_config):
+    # N=12, n=4 breaks the n < N/4 bound: only sim.strict=false schedules it
+    cfg = base_config(graph={"N": 12, "n": 4}, sim={"seed": 3, "strict": False})
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "sim"]) == 0
+    dataset = tmp_path / "sim" / "dataset.json"
+    assert json.loads(dataset.read_text())["strict"] is False
+    model = json.loads(cfg.read_text())["model"]
+    loaded = tmp_path / "loaded.json"
+    loaded.write_text(json.dumps({"model": model, "dataset": str(dataset)}))
+    assert run(["loglik", "--config", loaded, "--out", tmp_path / "a"]) == 0
+    assert run(["loglik", "--config", cfg, "--out", tmp_path / "b"]) == 0
+    a = json.loads((tmp_path / "a" / "loglik.json").read_text())
+    b = json.loads((tmp_path / "b" / "loglik.json").read_text())
+    assert a["log_likelihood"] == b["log_likelihood"]
+
+
+def test_dataset_with_unscheduled_edge_exit_2(tmp_path, base_config, capsys):
+    assert run(["simulate", "--config", base_config(), "--out", tmp_path / "sim"]) == 0
+    dataset = tmp_path / "sim" / "dataset.json"
+    doc = json.loads(dataset.read_text())
+    assert "strict" not in doc
+    doc["outcomes"].append([1, 60, doc["outcomes"][0][2]])
+    dataset.write_text(json.dumps(doc))
+    model = json.loads(base_config().read_text())["model"]
+    cfg = tmp_path / "loaded.json"
+    cfg.write_text(json.dumps({"model": model, "dataset": str(dataset)}))
+    assert run(["loglik", "--config", cfg, "--out", tmp_path / "ll"]) == 2
+    assert "not in the schedule" in capsys.readouterr().err
 
 
 def test_diagnose_bounds_and_exit(tmp_path, base_config, capsys):

@@ -365,3 +365,18 @@ def test_model_logs_engine_at_debug(engine, caplog):
     assert [r.getMessage() for r in caplog.records] == [
         f"layer chain model: engine={engine} blocks={model.num_blocks} max_state={3**4}"
     ]
+
+
+@pytest.mark.parametrize("engine", ["dense", "factored"])
+@pytest.mark.parametrize("N, n", [(20, 2), (22, 3)])
+def test_layer_priors_match_per_layer_prior(engine, N, n):
+    pi = DiscreteDistribution([1.0, 2.0, 4.0], [0.2, 0.5, 0.3])
+    k = bradley_terry()
+    model = _model(simulate(pi, k, N, n, seed=3), pi, k, engine)
+    priors = model._priors(pi.probs)
+    assert len(priors) == len(model.widths)
+    for q, prior in enumerate(priors):
+        assert np.array_equal(prior, model._prior(pi.probs, q))
+    # one array per distinct width; at width 1 the weights themselves
+    assert len({id(p) for p in priors}) == len(set(model.widths))
+    assert priors[0] is pi.probs

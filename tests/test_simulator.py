@@ -134,6 +134,30 @@ def test_json_roundtrip(tmp_path):
         dataset_from_json_dict(doc)
 
 
+def test_json_roundtrip_relaxed_schedule(tmp_path):
+    pi = uniform([1.0, 3.0])
+    ds = simulate(pi, bradley_terry(), 12, 4, seed=5, strict=False)
+    path = tmp_path / "ds.json"
+    dataset_to_json(ds, path)
+    back = dataset_from_json(path)
+    assert back.outcomes == ds.outcomes
+    assert back.graph.edges == ds.graph.edges
+    # strict graphs keep the flag out of the file
+    assert "strict" not in dataset_to_json_dict(simulate(pi, bradley_terry(), 16, 3, seed=5))
+    doc = dataset_to_json_dict(ds)
+    doc["strict"] = "no"
+    with pytest.raises(ValueError, match="strict"):
+        dataset_from_json_dict(doc)
+
+
+def test_json_rejects_unscheduled_edges():
+    ds = simulate(uniform([1.0, 3.0]), bradley_terry(), 16, 3, seed=7)
+    doc = dataset_to_json_dict(ds)
+    doc["outcomes"].append([2, 1, doc["outcomes"][0][2]])
+    with pytest.raises(ValueError, match=r"not in the schedule \[\(2, 1\)\]"):
+        dataset_from_json_dict(doc)
+
+
 def test_outcomes_csv(tmp_path):
     ds = simulate(uniform([1.0, 3.0]), bradley_terry(), 16, 3, seed=7)
     path = tmp_path / "o.csv"
