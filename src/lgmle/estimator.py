@@ -9,6 +9,7 @@ list and takes the argmax (ties broken by lowest candidate index).
 
 from __future__ import annotations
 
+import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -19,6 +20,8 @@ from .errors import NoCandidates
 from .kernels import Kernel
 from .likelihood import LayerChainModel, _per_support
 from .simulator import Dataset
+
+log = logging.getLogger(__name__)
 
 # EM keeps every support point at this floor instead of letting weights hit
 # exact zero: a zero would shrink the effective support and change the
@@ -70,9 +73,13 @@ class FitResult:
     restart_final_logliks: list[float] = field(default_factory=list)
 
 
-def _floor_simplex(probs: np.ndarray, floor: float = WEIGHT_FLOOR) -> np.ndarray:
-    probs = np.maximum(probs, floor)
-    return probs / probs.sum()
+def _m_step(marginals: np.ndarray) -> tuple[np.ndarray, int]:
+    """The EM update from (N, s) node marginals: their average, with weights
+    below ``WEIGHT_FLOOR`` clipped to it and renormalized (a documented
+    deviation from the pure update).  Also returns how many were clipped."""
+    mean = marginals.mean(axis=0)
+    probs = np.maximum(mean, WEIGHT_FLOOR)
+    return probs / probs.sum(), int(np.count_nonzero(mean < WEIGHT_FLOOR))
 
 
 def em_step(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -> DiscreteDistribution:
@@ -82,8 +89,8 @@ def em_step(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -> Discr
     deviation from the pure update; see WEIGHT_FLOOR).
     """
     model = LayerChainModel(dataset, kernel, pi.support)
-    marginals = model.node_marginals(pi.probs)
-    return pi.with_probs(_floor_simplex(marginals.mean(axis=0)))
+    probs, _ = _m_step(model.node_marginals(pi.probs))
+    return pi.with_probs(probs)
 
 
 def _log_likelihood(model: LayerChainModel, pi: DiscreteDistribution) -> float:
@@ -95,15 +102,21 @@ def _em_run(model: LayerChainModel, start: np.ndarray, config: FitConfig):
     marginals, ll = model.posterior_pass(probs)
     trajectory = [ll]
     converged = False
+    clipped = 0
     for _ in range(config.max_iters):
-        probs = _floor_simplex(marginals.mean(axis=0))
+        probs, clipped = _m_step(marginals)
         marginals, ll_new = model.posterior_pass(probs)
         trajectory.append(ll_new)
-        if ll_new - ll < config.tol * max(1.0, abs(ll)):
-            converged = True
-            ll = ll_new
-            break
+        converged = bool(ll_new - ll < config.tol * max(1.0, abs(ll)))
         ll = ll_new
+        if converged:
+            break
+    log.debug(
+        "em restart: sweeps=%d stop=%s clipped=%d",
+        len(trajectory),
+        "tol" if converged else "max_iters",
+        clipped,
+    )
     return probs, ll, trajectory, converged
 
 

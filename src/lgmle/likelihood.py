@@ -202,8 +202,13 @@ class LayerChainModel:
     their total size fits ``_BLOCK_CACHE_BUDGET``; "factored" keeps each
     block as its edge factors and contracts them with the state vectors in
     an order compiled here, once per positional plan.  Both engines give the
-    same per-block log normalizers up to float64 roundoff.  All methods are
-    pure; instances are safe for concurrent reads.
+    same per-block log normalizers up to float64 roundoff.
+
+    ``forward_constants`` and ``posterior_pass`` share one forward recursion,
+    ``_forward``.  Their per-block loops do the recursion alone; logs, shifts
+    and node marginals follow for all blocks at once, in the floating-point
+    order of a per-block computation.  All methods are pure; instances are
+    safe for concurrent reads.
     """
 
     def __init__(self, dataset: Dataset, kernel: Kernel, support):
@@ -261,10 +266,18 @@ class LayerChainModel:
             self.engine = "dense"
             built = [self._build_block(q) for q in range(self.num_blocks)]
             self._mats = [mat for mat, _ in built]
-            self._shifts = [shift for _, shift in built]
+            shifts = [shift for _, shift in built]
         else:
             self.engine = "factored"
-            self._factored, self._shifts = self._compile_factored()
+            self._factored, shifts = self._compile_factored()
+        self._shifts = np.array(shifts)
+        # Per distinct layer width: its layers and their node rows (node id
+        # - 1, one column per position), for the marginals of posterior_pass.
+        self._width_groups = []
+        for width in dict.fromkeys(self.widths):
+            qs = [q for q, w in enumerate(self.widths) if w == width]
+            nodes = np.array([layers.node_layers[q] for q in qs]) - 1
+            self._width_groups.append((width, qs, nodes))
         log.debug(
             "layer chain model: engine=%s blocks=%d max_state=%d",
             self.engine,
@@ -391,55 +404,90 @@ class LayerChainModel:
     def log_likelihood(self, probs) -> float:
         return self.forward_constants(probs)[0]
 
-    def forward_constants(self, probs) -> tuple[float, np.ndarray]:
-        """(log-likelihood, per-block log normalizer) for simplex ``probs``."""
-        priors = self._priors(np.asarray(probs, dtype=float))
+    def _forward(
+        self, priors: list[np.ndarray], keep_alphas: bool = False
+    ) -> tuple[list[np.ndarray] | None, np.ndarray]:
+        """The scaled forward recursion: (alphas, per-block log normalizers).
+
+        ``alphas[q]`` is the normalized forward message of layer q (the
+        prior at q = 0).  They are kept only when ``keep_alphas``: a
+        likelihood needs none, and they hold one state vector per layer.
+        ``constants[q]`` is log P(X_q | X_{0:q-1}).  The loop does
+        the recursion alone; logs and shifts are applied after it.
+        """
+        mats = self._mats
+        cs = np.empty(self.num_blocks)
+        alphas = [priors[0]] if keep_alphas else None
         w = priors[0]
-        constants = np.empty(self.num_blocks)
-        total = 0.0
         for q in range(self.num_blocks):
-            w = self._push(q, w) * priors[q + 1]
-            c = float(w.sum())
+            w = (w @ mats[q] if mats is not None else self._push(q, w)) * priors[q + 1]
+            c = w.sum()
             if c <= 0.0:
                 raise H1Violated(f"zero likelihood mass at block {q}")
             w /= c
-            constants[q] = np.log(c) + self._shifts[q]
-            total += constants[q]
-        return total, constants
+            cs[q] = c
+            if alphas is not None:
+                alphas.append(w)
+        return alphas, np.log(cs) + self._shifts
+
+    def forward_constants(self, probs) -> tuple[float, np.ndarray]:
+        """(log-likelihood, per-block log normalizer) for simplex ``probs``.
+
+        The log-likelihood sums the normalizers sequentially in block order.
+        """
+        _, constants = self._forward(self._priors(np.asarray(probs, dtype=float)))
+        return np.cumsum(constants)[-1], constants
 
     def node_marginals(self, probs) -> np.ndarray:
         """(N, s) posterior P(V_i = support[a] | outcomes); row i-1 is node i."""
         return self.posterior_pass(probs)[0]
 
     def posterior_pass(self, probs) -> tuple[np.ndarray, float]:
-        """(node marginals, log-likelihood) from one forward-backward sweep."""
+        """(node marginals, log-likelihood) from one forward-backward sweep.
+
+        The backward loop only forms gamma_q = alpha_q * beta_q and pulls beta
+        one block down.  Node marginals follow per distinct layer width: the
+        gammas of that width are stacked and row-normalized, and one
+        ``bincount`` per position sums each row into its node's bins.  Raises
+        ``H1Violated`` naming the block or layer where the backward mass
+        underflows to zero or is not finite.
+        """
         priors = self._priors(np.asarray(probs, dtype=float))
-        alphas: list[np.ndarray] = []
-        w = priors[0]
-        alphas.append(w)
-        loglik = 0.0
-        for q in range(self.num_blocks):
-            w = self._push(q, w) * priors[q + 1]
-            c = float(w.sum())
-            if c <= 0.0:
-                raise H1Violated(f"zero likelihood mass at block {q}")
-            w = w / c
-            alphas.append(w)
-            loglik += np.log(c) + self._shifts[q]
-        out = np.empty((self.dataset.graph.N, self.s))
+        gammas, constants = self._forward(priors, keep_alphas=True)
+        mats = self._mats
         beta = np.ones(self.s ** self.widths[-1])
-        for q in range(self.num_blocks, -1, -1):
-            gamma = alphas[q] * beta
-            gamma /= gamma.sum()
-            digits = _digits(self.s, self.widths[q])
-            for pos, node in enumerate(self.layers.node_layers[q]):
-                out[node - 1] = np.bincount(
-                    digits[:, pos], weights=gamma, minlength=self.s
-                )
-            if q > 0:
-                beta = self._pull(q - 1, priors[q] * beta)
-                beta /= beta.max()
-        return out, loglik
+        for q in range(self.num_blocks, 0, -1):
+            # Rebind, never scale in place: alphas[0] is a shared prior.
+            gammas[q] = gammas[q] * beta
+            x = priors[q] * beta
+            beta = mats[q - 1] @ x if mats is not None else self._pull(q - 1, x)
+            peak = beta.max()
+            if not peak > 0.0:
+                raise H1Violated(f"zero posterior mass at block {q - 1}")
+            beta /= peak
+        gammas[0] = gammas[0] * beta
+
+        s = self.s
+        out = np.empty((self.dataset.graph.N, s))
+        for width, qs, nodes in self._width_groups:
+            # Drop each gamma once stacked: at most one copy of the chain's
+            # state and one bin array are alive at a time.
+            stacked = np.stack([gammas[q] for q in qs])
+            for q in qs:
+                gammas[q] = None
+            sums = stacked.sum(axis=1)
+            bad = ~(np.isfinite(sums) & (sums > 0.0))
+            if bad.any():
+                raise H1Violated(f"zero posterior mass at layer {qs[int(np.argmax(bad))]}")
+            stacked /= sums[:, None]
+            weights = stacked.ravel()
+            rows = np.arange(len(qs))[:, None] * s
+            digits = _digits(s, width)
+            for pos in range(width):
+                out[nodes[:, pos]] = np.bincount(
+                    (rows + digits[:, pos]).ravel(), weights=weights, minlength=len(qs) * s
+                ).reshape(-1, s)
+        return out, np.cumsum(constants)[-1]
 
     def backward_messages(self, probs, q: int, m: int) -> BackwardMessages:
         """Messages P(V_k | X_{k:m}) and log P(X_{k:m}) for k = q..m+1."""

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -174,3 +175,22 @@ def test_profile_peaks_near_truth():
     values = [v for _, v in profile_likelihood(ds, k, grid)]
     best_p = np.linspace(0.05, 0.95, 19)[int(np.argmax(values))]
     assert abs(best_p - 0.3) <= 0.1
+
+
+def test_em_logs_sweeps_stop_reason_and_clipping(caplog):
+    k = bradley_terry()
+    truth = point_mass_on([1.0, 3.0], 0)
+    ds = simulate(truth, k, 16, 3, seed=2)
+    # From the point mass the marginals put exactly 0 on 3.0: one weight is
+    # clipped and the log-likelihood stays put, so EM stops on tol.
+    absorbed = FitConfig(support=(1.0, 3.0), init="explicit", init_list=[truth])
+    # From uniform, two updates at a tol no step meets: stop on max_iters.
+    capped = FitConfig(support=(1.0, 3.0), max_iters=2, tol=1e-300, restarts=2, seed=5)
+    with caplog.at_level(logging.DEBUG, logger="lgmle.estimator"):
+        fit_mle(ds, k, absorbed)
+        fit_mle(ds, k, capped)
+    assert [r.getMessage() for r in caplog.records] == [
+        "em restart: sweeps=2 stop=tol clipped=1",
+        "em restart: sweeps=3 stop=max_iters clipped=0",
+        "em restart: sweeps=3 stop=max_iters clipped=0",
+    ]

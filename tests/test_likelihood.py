@@ -31,6 +31,7 @@ from lgmle import (
     uniform_kernel,
 )
 from lgmle import likelihood
+from lgmle.estimator import WEIGHT_FLOOR
 from lgmle.kernels import block_log_kernel
 from lgmle.likelihood import LayerChainModel
 
@@ -380,3 +381,126 @@ def test_layer_priors_match_per_layer_prior(engine, N, n):
     # one array per distinct width; at width 1 the weights themselves
     assert len({id(p) for p in priors}) == len(set(model.widths))
     assert priors[0] is pi.probs
+
+
+def _oracle_forward_constants(model, probs):
+    """The per-block forward sweep that ``LayerChainModel._forward`` replaced."""
+    priors = model._priors(np.asarray(probs, dtype=float))
+    w = priors[0]
+    constants = np.empty(model.num_blocks)
+    total = 0.0
+    for q in range(model.num_blocks):
+        w = model._push(q, w) * priors[q + 1]
+        c = float(w.sum())
+        if c <= 0.0:
+            raise H1Violated(f"zero likelihood mass at block {q}")
+        w /= c
+        constants[q] = np.log(c) + model._shifts[q]
+        total += constants[q]
+    return total, constants
+
+
+def _oracle_posterior_pass(model, probs):
+    """The per-block, per-node posterior sweep that ``posterior_pass`` replaced."""
+    priors = model._priors(np.asarray(probs, dtype=float))
+    alphas = []
+    w = priors[0]
+    alphas.append(w)
+    loglik = 0.0
+    for q in range(model.num_blocks):
+        w = model._push(q, w) * priors[q + 1]
+        c = float(w.sum())
+        if c <= 0.0:
+            raise H1Violated(f"zero likelihood mass at block {q}")
+        w = w / c
+        alphas.append(w)
+        loglik += np.log(c) + model._shifts[q]
+    out = np.empty((model.dataset.graph.N, model.s))
+    beta = np.ones(model.s ** model.widths[-1])
+    for q in range(model.num_blocks, -1, -1):
+        gamma = alphas[q] * beta
+        gamma /= gamma.sum()
+        digits = likelihood._digits(model.s, model.widths[q])
+        for pos, node in enumerate(model.layers.node_layers[q]):
+            out[node - 1] = np.bincount(digits[:, pos], weights=gamma, minlength=model.s)
+        if q > 0:
+            beta = model._pull(q - 1, priors[q] * beta)
+            beta /= beta.max()
+    return out, loglik
+
+
+@given(
+    n=st.integers(2, 4),
+    s=st.integers(2, 3),
+    extra=st.integers(0, 6),
+    kernel_index=st.integers(0, 3),
+    engine=st.sampled_from(["dense", "factored"]),
+    floored=st.integers(0, 2),
+    seed=st.integers(1, 2**31 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_sweeps_match_per_block_oracle_exactly(n, s, extra, kernel_index, engine, floored, seed):
+    rng = np.random.default_rng(seed)
+    kernel = kernel_variants()[kernel_index]
+    pi = random_distribution(rng, s)
+    ds = simulate(pi, kernel, 4 * n + 2 + 2 * extra, n, seed=seed)
+    model = _model(ds, pi, kernel, engine)
+    probs = rng.dirichlet(np.ones(s))
+    probs[: min(floored, s - 1)] = WEIGHT_FLOOR
+    probs /= probs.sum()
+
+    total, constants = model.forward_constants(probs)
+    total_o, constants_o = _oracle_forward_constants(model, probs)
+    assert np.array_equal(constants, constants_o)
+    assert total == total_o
+
+    marginals, loglik = model.posterior_pass(probs)
+    marginals_o, loglik_o = _oracle_posterior_pass(model, probs)
+    assert np.array_equal(marginals, marginals_o)
+    assert loglik == loglik_o == total
+
+
+def _extreme_posterior(n, s, engine, floored, seed):
+    """posterior_pass under a binary custom_table whose rare outcome, per weight
+    pair, has probability down to 1e-300, on data simulated from a fair coin."""
+    rng = np.random.default_rng(seed)
+    support = np.arange(1.0, s + 1.0)
+    rare = 10.0 ** -rng.uniform(0.3, 300.0, size=(s, s))
+    swap = rng.random((s, s)) < 0.5
+    table = np.stack([np.where(swap, 1.0 - rare, rare), np.where(swap, rare, 1.0 - rare)])
+    extreme = custom_table((0, 1), support, table)
+    fair = custom_table((0, 1), support, np.full((2, s, s), 0.5))
+    pi = uniform(support)
+    ds = simulate(pi, fair, 4 * n + 2 + 2 * int(rng.integers(0, 4)), n, seed=seed)
+    probs = rng.dirichlet(np.ones(s))
+    probs[: min(floored, s - 1)] = WEIGHT_FLOOR
+    probs /= probs.sum()
+    return _model(ds, pi, extreme, engine).posterior_pass(probs)
+
+
+@given(
+    n=st.integers(2, 3),
+    s=st.integers(2, 3),
+    engine=st.sampled_from(["dense", "factored"]),
+    floored=st.integers(0, 2),
+    seed=st.integers(1, 2**31 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_posterior_pass_with_extreme_tables_is_finite_or_raises(n, s, engine, floored, seed):
+    try:
+        marginals, loglik = _extreme_posterior(n, s, engine, floored, seed)
+    except H1Violated:
+        return
+    assert np.isfinite(loglik)
+    assert np.all(np.isfinite(marginals))
+    assert np.max(np.abs(marginals.sum(axis=1) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "s, seed, where", [(2, 13, "block 2"), (3, 99, "layer 2")]
+)
+def test_backward_underflow_raises_not_nan(s, seed, where):
+    # These draws underflow the backward mass to zero although the forward
+    # sweep keeps positive mass; the marginals used to come back NaN.
+    with pytest.raises(H1Violated, match=f"zero posterior mass at {where}$"):
+        _extreme_posterior(3, s, "dense", 1, seed)
