@@ -42,7 +42,6 @@ from .estimator import FitConfig, FitResult, em_step, fit_mle, profile_likelihoo
 from .kernels import (
     EpsilonCertificate,
     Kernel,
-    block_log_kernel,
     bradley_terry,
     bt_home_advantage,
     bt_ties,
@@ -50,7 +49,6 @@ from .kernels import (
     degree_model,
     epsilon_floor,
     kernel_from_config,
-    kernel_prob,
     uniform_kernel,
 )
 from .likelihood import (

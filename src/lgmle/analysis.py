@@ -395,9 +395,6 @@ def single_flip_rows(
                 flipped_model = LayerChainModel(flipped_ds, kernel, pi.support)
                 prof = flipped_model.conditional_profile(pi.probs, m, q_min=q_min)
                 for q in range(q_min, flip_layer + 1):
-                    prod = 1.0
-                    for k in range(q + 1, flip_layer):
-                        prod *= 1.0 - nus[k]
                     rows.append(
                         FlipRow(
                             q=q,
@@ -405,7 +402,7 @@ def single_flip_rows(
                             edge=edge,
                             new_outcome=alt,
                             gap=abs(base[q] - prof[q]),
-                            bound=prod / nus[q],
+                            bound=forgetting_gap_bound(nus, q, flip_layer),
                         )
                     )
     return rows

@@ -247,11 +247,6 @@ def kernel_from_config(config: dict) -> Kernel:
     raise ValueError(f"unknown kernel variant {variant!r}")
 
 
-def kernel_prob(kernel: Kernel, x, v, w) -> float:
-    """k(x, v, w) in probability scale."""
-    return kernel.prob(x, v, w)
-
-
 def epsilon_floor(kernel: Kernel, support) -> EpsilonCertificate:
     """Exact minimum of k over outcomes x support x support.
 
@@ -271,32 +266,3 @@ def epsilon_floor(kernel: Kernel, support) -> EpsilonCertificate:
         epsilon=eps,
         attained_at=(kernel.outcomes[xi], float(support[ai]), float(support[bi])),
     )
-
-
-def block_log_kernel(kernel, edges, outcomes, nodes_q, nodes_q1, v_block, w_block) -> float:
-    """Sum of log k over one chain block, at fixed endpoint weights.
-
-    ``edges`` may touch nodes of layer q (listed in ``nodes_q`` with weights
-    ``v_block``) and of layer q+1 (``nodes_q1``/``w_block``); each edge must
-    have both endpoints among them.  The first kernel argument is the
-    smaller-id endpoint's weight.
-    """
-    if len(edges) != len(outcomes):
-        raise InconsistentBlockShapes(
-            f"{len(edges)} edges but {len(outcomes)} outcomes"
-        )
-    if len(nodes_q) != len(v_block) or len(nodes_q1) != len(w_block):
-        raise InconsistentBlockShapes("node lists and weight blocks disagree in length")
-    weight_of = {}
-    for node, weight in zip(nodes_q, v_block):
-        weight_of[node] = weight
-    for node, weight in zip(nodes_q1, w_block):
-        weight_of[node] = weight
-    total = 0.0
-    for (i, j), x in zip(edges, outcomes):
-        if i not in weight_of or j not in weight_of:
-            raise InconsistentBlockShapes(
-                f"edge ({i},{j}) has an endpoint outside the two layer blocks"
-            )
-        total += kernel.log_prob(x, weight_of[i], weight_of[j])
-    return total

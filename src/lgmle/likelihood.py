@@ -3,13 +3,19 @@
 The joint law of outcomes factorizes over chain blocks: block q couples the
 latent weights of layers q and q+1 through the product of edge kernels over
 the cross edges q<->q+1 and the within edges of layer q+1.  Eliminating the
-layer blocks in order gives the exact marginal likelihood.  Each block acts
-on state vectors of s^|V_q| entries through one of two engines:
+layer blocks in order gives the exact marginal likelihood.
 
-* dense: the block's s^|V_q| x s^|V_q+1| transition matrix is built once and
-  applied as a matrix product, O(sum_q s^(|V_q|+|V_q+1|)) time and memory.
-  Used when every block of the chain fits ``_BLOCK_CACHE_BUDGET`` entries.
-* factored: the block stays a product of pairwise edge factors, contracted
+A block is fully described by its block type: the two layer widths and, per
+edge in edge order, the block axes of its endpoints and its outcome index.
+The round-robin schedule is periodic, so a long chain has few distinct
+types; each is built once and shared by its blocks.  A block acts on state
+vectors of s^|V_q| entries through one of two engines:
+
+* dense: the type's s^|V_q| x s^|V_q+1| transition matrix is built once, by
+  broadcast-adding its edge log tables, and applied as a matrix product.
+  Used when the chain's blocks hold at most ``_BLOCK_CACHE_BUDGET`` entries
+  in total.
+* factored: the type stays a product of pairwise edge factors, contracted
   with the state vector one factor at a time in an order compiled once per
   positional plan (variable elimination, Koller & Friedman 2009, ch. 9).  A
   step costs about s^(max(|V_q|, |V_q+1|)+1) per edge factor, so chains whose
@@ -50,48 +56,22 @@ _BRUTE_FORCE_CAP = 1_000_000
 # the dense engine; larger ones run factored.
 _BLOCK_CACHE_BUDGET = 4_000_000
 _SUBSCRIPTS = string.ascii_letters  # np.einsum's index alphabet
-_digits_cache: dict[tuple[int, int], np.ndarray] = {}
-_flat_cache: dict[tuple, np.ndarray] = {}
 
 
 def _digits(s: int, width: int) -> np.ndarray:
     """(s**width, width) table of support indices, first position slowest."""
-    key = (s, width)
-    cached = _digits_cache.get(key)
-    if cached is not None:
-        return cached
     out = np.empty((s**width, width), dtype=np.int32)
     for pos in range(width):
         reps = s ** (width - pos - 1)
         out[:, pos] = np.tile(np.repeat(np.arange(s), reps), s**pos)
-    out.setflags(write=False)
-    if s**width <= 100_000:
-        _digits_cache[key] = out
     return out
 
 
-def _flat_index(s, wq, wq1, pos_lo, pos_hi, lo_in_q: bool) -> np.ndarray:
-    """Flat gather indices into an (s, s) table for one cross edge.
-
-    Result has shape (s**wq, s**wq1); entry [S, T] addresses
-    table[digit_lo, digit_hi] for block states S of layer q and T of layer
-    q+1.  Idempotent to rebuild, so concurrent cache misses are harmless.
-    """
-    key = (s, wq, wq1, pos_lo, pos_hi, lo_in_q)
-    cached = _flat_cache.get(key)
-    if cached is not None:
-        return cached
-    dq = _digits(s, wq)
-    dq1 = _digits(s, wq1)
-    if lo_in_q:
-        flat = dq[:, pos_lo][:, None] * s + dq1[None, :, pos_hi]
-    else:
-        flat = dq1[None, :, pos_lo] * s + dq[:, pos_hi][:, None]
-    flat = np.ascontiguousarray(flat, dtype=np.int32)
-    flat.setflags(write=False)
-    if flat.size <= _BLOCK_CACHE_BUDGET:
-        _flat_cache[key] = flat
-    return flat
+def _placed(table: np.ndarray, a: int, b: int, ndim: int) -> np.ndarray:
+    """``table[d_a, d_b]`` as an ndim-axis tensor, broadcast along the others."""
+    shape = [1] * ndim
+    shape[a] = shape[b] = table.shape[0]
+    return (table if a < b else table.T).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -195,14 +175,22 @@ class ContractionProfile:
 class LayerChainModel:
     """Chain representation of one (dataset, kernel, support) triple.
 
-    Block transition matrices depend on the kernel and the support grid but
-    not on the simplex weights, so a model can be reused across candidate
-    distributions (EM iterations, grid scans) on a fixed support.  ``engine``
-    says how blocks are applied: "dense" caches every transition matrix when
-    their total size fits ``_BLOCK_CACHE_BUDGET``; "factored" keeps each
-    block as its edge factors and contracts them with the state vectors in
-    an order compiled here, once per positional plan.  Both engines give the
-    same per-block log normalizers up to float64 roundoff.
+    Each chain block is described once, by its block type ``(w_q, w_{q+1},
+    cross factors, within factors)``: one factor ``(axis of i, axis of j,
+    outcome index)`` per edge (i, j), i < j, in edge order.  Axes 0..w_q-1
+    are the positions of layer q and w_q.. those of layer q+1.  The
+    round-robin schedule is periodic, so few types recur along the chain (6
+    of 1500 blocks at N=3000, n=2); each distinct type is built once and
+    every block of that type shares it.
+
+    Blocks depend on the kernel and the support grid but not on the simplex
+    weights, so a model can be reused across candidate distributions (EM
+    iterations, grid scans) on a fixed support.  ``engine`` says how blocks
+    are applied: "dense" builds each type's transition matrix when the
+    chain's blocks hold at most ``_BLOCK_CACHE_BUDGET`` entries in total;
+    "factored" keeps each type as its edge factors and contracts them with
+    the state vectors in an order compiled once per positional plan.  Both
+    engines give the same per-block log normalizers up to float64 roundoff.
 
     ``forward_constants`` and ``posterior_pass`` share one forward recursion,
     ``_forward``.  Their per-block loops do the recursion alone; logs, shifts
@@ -234,28 +222,29 @@ class LayerChainModel:
         pos_of = {
             v: p for layer in layers.node_layers for p, v in enumerate(layer)
         }
-        # Per block: gather plans for cross edges and within edges of the
-        # upper layer.  The kernel's first argument is the smaller node id.
+        outcome_index = kernel.outcome_index
+        outcomes = dataset.outcomes
+        # Per block: the index of its type in self._types.
+        types: dict[tuple, int] = {}
+        self._block_type: list[int] = []
         self.block_sizes: list[int] = []
-        self._cross_ops: list[list[tuple[int, tuple]]] = []
-        self._within_ops: list[list[tuple[int, int, int]]] = []
         for q in range(self.num_blocks):
-            cross: list[tuple[int, tuple]] = []
-            within: list[tuple[int, int, int]] = []
-            for (i, j) in layers.cross_edges[q]:
-                xi = kernel.outcome_index(dataset.outcomes[(i, j)])
-                lo_in_q = layer_of[i] == q
-                if lo_in_q:
-                    key = (self.s, self.widths[q], self.widths[q + 1], pos_of[i], pos_of[j], True)
-                else:
-                    key = (self.s, self.widths[q], self.widths[q + 1], pos_of[i], pos_of[j], False)
-                cross.append((xi, key))
-            for (i, j) in layers.within_edges[q + 1]:
-                xi = kernel.outcome_index(dataset.outcomes[(i, j)])
-                within.append((xi, pos_of[i], pos_of[j]))
-            self._cross_ops.append(cross)
-            self._within_ops.append(within)
+            wq = self.widths[q]
+            # A cross edge joins layers q and q+1; either endpoint may be i.
+            cross = tuple(
+                (pos_of[i], wq + pos_of[j], outcome_index(outcomes[(i, j)]))
+                if layer_of[i] == q
+                else (wq + pos_of[i], pos_of[j], outcome_index(outcomes[(i, j)]))
+                for i, j in layers.cross_edges[q]
+            )
+            within = tuple(
+                (wq + pos_of[i], wq + pos_of[j], outcome_index(outcomes[(i, j)]))
+                for i, j in layers.within_edges[q + 1]
+            )
+            key = (wq, self.widths[q + 1], cross, within)
+            self._block_type.append(types.setdefault(key, len(types)))
             self.block_sizes.append(len(cross) + len(within))
+        self._types = list(types)
 
         total_entries = sum(
             self.s ** (self.widths[q] + self.widths[q + 1]) for q in range(self.num_blocks)
@@ -264,85 +253,80 @@ class LayerChainModel:
         self._factored: list[tuple] | None = None
         if total_entries <= _BLOCK_CACHE_BUDGET:
             self.engine = "dense"
-            built = [self._build_block(q) for q in range(self.num_blocks)]
-            self._mats = [mat for mat, _ in built]
-            shifts = [shift for _, shift in built]
+            built = [self._build_dense(block_type) for block_type in self._types]
+            self._mats = [built[k][0] for k in self._block_type]
         else:
             self.engine = "factored"
-            self._factored, shifts = self._compile_factored()
-        self._shifts = np.array(shifts)
+            built = self._compile_factored()
+            self._factored = [built[k][0] for k in self._block_type]
+        self._shifts = np.array([built[k][1] for k in self._block_type])
         # Per distinct layer width: its layers and their node rows (node id
-        # - 1, one column per position), for the marginals of posterior_pass.
+        # - 1, one column per position), for the marginals of posterior_pass,
+        # and its digit table, for the layer priors and the marginals.
         self._width_groups = []
+        self._width_digits: dict[int, np.ndarray] = {}
         for width in dict.fromkeys(self.widths):
             qs = [q for q, w in enumerate(self.widths) if w == width]
             nodes = np.array([layers.node_layers[q] for q in qs]) - 1
             self._width_groups.append((width, qs, nodes))
+            self._width_digits[width] = _digits(self.s, width)
         log.debug(
-            "layer chain model: engine=%s blocks=%d max_state=%d",
+            "layer chain model: engine=%s blocks=%d distinct=%d max_state=%d",
             self.engine,
             self.num_blocks,
+            len(self._types),
             self.s ** max(self.widths),
         )
 
     # -- block construction -------------------------------------------------
 
-    def _block_log_matrix(self, q: int) -> np.ndarray:
-        s = self.s
-        shape = (s ** self.widths[q], s ** self.widths[q + 1])
-        logM = np.zeros(shape)
-        for xi, key in self._cross_ops[q]:
-            logM += self.log_table[xi].ravel()[_flat_index(*key)]
-        if self._within_ops[q]:
-            dq1 = _digits(s, self.widths[q + 1])
-            vec = np.zeros(shape[1])
-            for xi, pa, pb in self._within_ops[q]:
-                vec += self.log_table[xi][dq1[:, pa], dq1[:, pb]]
-            logM += vec[None, :]
-        return logM
+    def _log_matrix(self, block_type: tuple) -> np.ndarray:
+        """log M of one block type, (s**w_q, s**w_{q+1}).
 
-    def _build_block(self, q: int) -> tuple[np.ndarray, float]:
-        logM = self._block_log_matrix(q)
-        shift = float(logM.max())
-        return np.exp(logM - shift), shift
-
-    def _block_factors(self, q: int) -> tuple[tuple[str, ...], list[np.ndarray]]:
-        """Einsum subscripts and log tables of block q's edge factors.
-
-        Subscript 0 is the batch axis, 1..w_q the nodes of layer q and the
-        next w_{q+1} those of layer q+1, each by position in its layer.  A
-        layer-q node without a cross edge gets a unit factor, so every index
-        of either layer occurs in some factor.  Factors are sorted by
-        subscripts: blocks with one positional plan list them alike.
+        The cross factors' log tables are added in edge order; the within
+        factors are summed into an upper-layer vector first, then added.
         """
-        wq = self.widths[q]
-        lower = _SUBSCRIPTS[1 : 1 + wq]
-        upper = _SUBSCRIPTS[1 + wq : 1 + wq + self.widths[q + 1]]
-        factors: dict[str, np.ndarray] = {}
-        for xi, (_, _, _, pos_lo, pos_hi, lo_in_q) in self._cross_ops[q]:
-            sub = lower[pos_lo] + upper[pos_hi] if lo_in_q else upper[pos_lo] + lower[pos_hi]
-            factors[sub] = self.log_table[xi]
-        for xi, pa, pb in self._within_ops[q]:
-            factors[upper[pa] + upper[pb]] = self.log_table[xi]
-        for c in lower:
-            if not any(c in sub for sub in factors):
-                factors[c] = np.zeros(self.s)
-        subs = tuple(sorted(factors))
-        return subs, [factors[sub] for sub in subs]
+        wq, wq1, cross, within = block_type
+        s = self.s
+        log_m = np.zeros((s,) * (wq + wq1))
+        for a, b, xi in cross:
+            log_m += _placed(self.log_table[xi], a, b, wq + wq1)
+        if within:
+            vec = np.zeros((s,) * wq1)
+            for a, b, xi in within:
+                vec += _placed(self.log_table[xi], a - wq, b - wq, wq1)
+            log_m += vec
+        return log_m.reshape(s**wq, s**wq1)
 
-    def _compile_factored(self) -> tuple[list[tuple], list[float]]:
-        """Per block: (push plan, its operands, pull plan, its operands), and
-        the block's log shift.
+    def _block_log_matrix(self, q: int) -> np.ndarray:
+        return self._log_matrix(self._types[self._block_type[q]])
 
+    def _build_dense(self, block_type: tuple) -> tuple[np.ndarray, float]:
+        log_m = self._log_matrix(block_type)
+        shift = float(log_m.max())
+        return np.exp(log_m - shift), shift
+
+    def _compile_factored(self) -> list[tuple[tuple, float]]:
+        """Per block type: ((push plan, its operands, pull plan, its
+        operands), log shift).
+
+        Einsum subscript 0 is the batch axis and subscript 1 + a the block
+        axis a.  A layer-q node without a cross edge gets a unit factor, so
+        every index of either layer occurs in some factor.  Factors are sorted
+        by subscripts, so types with one positional plan share its plans.
         Each edge table is scaled by its maximum and the maxima summed into
         the shift, so no entry of the implied block matrix exceeds 1.
         """
         plans: dict[tuple, tuple[_ContractionPlan, _ContractionPlan]] = {}
-        blocks: list[tuple] = []
-        shifts: list[float] = []
-        for q in range(self.num_blocks):
-            subs, tables = self._block_factors(q)
-            wq, wq1 = self.widths[q], self.widths[q + 1]
+        built: list[tuple[tuple, float]] = []
+        for wq, wq1, cross, within in self._types:
+            factors: dict[str, np.ndarray] = {}
+            for a, b, xi in cross + within:
+                factors[_SUBSCRIPTS[1 + a] + _SUBSCRIPTS[1 + b]] = self.log_table[xi]
+            for c in _SUBSCRIPTS[1 : 1 + wq]:
+                if not any(c in sub for sub in factors):
+                    factors[c] = np.zeros(self.s)
+            subs = tuple(sorted(factors))
             key = (wq, wq1, subs)
             if key not in plans:
                 lower = _SUBSCRIPTS[: 1 + wq]
@@ -352,11 +336,11 @@ class LayerChainModel:
                     _compile_plan(self.s, upper, lower, subs),
                 )
             push, pull = plans[key]
+            tables = [factors[sub] for sub in subs]
             maxima = [float(t.max()) for t in tables]
-            factors = [np.exp(t - m) for t, m in zip(tables, maxima)]
-            blocks.append((push, push.prepare(factors), pull, pull.prepare(factors)))
-            shifts.append(sum(maxima))
-        return blocks, shifts
+            scaled = [np.exp(t - m) for t, m in zip(tables, maxima)]
+            built.append(((push, push.prepare(scaled), pull, pull.prepare(scaled)), sum(maxima)))
+        return built
 
     def _push(self, q: int, x: np.ndarray) -> np.ndarray:
         """x @ M_q for layer-q state vectors x, shape (..., s**w_q)."""
@@ -385,7 +369,7 @@ class LayerChainModel:
         width = self.widths[q]
         if width == 1:
             return probs
-        return probs[_digits(self.s, width)].prod(axis=1)
+        return probs[self._width_digits[width]].prod(axis=1)
 
     def _priors(self, probs: np.ndarray) -> list[np.ndarray]:
         """``_prior(probs, q)`` for every layer q, built once per distinct width.
@@ -482,7 +466,7 @@ class LayerChainModel:
             stacked /= sums[:, None]
             weights = stacked.ravel()
             rows = np.arange(len(qs))[:, None] * s
-            digits = _digits(s, width)
+            digits = self._width_digits[width]
             for pos in range(width):
                 out[nodes[:, pos]] = np.bincount(
                     (rows + digits[:, pos]).ravel(), weights=weights, minlength=len(qs) * s
@@ -609,10 +593,6 @@ class LayerChainModel:
 # -- module-level operations ------------------------------------------------------
 
 
-def _model(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -> LayerChainModel:
-    return LayerChainModel(dataset, kernel, pi.support)
-
-
 def _per_support(dataset: Dataset, kernel: Kernel, dists, score) -> list:
     """``score(model, d)`` for every distribution d in ``dists``, in order.
 
@@ -633,14 +613,14 @@ def _per_support(dataset: Dataset, kernel: Kernel, dists, score) -> list:
 
 def log_likelihood(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -> float:
     """Exact log of the outcome likelihood, all weight assignments marginalized."""
-    return _model(dataset, pi, kernel).log_likelihood(pi.probs)
+    return LayerChainModel(dataset, kernel, pi.support).log_likelihood(pi.probs)
 
 
 def log_likelihood_profile(
     dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel
 ) -> tuple[float, np.ndarray]:
     """(log-likelihood, per-block log normalizers) for diagnostics dumps."""
-    return _model(dataset, pi, kernel).forward_constants(pi.probs)
+    return LayerChainModel(dataset, kernel, pi.support).forward_constants(pi.probs)
 
 
 def brute_force_log_likelihood(
@@ -690,20 +670,20 @@ def posterior_node_marginals(
     dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel
 ) -> np.ndarray:
     """Exact posterior P(V_i = support[a] | outcomes) for every node, (N, s)."""
-    return _model(dataset, pi, kernel).node_marginals(pi.probs)
+    return LayerChainModel(dataset, kernel, pi.support).node_marginals(pi.probs)
 
 
 def conditional_log_prob(
     dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel, q: int, m: int
 ) -> float:
     """log P(X_q | X_{q+1:m}) for an interior window 2 <= q <= m <= q_max-1."""
-    return _model(dataset, pi, kernel).conditional_log_prob(pi.probs, q, m)
+    return LayerChainModel(dataset, kernel, pi.support).conditional_log_prob(pi.probs, q, m)
 
 
 def backward_messages(
     dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel, q: int, m: int
 ) -> BackwardMessages:
-    return _model(dataset, pi, kernel).backward_messages(pi.probs, q, m)
+    return LayerChainModel(dataset, kernel, pi.support).backward_messages(pi.probs, q, m)
 
 
 def backward_contraction_profile(
@@ -717,7 +697,7 @@ def backward_contraction_profile(
     epsilon: float | None = None,
 ) -> ContractionProfile:
     """Measured total-variation contraction of the realized backward kernels."""
-    model = _model(dataset, pi, kernel)
+    model = LayerChainModel(dataset, kernel, pi.support)
     if q is None:
         q = 2
     if m is None:

@@ -6,6 +6,7 @@ import pytest
 
 from lgmle import (
     DiscreteDistribution,
+    InconsistentBlockShapes,
     bradley_terry,
     bt_home_advantage,
     bt_ties,
@@ -47,6 +48,35 @@ def small_instances(count, rng_seed=123, N_choices=(10, 12), n=2, s_choices=(2, 
         ds = simulate(pi, kernel, N, n, seed=int(rng.integers(1, 2**31)))
         out.append((ds, pi, kernel))
     return out
+
+
+def block_log_kernel(kernel, edges, outcomes, nodes_q, nodes_q1, v_block, w_block) -> float:
+    """Oracle: sum of log k over one chain block, at fixed endpoint weights.
+
+    ``edges`` may touch nodes of layer q (listed in ``nodes_q`` with weights
+    ``v_block``) and of layer q+1 (``nodes_q1``/``w_block``); each edge must
+    have both endpoints among them.  The first kernel argument is the
+    smaller-id endpoint's weight.
+    """
+    if len(edges) != len(outcomes):
+        raise InconsistentBlockShapes(
+            f"{len(edges)} edges but {len(outcomes)} outcomes"
+        )
+    if len(nodes_q) != len(v_block) or len(nodes_q1) != len(w_block):
+        raise InconsistentBlockShapes("node lists and weight blocks disagree in length")
+    weight_of = {}
+    for node, weight in zip(nodes_q, v_block):
+        weight_of[node] = weight
+    for node, weight in zip(nodes_q1, w_block):
+        weight_of[node] = weight
+    total = 0.0
+    for (i, j), x in zip(edges, outcomes):
+        if i not in weight_of or j not in weight_of:
+            raise InconsistentBlockShapes(
+                f"edge ({i},{j}) has an endpoint outside the two layer blocks"
+            )
+        total += kernel.log_prob(x, weight_of[i], weight_of[j])
+    return total
 
 
 def enumerate_window_logprob(ds, pi, kernel, a, b):

@@ -12,7 +12,6 @@ from lgmle import (
     NonPositiveWeight,
     OutcomeNotInSpace,
     SupportMismatch,
-    block_log_kernel,
     bradley_terry,
     bt_home_advantage,
     bt_ties,
@@ -20,46 +19,45 @@ from lgmle import (
     degree_model,
     epsilon_floor,
     kernel_from_config,
-    kernel_prob,
     uniform_kernel,
 )
 from lgmle.kernels import custom_table_from_json
 
-from conftest import kernel_variants
+from conftest import block_log_kernel, kernel_variants
 
 weights = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
 
 
 def test_bradley_terry_values():
     k = bradley_terry()
-    assert kernel_prob(k, 1, 1, 1) == pytest.approx(0.5, abs=1e-15)
-    assert kernel_prob(k, 1, 3, 1) == pytest.approx(0.75, abs=1e-15)
-    assert kernel_prob(k, 0, 3, 1) == pytest.approx(0.25, abs=1e-15)
+    assert k.prob(1, 1, 1) == pytest.approx(0.5, abs=1e-15)
+    assert k.prob(1, 3, 1) == pytest.approx(0.75, abs=1e-15)
+    assert k.prob(0, 3, 1) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_ties_kernel_value():
     k = bt_ties(2.0)
-    assert kernel_prob(k, 0, 1, 1) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert kernel_prob(k, 1, 1, 1) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert k.prob(0, 1, 1) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert k.prob(1, 1, 1) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_home_advantage_value():
     k = bt_home_advantage(2.0)
-    assert kernel_prob(k, 1, 1, 1) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert kernel_prob(k, 0, 1, 1) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert k.prob(1, 1, 1) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert k.prob(0, 1, 1) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_degree_model_value():
     k = degree_model()
-    assert kernel_prob(k, 1, 1, 1) == pytest.approx(0.5, abs=1e-15)
-    assert kernel_prob(k, 0, 2, 2) == pytest.approx(0.2, abs=1e-15)
+    assert k.prob(1, 1, 1) == pytest.approx(0.5, abs=1e-15)
+    assert k.prob(0, 2, 2) == pytest.approx(0.2, abs=1e-15)
 
 
 @given(weights, weights)
 @settings(max_examples=100, deadline=None)
 def test_normalization(v, w):
     for k in kernel_variants():
-        total = sum(kernel_prob(k, x, v, w) for x in k.outcomes)
+        total = sum(k.prob(x, v, w) for x in k.outcomes)
         assert abs(total - 1.0) < 1e-12
 
 
@@ -67,26 +65,26 @@ def test_normalization(v, w):
 @settings(max_examples=50, deadline=None)
 def test_bt_win_loss_symmetry(v, w):
     k = bradley_terry()
-    assert kernel_prob(k, 1, v, w) == pytest.approx(kernel_prob(k, 0, w, v), rel=1e-14)
+    assert k.prob(1, v, w) == pytest.approx(k.prob(0, w, v), rel=1e-14)
 
 
 def test_outcome_not_in_space():
     with pytest.raises(OutcomeNotInSpace):
-        kernel_prob(bradley_terry(), 2, 1, 1)
+        bradley_terry().prob(2, 1, 1)
 
 
 def test_non_positive_weight():
     with pytest.raises(NonPositiveWeight):
-        kernel_prob(bradley_terry(), 1, 0.0, 1.0)
+        bradley_terry().prob(1, 0.0, 1.0)
     with pytest.raises(NonPositiveWeight):
-        kernel_prob(degree_model(), 1, 1.0, -2.0)
+        degree_model().prob(1, 1.0, -2.0)
 
 
 def test_epsilon_floor_bt():
     cert = epsilon_floor(bradley_terry(), [1.0, 3.0])
     assert cert.epsilon == pytest.approx(0.25, abs=1e-15)
     x, v, w = cert.attained_at
-    assert kernel_prob(bradley_terry(), x, v, w) == pytest.approx(cert.epsilon)
+    assert bradley_terry().prob(x, v, w) == pytest.approx(cert.epsilon)
 
 
 def test_epsilon_floor_singleton():
@@ -122,7 +120,7 @@ def test_custom_table_json_roundtrip(tmp_path):
     path = tmp_path / "k.json"
     path.write_text(json.dumps(doc))
     k = custom_table_from_json(path)
-    assert kernel_prob(k, 1, 2.0, 1.0) == pytest.approx(0.8)
+    assert k.prob(1, 2.0, 1.0) == pytest.approx(0.8)
     cert = epsilon_floor(k, [1.0, 2.0])
     assert cert.epsilon == pytest.approx(0.1)
 

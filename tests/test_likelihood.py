@@ -32,10 +32,10 @@ from lgmle import (
 )
 from lgmle import likelihood
 from lgmle.estimator import WEIGHT_FLOOR
-from lgmle.kernels import block_log_kernel
 from lgmle.likelihood import LayerChainModel
 
 from conftest import (
+    block_log_kernel,
     enumerate_window_logprob,
     kernel_variants,
     random_distribution,
@@ -364,7 +364,8 @@ def test_model_logs_engine_at_debug(engine, caplog):
     with caplog.at_level(logging.DEBUG, logger="lgmle"):
         model = _model(ds, pi, k, engine)
     assert [r.getMessage() for r in caplog.records] == [
-        f"layer chain model: engine={engine} blocks={model.num_blocks} max_state={3**4}"
+        f"layer chain model: engine={engine} blocks={model.num_blocks} distinct=5 "
+        f"max_state={3**4}"
     ]
 
 
@@ -381,6 +382,148 @@ def test_layer_priors_match_per_layer_prior(engine, N, n):
     # one array per distinct width; at width 1 the weights themselves
     assert len({id(p) for p in priors}) == len(set(model.widths))
     assert priors[0] is pi.probs
+
+
+def _oracle_block_ops(model, q):
+    """Block q's (outcome, gather key) per cross edge and (outcome, position,
+    position) per within edge, as the per-block builders described it."""
+    layers, ds, kernel = model.layers, model.dataset, model.kernel
+    layer_of = layers.layer_of()
+    pos_of = {v: p for layer in layers.node_layers for p, v in enumerate(layer)}
+    wq, wq1 = model.widths[q], model.widths[q + 1]
+    cross = [
+        (
+            kernel.outcome_index(ds.outcomes[(i, j)]),
+            (model.s, wq, wq1, pos_of[i], pos_of[j], layer_of[i] == q),
+        )
+        for i, j in layers.cross_edges[q]
+    ]
+    within = [
+        (kernel.outcome_index(ds.outcomes[(i, j)]), pos_of[i], pos_of[j])
+        for i, j in layers.within_edges[q + 1]
+    ]
+    return cross, within
+
+
+def _oracle_flat_index(s, wq, wq1, pos_lo, pos_hi, lo_in_q):
+    """Flat gather indices into an (s, s) table for one cross edge."""
+    dq = likelihood._digits(s, wq)
+    dq1 = likelihood._digits(s, wq1)
+    if lo_in_q:
+        flat = dq[:, pos_lo][:, None] * s + dq1[None, :, pos_hi]
+    else:
+        flat = dq1[None, :, pos_lo] * s + dq[:, pos_hi][:, None]
+    return np.ascontiguousarray(flat, dtype=np.int32)
+
+
+def _oracle_block_log_matrix(model, q):
+    """The per-block gather build of log M_q that block types replaced."""
+    s = model.s
+    cross, within = _oracle_block_ops(model, q)
+    shape = (s ** model.widths[q], s ** model.widths[q + 1])
+    log_m = np.zeros(shape)
+    for xi, key in cross:
+        log_m += model.log_table[xi].ravel()[_oracle_flat_index(*key)]
+    if within:
+        dq1 = likelihood._digits(s, model.widths[q + 1])
+        vec = np.zeros(shape[1])
+        for xi, pa, pb in within:
+            vec += model.log_table[xi][dq1[:, pa], dq1[:, pb]]
+        log_m += vec[None, :]
+    return log_m
+
+
+def _oracle_build_block(model, q):
+    log_m = _oracle_block_log_matrix(model, q)
+    shift = float(log_m.max())
+    return np.exp(log_m - shift), shift
+
+
+def _oracle_block_factors(model, q):
+    """Block q's einsum subscripts and log tables, sorted by subscripts."""
+    wq = model.widths[q]
+    lower = likelihood._SUBSCRIPTS[1 : 1 + wq]
+    upper = likelihood._SUBSCRIPTS[1 + wq : 1 + wq + model.widths[q + 1]]
+    cross, within = _oracle_block_ops(model, q)
+    factors = {}
+    for xi, (_, _, _, pos_lo, pos_hi, lo_in_q) in cross:
+        sub = lower[pos_lo] + upper[pos_hi] if lo_in_q else upper[pos_lo] + lower[pos_hi]
+        factors[sub] = model.log_table[xi]
+    for xi, pa, pb in within:
+        factors[upper[pa] + upper[pb]] = model.log_table[xi]
+    for c in lower:
+        if not any(c in sub for sub in factors):
+            factors[c] = np.zeros(model.s)
+    subs = tuple(sorted(factors))
+    return subs, [factors[sub] for sub in subs]
+
+
+def _oracle_compile_factored(model):
+    """The per-block factored build that block types replaced: per block,
+    (push plan, its operands, pull plan, its operands), and the shifts."""
+    plans = {}
+    blocks, shifts = [], []
+    for q in range(model.num_blocks):
+        subs, tables = _oracle_block_factors(model, q)
+        wq, wq1 = model.widths[q], model.widths[q + 1]
+        key = (wq, wq1, subs)
+        if key not in plans:
+            lower = likelihood._SUBSCRIPTS[: 1 + wq]
+            upper = likelihood._SUBSCRIPTS[0] + likelihood._SUBSCRIPTS[1 + wq : 1 + wq + wq1]
+            plans[key] = (
+                likelihood._compile_plan(model.s, lower, upper, subs),
+                likelihood._compile_plan(model.s, upper, lower, subs),
+            )
+        push, pull = plans[key]
+        maxima = [float(t.max()) for t in tables]
+        factors = [np.exp(t - m) for t, m in zip(tables, maxima)]
+        blocks.append((push, push.prepare(factors), pull, pull.prepare(factors)))
+        shifts.append(sum(maxima))
+    return blocks, shifts
+
+
+@given(
+    n=st.integers(2, 4),
+    s=st.integers(2, 3),
+    extra=st.integers(0, 6),
+    kernel_index=st.integers(0, 3),
+    engine=st.sampled_from(["dense", "factored"]),
+    seed=st.integers(1, 2**31 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_block_types_match_per_block_builders_exactly(n, s, extra, kernel_index, engine, seed):
+    rng = np.random.default_rng(seed)
+    kernel = kernel_variants()[kernel_index]
+    pi = random_distribution(rng, s)
+    ds = simulate(pi, kernel, 4 * n + 2 + 2 * extra, n, seed=seed)
+    model = _model(ds, pi, kernel, engine)
+    if engine == "dense":
+        assert len(model._mats) == model.num_blocks
+        for q in range(model.num_blocks):
+            mat, shift = _oracle_build_block(model, q)
+            assert np.array_equal(model._block_log_matrix(q), _oracle_block_log_matrix(model, q))
+            assert np.array_equal(model._mats[q], mat)
+            assert model._shifts[q] == shift
+        return
+    blocks, shifts = _oracle_compile_factored(model)
+    assert len(model._factored) == len(blocks)
+    for (push, push_ops, pull, pull_ops), oracle in zip(model._factored, blocks):
+        assert (push.folds, push.steps) == (oracle[0].folds, oracle[0].steps)
+        assert (pull.folds, pull.steps) == (oracle[2].folds, oracle[2].steps)
+        for ops, oracle_ops in ((push_ops, oracle[1]), (pull_ops, oracle[3])):
+            assert len(ops) == len(oracle_ops)
+            assert all(np.array_equal(a, b) for a, b in zip(ops, oracle_ops))
+    assert np.array_equal(model._shifts, np.array(shifts))
+
+
+def test_dense_chain_shares_matrices_across_repeated_blocks():
+    # the periodic schedule repeats block types: a 200-block n=2 chain used
+    # to store one matrix per block
+    pi = uniform([1.0, 2.0, 4.0])
+    k = bt_ties(2.0)
+    model = _model(simulate(pi, k, 400, 2, seed=5), pi, k, "dense")
+    assert model.num_blocks == 200
+    assert len({id(mat) for mat in model._mats}) < 20
 
 
 def _oracle_forward_constants(model, probs):
