@@ -26,7 +26,7 @@ from .errors import LayerOutOfRange
 from .estimator import FitConfig, fit_mle
 from .kernels import Kernel, epsilon_floor
 from .likelihood import LayerChainModel, _digits, _per_support
-from .simulator import Dataset, simulate
+from .simulator import Dataset, _simulate_replicates
 
 # -- metrics ----------------------------------------------------------------
 
@@ -123,33 +123,44 @@ class RiskReport:
     window: str = "full"
 
 
-def _normalized_logliks(
-    datasets: list[Dataset], pi: DiscreteDistribution, kernel: Kernel
-) -> np.ndarray:
-    vals = np.empty(len(datasets))
-    for r, ds in enumerate(datasets):
-        model = LayerChainModel(ds, kernel, pi.support)
-        vals[r] = model.log_likelihood(pi.probs) / ds.layers.q_max
-    return vals
-
-
 def _stderr(values: np.ndarray) -> float:
     if values.size < 2:
         return 0.0
     return float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def _risk_datasets(kernel: Kernel, pi_star: DiscreteDistribution, params: RiskParams):
-    datasets = [
-        simulate(pi_star, kernel, params.N, params.n, seed) for seed in params.seeds()
-    ]
+def _require_counts(**counts: int) -> None:
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
+
+
+def _normalized_loglik(model: LayerChainModel, pi: DiscreteDistribution) -> float:
+    return model.log_likelihood(pi.probs) / model.layers.q_max
+
+
+def _replicate_scores(datasets: list[Dataset], kernel: Kernel, arms, score) -> np.ndarray:
+    """(arms x replicates) array of ``score(model, pi)``: every arm is scored
+    on every dataset, with one chain model per dataset and distinct support
+    (common random numbers across the arms)."""
+    vals = np.empty((len(arms), len(datasets)))
+    for r, ds in enumerate(datasets):
+        vals[:, r] = _per_support(ds, kernel, arms, score)
+    return vals
+
+
+def _risk_scores(arms, kernel: Kernel, pi_star: DiscreteDistribution, params: RiskParams):
+    """(normalized log-likelihoods of the arms per replicate, q_max) on
+    ``params.replicates`` datasets simulated from pi_star."""
+    _require_counts(replicates=params.replicates)
+    datasets = _simulate_replicates(pi_star, kernel, params.N, params.n, params.seeds())
     q_max = datasets[0].layers.q_max
     if q_max < params.min_q_max:
         raise ValueError(
             f"q_max = {q_max} is below the configured minimum {params.min_q_max}; "
             "the boundary bias of the normalized likelihood is O(1/q_max)"
         )
-    return datasets
+    return _replicate_scores(datasets, kernel, arms, _normalized_loglik), q_max
 
 
 def estimate_limit_likelihood(
@@ -160,14 +171,12 @@ def estimate_limit_likelihood(
 ) -> LimitLikelihoodEstimate:
     """Mean and stderr of the q_max-normalized log-likelihood of ``pi`` over
     independent datasets simulated from ``pi_star``."""
-    params = params or RiskParams()
-    datasets = _risk_datasets(kernel, pi_star, params)
-    vals = _normalized_logliks(datasets, pi, kernel)
+    (vals,), q_max = _risk_scores([pi], kernel, pi_star, params or RiskParams())
     return LimitLikelihoodEstimate(
         value=float(vals.mean()),
         stderr=_stderr(vals),
         per_replicate=vals,
-        q_max=datasets[0].layers.q_max,
+        q_max=q_max,
     )
 
 
@@ -200,12 +209,7 @@ def excess_risks(
     """
     params = params or RiskParams()
     arms = [pi_star, *candidates]
-    datasets = _risk_datasets(kernel, pi_star, params)
-    vals = np.empty((len(arms), len(datasets)))
-    for r, ds in enumerate(datasets):
-        vals[:, r] = _per_support(
-            ds, kernel, arms, lambda model, pi: model.log_likelihood(pi.probs) / ds.layers.q_max
-        )
+    vals, _ = _risk_scores(arms, kernel, pi_star, params)
     star_vals = vals[0]
     reports = []
     for pi, pi_vals in zip(arms[1:], vals[1:]):
@@ -488,51 +492,6 @@ class ScalingTable:
     seeds_per_n: int
 
 
-class _RiskEvaluator:
-    """Shared-dataset estimator of the limit-likelihood gap to pi_star.
-
-    All candidates are scored on the same evaluation datasets (common random
-    numbers).  For two-point supports the residual linear error of the plug-in
-    difference at pi_star is removed with a central-difference slope
-    correction, which keeps the medians of near-optimal candidates unbiased.
-    """
-
-    def __init__(self, pi_star, kernel, eval_N, n, replicates, base_seed, slope_correction=True):
-        self.pi_star = pi_star
-        self.kernel = kernel
-        seeds = np.random.SeedSequence([base_seed, 424243]).generate_state(replicates)
-        self.datasets = [
-            simulate(pi_star, kernel, eval_N, n, int(s)) for s in seeds
-        ]
-        self.q_max = self.datasets[0].layers.q_max
-        self.models = [
-            LayerChainModel(ds, kernel, pi_star.support) for ds in self.datasets
-        ]
-        self.star_values = np.array(
-            [m.log_likelihood(pi_star.probs) / self.q_max for m in self.models]
-        )
-        self.slope = 0.0
-        if slope_correction and pi_star.size == 2:
-            delta = 0.02
-            p = pi_star.probs[0]
-            lo, hi = max(p - delta, 1e-6), min(p + delta, 1 - 1e-6)
-            up = self._gap(np.array([hi, 1.0 - hi]))
-            down = self._gap(np.array([lo, 1.0 - lo]))
-            self.slope = (up - down) / (hi - lo)
-
-    def _gap(self, probs) -> float:
-        vals = np.array(
-            [m.log_likelihood(probs) / self.q_max for m in self.models]
-        )
-        return float((self.star_values - vals).mean())
-
-    def excess(self, pi: DiscreteDistribution) -> float:
-        value = self._gap(pi.probs)
-        if self.slope != 0.0:
-            value -= self.slope * (pi.probs[0] - self.pi_star.probs[0])
-        return value
-
-
 def scaling_experiment(
     pi_star: DiscreteDistribution,
     kernel: Kernel,
@@ -548,31 +507,63 @@ def scaling_experiment(
 ) -> ScalingTable:
     """Median excess risk of the fitted MLE per graph size, with the bound scale.
 
-    For each N, ``seeds_per_n`` datasets are simulated from pi_star, the MLE
-    is fitted on pi_star's support, and its excess risk is estimated on a
-    shared evaluation arm.  The reported rhs uses c = 1 and, by default,
+    For each N, ``seeds_per_n`` datasets are simulated from pi_star and the
+    MLE is fitted on pi_star's support.  Every fit is then scored against
+    pi_star on the same ``eval_replicates`` datasets of size ``eval_N``
+    (common random numbers).  For two-point supports the residual linear
+    error of the plug-in difference at pi_star is removed with a
+    central-difference slope correction, which keeps the medians of
+    near-optimal fits unbiased.  The reported rhs uses c = 1 and, by default,
     t = sqrt(log 2) so that the tail level e^(-t^2) matches the median.
     """
+    _require_counts(seeds_per_n=seeds_per_n, eval_replicates=eval_replicates)
     if t is None:
         t = math.sqrt(math.log(2.0))
     if fit_config is None:
         fit_config = FitConfig(support=tuple(pi_star.support), mode="em", tol=1e-9, max_iters=500)
+    if fit_config.mode == "grid":
+        fit_supports = [c.support for c in fit_config.candidates or ()]
+    else:
+        fit_supports = [fit_config.support]
+    for support in fit_supports:
+        support = np.asarray(support, dtype=float)
+        if not np.array_equal(support, pi_star.support):
+            raise ValueError(
+                f"fit support {tuple(support.tolist())} differs from pi_star's support "
+                f"{tuple(pi_star.support.tolist())}; excess risks are scored on pi_star's support"
+            )
     epsilon = epsilon_floor(kernel, pi_star.support).epsilon
     integral = simplex_entropy_integral(pi_star.size, covering_constant=covering_constant)
-    evaluator = _RiskEvaluator(
-        pi_star, kernel, eval_N, n, eval_replicates, base_seed
-    )
 
-    def one_seed(N: int, seed: int) -> float:
-        ds = simulate(pi_star, kernel, N, n, seed)
-        result = fit_mle(ds, kernel, fit_config)
-        return evaluator.excess(result.pi_hat)
-
-    rows = []
+    fits = []
     for N in N_list:
         seeds = np.random.SeedSequence([base_seed, N]).generate_state(seeds_per_n)
-        seeds = [int(s) for s in seeds]
-        arr = np.array([one_seed(N, s) for s in seeds])
+        for ds in _simulate_replicates(pi_star, kernel, N, n, [int(s) for s in seeds]):
+            fits.append(fit_mle(ds, kernel, fit_config).pi_hat)
+
+    # pi_star, then for two-point supports the slope probes hi and lo.
+    arms = [pi_star]
+    if pi_star.size == 2:
+        delta = 0.02
+        p = pi_star.probs[0]
+        lo, hi = max(p - delta, 1e-6), min(p + delta, 1 - 1e-6)
+        arms += [pi_star.with_probs([hi, 1.0 - hi]), pi_star.with_probs([lo, 1.0 - lo])]
+    eval_seeds = np.random.SeedSequence([base_seed, 424243]).generate_state(eval_replicates)
+    datasets = _simulate_replicates(pi_star, kernel, eval_N, n, [int(s) for s in eval_seeds])
+    vals = _replicate_scores(datasets, kernel, arms + fits, _normalized_loglik)
+    gaps = [float((vals[0] - v).mean()) for v in vals]
+    slope = 0.0
+    if pi_star.size == 2:
+        slope = (gaps[1] - gaps[2]) / (arms[1].probs[0] - arms[2].probs[0])
+    excess = []
+    for pi, gap in zip(fits, gaps[len(arms) :]):
+        if slope != 0.0:
+            gap -= slope * (pi.probs[0] - pi_star.probs[0])
+        excess.append(gap)
+
+    rows = []
+    for k, N in enumerate(N_list):
+        arr = np.array(excess[k * seeds_per_n : (k + 1) * seeds_per_n])
         q25, q50, q75 = np.percentile(arr, [25, 50, 75])
         rows.append(
             ScalingRow(
@@ -623,21 +614,20 @@ def z_process_concentration(
     t * sqrt(2) * std(Z) (the subgaussian scale; a Gaussian tail then sits
     below 2 e^(-t^2) at every t).  All candidates share the same datasets.
     """
+    _require_counts(replicates=replicates)
     seeds = np.random.SeedSequence([base_seed, 515151]).generate_state(replicates)
-    datasets = [simulate(pi_star, kernel, N, n, int(s)) for s in seeds]
+    datasets = _simulate_replicates(pi_star, kernel, N, n, [int(s) for s in seeds])
     m = datasets[0].layers.q_max - 1
     if m < 2:
         raise LayerOutOfRange("graph too small: no interior window")
     num_layers = m - 1
     pi_list = list(pi_list)
-    all_sums = np.empty((len(pi_list), replicates))
-    for r, ds in enumerate(datasets):
-        all_sums[:, r] = _per_support(
-            ds,
-            kernel,
-            pi_list,
-            lambda model, pi: np.mean(list(model.conditional_profile(pi.probs, m).values())),
-        )
+    all_sums = _replicate_scores(
+        datasets,
+        kernel,
+        pi_list,
+        lambda model, pi: np.mean(list(model.conditional_profile(pi.probs, m).values())),
+    )
     out = []
     for pi, sums in zip(pi_list, all_sums):
         centered = sums - sums.mean()

@@ -85,6 +85,19 @@ def _require(config: dict, *keys):
     return node
 
 
+def _section(config: dict, key: str, settings) -> dict:
+    """A copy of the optional object ``config[key]``, whose keys must name
+    fields of the dataclass ``settings``."""
+    section = config.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config key {key} must be an object")
+    known = {f.name for f in dataclasses.fields(settings)}
+    for name in section:
+        if name not in known:
+            raise ConfigError(f"unknown key {key}.{name}")
+    return dict(section)
+
+
 def _distribution(config: dict, probs_key: str) -> DiscreteDistribution:
     model = _require(config, "model")
     support = _require(model, "support")
@@ -181,14 +194,7 @@ def cmd_loglik(args) -> int:
 
 def cmd_fit(args) -> int:
     config = _load_config(args)
-    fit_cfg = config.get("fit", {})
-    if not isinstance(fit_cfg, dict):
-        raise ConfigError("config key fit must be an object")
-    fit_cfg = dict(fit_cfg)
-    known = {f.name for f in dataclasses.fields(estimator.FitConfig)}
-    for key in fit_cfg:
-        if key not in known:
-            raise ConfigError(f"unknown key fit.{key}")
+    fit_cfg = _section(config, "fit", estimator.FitConfig)
     ds = _dataset(config, args)
     kernel = kernel_from_config(_require(config, "model", "kernel"))
     support = fit_cfg.pop("support", _require(config, "model", "support"))
@@ -223,8 +229,10 @@ def cmd_risk(args) -> int:
     pi_star = _distribution(config, "pi_star")
     support = _require(config, "model", "support")
     cand_probs = _require(config, "candidates")
+    if not isinstance(cand_probs, list):
+        raise ConfigError("config key candidates must be a list of probability lists")
     candidates = [DiscreteDistribution(support, p) for p in cand_probs]
-    a_cfg = config.get("analysis", {})
+    a_cfg = _section(config, "analysis", analysis.RiskParams)
     params = analysis.RiskParams(
         N=int(a_cfg.get("N", 2000)),
         n=int(a_cfg.get("n", 2)),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ from .rr_graph import (
     build_schedule_unchecked,
     layer_decomposition,
 )
+
+log = logging.getLogger(__name__)
 
 _WEIGHTS_STREAM = 0
 _OUTCOMES_STREAM = 1
@@ -69,16 +72,11 @@ def sample_weights(pi: DiscreteDistribution, N: int, seed: int) -> np.ndarray:
     return pi.support[idx]
 
 
-def sample_outcomes(
-    graph: RoundRobinGraph, kernel: Kernel, weights, seed: int
-) -> Dataset:
-    """Draw each edge outcome from k(., V_i, V_j), independently across edges.
-
-    One uniform is consumed per edge in the graph's round-major edge order.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.size != graph.N:
-        raise ValueError(f"need {graph.N} weights, got {weights.size}")
+def _draw_outcomes(
+    graph: RoundRobinGraph, kernel: Kernel, weights: np.ndarray, seed: int
+) -> dict[tuple[int, int], object]:
+    """One outcome per edge from k(., V_i, V_j), from the outcome stream of
+    ``seed``: one uniform per edge in the graph's round-major edge order."""
     rng = _stream(seed, _OUTCOMES_STREAM)
     uniforms = rng.random(len(graph.edges))
     ivec = np.array([i for i, _, _ in graph.edges])
@@ -91,13 +89,23 @@ def sample_outcomes(
     )
     cum[-1] = 1.0
     drawn = np.sum(uniforms[None, :] >= cum, axis=0)
-    outcomes: dict[tuple[int, int], object] = {
-        (int(i), int(j)): kernel.outcomes[int(d)] for i, j, d in zip(ivec, jvec, drawn)
-    }
+    return {(int(i), int(j)): kernel.outcomes[int(d)] for i, j, d in zip(ivec, jvec, drawn)}
+
+
+def sample_outcomes(
+    graph: RoundRobinGraph, kernel: Kernel, weights, seed: int
+) -> Dataset:
+    """Draw each edge outcome from k(., V_i, V_j), independently across edges.
+
+    One uniform is consumed per edge in the graph's round-major edge order.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if weights.size != graph.N:
+        raise ValueError(f"need {graph.N} weights, got {weights.size}")
     return Dataset(
         graph=graph,
         layers=layer_decomposition(graph),
-        outcomes=outcomes,
+        outcomes=_draw_outcomes(graph, kernel, weights, seed),
         true_weights=weights,
         seed=seed,
     )
@@ -121,6 +129,23 @@ def simulate(
     weights = sample_weights(pi_star, N, seed)
     ds = sample_outcomes(graph, kernel, weights, seed)
     return ds.strip_weights() if blind else ds
+
+
+def _simulate_replicates(
+    pi_star: DiscreteDistribution, kernel: Kernel, N: int, n: int, seeds
+) -> list[Dataset]:
+    """One dataset per seed, each equal to ``simulate(pi_star, kernel, N, n,
+    seed)``.  The schedule and its layers depend only on (N, n), so they are
+    built once and every dataset shares the same ``graph`` and ``layers``."""
+    graph = build_schedule(N, n)
+    layers = layer_decomposition(graph)
+    datasets = []
+    for seed in seeds:
+        weights = sample_weights(pi_star, N, seed)
+        outcomes = _draw_outcomes(graph, kernel, weights, seed)
+        datasets.append(Dataset(graph, layers, outcomes, weights, seed))
+    log.debug("replicates: N=%d n=%d count=%d q_max=%d", N, n, len(datasets), layers.q_max)
+    return datasets
 
 
 def dataset_to_json_dict(ds: Dataset) -> dict:

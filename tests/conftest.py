@@ -7,12 +7,21 @@ import pytest
 from lgmle import (
     DiscreteDistribution,
     InconsistentBlockShapes,
+    LayerChainModel,
+    LayerOutOfRange,
+    RiskParams,
+    ScalingTable,
     bradley_terry,
     bt_home_advantage,
     bt_ties,
     degree_model,
+    epsilon_floor,
+    fit_mle,
+    risk_bound_rhs,
+    simplex_entropy_integral,
     simulate,
 )
+from lgmle.analysis import RiskReport, ScalingRow, ZProcessSummary
 
 
 def kernel_variants():
@@ -103,6 +112,160 @@ def enumerate_window_logprob(ds, pi, kernel, a, b):
                 prob *= kernel.prob(ds.outcomes[(i, j)], weight_of[i], weight_of[j])
         total += prob
     return math.log(total)
+
+
+# -- the Monte-Carlo estimators as they were before the shared replicate path --
+# Each replicate is a separate ``simulate`` call and each arm a separate model.
+
+
+def _oracle_risk_datasets(kernel, pi_star, params: RiskParams):
+    datasets = [simulate(pi_star, kernel, params.N, params.n, seed) for seed in params.seeds()]
+    q_max = datasets[0].layers.q_max
+    if q_max < params.min_q_max:
+        raise ValueError(
+            f"q_max = {q_max} is below the configured minimum {params.min_q_max}; "
+            "the boundary bias of the normalized likelihood is O(1/q_max)"
+        )
+    return datasets
+
+
+def _oracle_normalized_logliks(datasets, pi, kernel) -> np.ndarray:
+    vals = np.empty(len(datasets))
+    for r, ds in enumerate(datasets):
+        model = LayerChainModel(ds, kernel, pi.support)
+        vals[r] = model.log_likelihood(pi.probs) / ds.layers.q_max
+    return vals
+
+
+def _oracle_stderr(values) -> float:
+    return 0.0 if values.size < 2 else float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+def oracle_limit_likelihood(pi, kernel, pi_star, params):
+    """(per-replicate values, q_max) of ``estimate_limit_likelihood``."""
+    datasets = _oracle_risk_datasets(kernel, pi_star, params)
+    return _oracle_normalized_logliks(datasets, pi, kernel), datasets[0].layers.q_max
+
+
+def oracle_excess_risks(candidates, kernel, pi_star, params) -> list[RiskReport]:
+    datasets = _oracle_risk_datasets(kernel, pi_star, params)
+    star_vals = _oracle_normalized_logliks(datasets, pi_star, kernel)
+    reports = []
+    for pi in candidates:
+        pi_vals = _oracle_normalized_logliks(datasets, pi, kernel)
+        diffs = star_vals - pi_vals
+        reports.append(
+            RiskReport(
+                pi=pi,
+                L_hat_star=float(star_vals.mean()),
+                L_hat_star_stderr=_oracle_stderr(star_vals),
+                L_hat_pi=float(pi_vals.mean()),
+                L_hat_pi_stderr=_oracle_stderr(pi_vals),
+                excess_risk=float(diffs.mean()),
+                excess_stderr=_oracle_stderr(diffs),
+                N_used=params.N,
+                replicates=params.replicates,
+            )
+        )
+    return reports
+
+
+class OracleRiskEvaluator:
+    """Shared evaluation arm of ``scaling_experiment``: models on pi_star's
+    support, one per evaluation dataset, with the two-point slope correction."""
+
+    def __init__(self, pi_star, kernel, eval_N, n, replicates, base_seed):
+        self.pi_star = pi_star
+        seeds = np.random.SeedSequence([base_seed, 424243]).generate_state(replicates)
+        datasets = [simulate(pi_star, kernel, eval_N, n, int(s)) for s in seeds]
+        self.q_max = datasets[0].layers.q_max
+        self.models = [LayerChainModel(ds, kernel, pi_star.support) for ds in datasets]
+        self.star_values = np.array(
+            [m.log_likelihood(pi_star.probs) / self.q_max for m in self.models]
+        )
+        self.slope = 0.0
+        if pi_star.size == 2:
+            delta = 0.02
+            p = pi_star.probs[0]
+            lo, hi = max(p - delta, 1e-6), min(p + delta, 1 - 1e-6)
+            up = self._gap(np.array([hi, 1.0 - hi]))
+            down = self._gap(np.array([lo, 1.0 - lo]))
+            self.slope = (up - down) / (hi - lo)
+
+    def _gap(self, probs) -> float:
+        vals = np.array([m.log_likelihood(probs) / self.q_max for m in self.models])
+        return float((self.star_values - vals).mean())
+
+    def excess(self, pi) -> float:
+        value = self._gap(pi.probs)
+        if self.slope != 0.0:
+            value -= self.slope * (pi.probs[0] - self.pi_star.probs[0])
+        return value
+
+
+def oracle_scaling_experiment(
+    pi_star, kernel, N_list, n, seeds_per_n, base_seed, fit_config, eval_N, eval_replicates
+) -> ScalingTable:
+    t = math.sqrt(math.log(2.0))
+    epsilon = epsilon_floor(kernel, pi_star.support).epsilon
+    integral = simplex_entropy_integral(pi_star.size)
+    evaluator = OracleRiskEvaluator(pi_star, kernel, eval_N, n, eval_replicates, base_seed)
+    rows = []
+    for N in N_list:
+        seeds = np.random.SeedSequence([base_seed, N]).generate_state(seeds_per_n)
+        fits = [fit_mle(simulate(pi_star, kernel, N, n, int(s)), kernel, fit_config) for s in seeds]
+        arr = np.array([evaluator.excess(fit.pi_hat) for fit in fits])
+        q25, q50, q75 = np.percentile(arr, [25, 50, 75])
+        rows.append(
+            ScalingRow(
+                N=N,
+                median_excess=float(q50),
+                iqr=float(q75 - q25),
+                rhs=risk_bound_rhs(n, epsilon, N, integral, t),
+            )
+        )
+    return ScalingTable(
+        rows=tuple(rows),
+        n=n,
+        support=tuple(pi_star.support),
+        t=t,
+        entropy_integral=integral,
+        epsilon=epsilon,
+        seeds_per_n=seeds_per_n,
+    )
+
+
+def oracle_z_process(pi_list, kernel, pi_star, N, n, replicates, base_seed, t_grid=(1.0, 2.0, 3.0)):
+    seeds = np.random.SeedSequence([base_seed, 515151]).generate_state(replicates)
+    datasets = [simulate(pi_star, kernel, N, n, int(s)) for s in seeds]
+    m = datasets[0].layers.q_max - 1
+    if m < 2:
+        raise LayerOutOfRange("graph too small: no interior window")
+    num_layers = m - 1
+    out = []
+    for pi in pi_list:
+        models = [LayerChainModel(ds, kernel, pi.support) for ds in datasets]
+        sums = np.array(
+            [np.mean(list(model.conditional_profile(pi.probs, m).values())) for model in models]
+        )
+        centered = sums - sums.mean()
+        sigma = centered.std(ddof=1) if replicates > 1 else 0.0
+        degenerate = sigma <= 1e-12 * max(1.0, float(np.abs(sums).max()))
+        exceedance = {
+            t: 0.0 if degenerate else float(np.mean(np.abs(centered) > t * math.sqrt(2.0) * sigma))
+            for t in t_grid
+        }
+        out.append(
+            ZProcessSummary(
+                pi=pi,
+                sums=sums,
+                sigma_scaled=float(math.sqrt(num_layers) * sigma),
+                exceedance=exceedance,
+                envelope={t: 2.0 * math.exp(-t * t) for t in t_grid},
+                num_layers=num_layers,
+            )
+        )
+    return out
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from lgmle import (
     DiscreteDistribution,
+    FitConfig,
     RiskParams,
     bradley_terry,
     bt_ties,
@@ -33,7 +35,13 @@ from lgmle.analysis import (
     tv_log_of_tv,
 )
 
-from conftest import random_distribution
+from conftest import (
+    oracle_excess_risks,
+    oracle_limit_likelihood,
+    oracle_scaling_experiment,
+    oracle_z_process,
+    random_distribution,
+)
 
 
 def test_tv_examples():
@@ -224,10 +232,13 @@ def test_increment_bounds_hold(rng):
 def test_scaling_singleton_family_zero_excess():
     pi_star = DiscreteDistribution([0.5, 2.0], [0.3, 0.7])
     k = degree_model()
-    from lgmle.analysis import _RiskEvaluator
-
-    evaluator = _RiskEvaluator(pi_star, k, eval_N=400, n=2, replicates=2, base_seed=1)
-    assert evaluator.excess(pi_star) == 0.0
+    # A grid fit over {pi_star} returns pi_star on every dataset.
+    singleton = FitConfig(support=(0.5, 2.0), mode="grid", candidates=[pi_star])
+    table = scaling_experiment(
+        pi_star, k, [60], n=2, seeds_per_n=2, base_seed=1, fit_config=singleton,
+        eval_N=400, eval_replicates=2,
+    )
+    assert table.rows[0].median_excess == 0.0
 
 
 def test_scaling_uniform_kernel_flat_zero():
@@ -284,3 +295,119 @@ def test_z_process_variance_stable_in_N():
     assert a.sigma_scaled > 0 and b.sigma_scaled > 0
     ratio = a.sigma_scaled / b.sigma_scaled
     assert 1 / 3 < ratio < 3
+
+
+# -- the shared replicate path against the per-replicate oracles --------------
+
+REPLICATE_CASES = [
+    # (kernel, pi_star, candidates on pi_star's support, n)
+    (degree_model(), DiscreteDistribution([0.5, 2.0], [0.3, 0.7]), [[0.4, 0.6], [0.9, 0.1]], 2),
+    (bt_ties(2.0), DiscreteDistribution([0.5, 2.0], [0.3, 0.7]), [[0.4, 0.6], [0.9, 0.1]], 3),
+    (
+        bradley_terry(),
+        DiscreteDistribution([1.0, 2.0, 4.0], [0.2, 0.5, 0.3]),
+        [[0.3, 0.4, 0.3], [0.6, 0.2, 0.2]],
+        2,
+    ),
+    (
+        degree_model(),
+        DiscreteDistribution([1.0, 2.0, 4.0], [0.2, 0.5, 0.3]),
+        [[0.3, 0.4, 0.3], [0.6, 0.2, 0.2]],
+        3,
+    ),
+]
+CASE_IDS = ["s2-n2", "s2-n3", "s3-n2", "s3-n3"]
+
+
+def _arms(pi_star, candidates):
+    """The candidates on pi_star's support plus one on another support."""
+    return [pi_star.with_probs(p) for p in candidates] + [uniform([0.8, 1.5, 3.0])]
+
+
+@pytest.mark.parametrize("k, pi_star, candidates, n", REPLICATE_CASES, ids=CASE_IDS)
+def test_risk_estimators_equal_per_replicate_oracles(k, pi_star, candidates, n):
+    params = RiskParams(N=40, n=n, replicates=3, base_seed=17, min_q_max=5)
+    arms = _arms(pi_star, candidates)
+    assert excess_risks(arms, k, pi_star, params) == oracle_excess_risks(arms, k, pi_star, params)
+    for pi in arms:
+        est = estimate_limit_likelihood(pi, k, pi_star, params)
+        vals, q_max = oracle_limit_likelihood(pi, k, pi_star, params)
+        assert np.array_equal(est.per_replicate, vals)
+        assert (est.value, est.stderr, est.q_max) == (
+            float(vals.mean()),
+            float(vals.std(ddof=1) / math.sqrt(vals.size)),
+            q_max,
+        )
+
+
+@pytest.mark.parametrize("k, pi_star, candidates, n", REPLICATE_CASES, ids=CASE_IDS)
+def test_z_process_equals_per_replicate_oracle(k, pi_star, candidates, n):
+    arms = _arms(pi_star, candidates)
+    new = z_process_concentration(arms, k, pi_star, N=40, n=n, replicates=4, base_seed=8)
+    old = oracle_z_process(arms, k, pi_star, N=40, n=n, replicates=4, base_seed=8)
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert a.pi == b.pi
+        assert np.array_equal(a.sums, b.sums)
+        assert (a.sigma_scaled, a.exceedance, a.envelope, a.num_layers) == (
+            b.sigma_scaled,
+            b.exceedance,
+            b.envelope,
+            b.num_layers,
+        )
+
+
+@pytest.mark.parametrize("k, pi_star, candidates, n", REPLICATE_CASES, ids=CASE_IDS)
+def test_scaling_experiment_equals_per_replicate_oracle(k, pi_star, candidates, n):
+    fit_config = FitConfig(support=tuple(pi_star.support), tol=1e-12, max_iters=5)
+    kwargs = dict(
+        n=n, seeds_per_n=3, base_seed=23, fit_config=fit_config, eval_N=48, eval_replicates=2
+    )
+    table = scaling_experiment(pi_star, k, [32, 40], **kwargs)
+    assert table == oracle_scaling_experiment(pi_star, k, [32, 40], **kwargs)
+
+
+@pytest.mark.parametrize(
+    "fit_config",
+    [
+        FitConfig(support=(1.0, 4.0), max_iters=2),
+        FitConfig(support=(0.5, 1.0, 2.0), max_iters=2),
+        FitConfig(support=(0.5, 2.0), mode="grid", candidates=[uniform([1.0, 4.0])]),
+    ],
+    ids=["moved", "three-point", "grid-candidate"],
+)
+def test_scaling_rejects_fit_support_other_than_pi_star(fit_config):
+    pi_star = DiscreteDistribution([0.5, 2.0], [0.3, 0.7])
+    message = r"fit support \(.*\) differs from pi_star's support \(0\.5, 2\.0\)"
+    with pytest.raises(ValueError, match=message):
+        scaling_experiment(pi_star, degree_model(), [40], seeds_per_n=1, fit_config=fit_config)
+
+
+@pytest.mark.parametrize(
+    "estimate, name",
+    [
+        (lambda pi, k: excess_risks([pi], k, pi, RiskParams(replicates=0)), "replicates"),
+        (lambda pi, k: estimate_limit_likelihood(pi, k, pi, RiskParams(replicates=0)), "replicates"),
+        (lambda pi, k: scaling_experiment(pi, k, [40], seeds_per_n=0), "seeds_per_n"),
+        (lambda pi, k: scaling_experiment(pi, k, [40], eval_replicates=0), "eval_replicates"),
+        (lambda pi, k: z_process_concentration([pi], k, pi, N=40, replicates=0), "replicates"),
+    ],
+    ids=["excess_risks", "limit_likelihood", "seeds_per_n", "eval_replicates", "z_process"],
+)
+def test_empty_replicate_sets_rejected(estimate, name):
+    pi = DiscreteDistribution([0.5, 2.0], [0.3, 0.7])
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
+        estimate(pi, degree_model())
+
+
+def test_replicate_set_logs_one_debug_line(caplog):
+    pi = DiscreteDistribution([0.5, 2.0], [0.3, 0.7])
+    k = degree_model()
+    params = RiskParams(N=60, n=2, replicates=3, base_seed=2, min_q_max=5)
+    with caplog.at_level(logging.DEBUG, logger="lgmle.simulator"):
+        excess_risks([pi.with_probs([0.5, 0.5])], k, pi, params)
+        z_process_concentration([pi], k, pi, N=40, n=3, replicates=2)
+    assert [r.getMessage() for r in caplog.records if r.name == "lgmle.simulator"] == [
+        "replicates: N=60 n=2 count=3 q_max=29",
+        "replicates: N=40 n=3 count=2 q_max=9",
+    ]

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lgmle import analysis
+from lgmle import simulator
 from lgmle.cli import main
 from lgmle.likelihood import LayerChainModel
 
@@ -135,23 +135,40 @@ def test_risk_builds_one_model_per_replicate(tmp_path, base_config, monkeypatch)
             "analysis": {"N": 300, "n": 2, "replicates": replicates, "base_seed": 5, "min_q_max": 20},
         }
     )
-    counts = {"simulate": 0, "model": 0}
-    simulate, init = analysis.simulate, LayerChainModel.__init__
+    counts = {"layers": 0, "model": 0}
+    layer_decomposition, init = simulator.layer_decomposition, LayerChainModel.__init__
 
-    def counting_simulate(*args, **kwargs):
-        counts["simulate"] += 1
-        return simulate(*args, **kwargs)
+    def counting_layers(*args, **kwargs):
+        counts["layers"] += 1
+        return layer_decomposition(*args, **kwargs)
 
     def counting_init(self, *args, **kwargs):
         counts["model"] += 1
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "simulate", counting_simulate)
+    monkeypatch.setattr(simulator, "layer_decomposition", counting_layers)
     monkeypatch.setattr(LayerChainModel, "__init__", counting_init)
     assert run(["risk", "--config", cfg, "--out", tmp_path / "risk", "--threads", 1]) == 0
-    assert counts == {"simulate": replicates, "model": replicates}
+    # The replicates share one schedule and its layers.
+    assert counts == {"layers": 1, "model": replicates}
     doc = json.loads((tmp_path / "risk" / "risk.json").read_text())
     assert len(doc["reports"]) == len(candidates)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"analysis": [1]}, "config key analysis must be an object"),
+        ({"candidates": 5}, "config key candidates must be a list of probability lists"),
+        ({"analysis": {"N": 300, "replicate": 3}}, "unknown key analysis.replicate"),
+        ({"analysis": {"N": 300, "replicates": 0}}, "replicates must be at least 1, got 0"),
+    ],
+    ids=["analysis-not-object", "candidates-not-list", "unknown-analysis-key", "no-replicates"],
+)
+def test_risk_config_errors_exit_2(tmp_path, base_config, capsys, extra, message):
+    cfg = base_config(extra={"candidates": [[0.5, 0.5]], **extra})
+    assert run(["risk", "--config", cfg, "--out", tmp_path / "risk"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_relaxed_dataset_round_trips(tmp_path, base_config):

@@ -4,8 +4,10 @@ import pytest
 from lgmle import (
     DiscreteDistribution,
     bradley_terry,
+    bt_ties,
     build_schedule,
     build_schedule_unchecked,
+    degree_model,
     log_likelihood,
     point_mass,
     sample_outcomes,
@@ -15,6 +17,7 @@ from lgmle import (
     uniform_kernel,
 )
 from lgmle.simulator import (
+    _simulate_replicates,
     dataset_from_json,
     dataset_from_json_dict,
     dataset_to_json,
@@ -165,3 +168,22 @@ def test_outcomes_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "i,j,x"
     assert len(lines) - 1 == len(ds.graph.edges)
+
+
+@pytest.mark.parametrize("N, n", [(200, 2), (60, 3), (120, 4), (800, 2)])
+def test_replicates_equal_per_seed_simulate(N, n):
+    pi = DiscreteDistribution([0.5, 1.0, 2.0], [0.2, 0.5, 0.3])
+    k = bt_ties(2.0) if n % 2 else degree_model()
+    seeds = [3, 917, 2**31 + 5]
+    replicates = _simulate_replicates(pi, k, N, n, seeds)
+    assert len(replicates) == len(seeds)
+    for ds, seed in zip(replicates, seeds):
+        ref = simulate(pi, k, N, n, seed)
+        assert ds.graph is replicates[0].graph and ds.layers is replicates[0].layers
+        assert (ds.graph, ds.layers, ds.outcomes, ds.seed) == (
+            ref.graph,
+            ref.layers,
+            ref.outcomes,
+            ref.seed,
+        )
+        assert np.array_equal(ds.true_weights, ref.true_weights)
