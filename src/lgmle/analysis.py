@@ -15,6 +15,7 @@ is far more stable than either arm alone.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -25,8 +26,10 @@ from .distributions import DiscreteDistribution
 from .errors import LayerOutOfRange
 from .estimator import FitConfig, fit_mle
 from .kernels import Kernel, epsilon_floor
-from .likelihood import LayerChainModel, _digits, _per_support
+from .likelihood import LayerChainModel, _digits, _log_likelihoods, _support_groups
 from .simulator import Dataset, _simulate_replicates
+
+log = logging.getLogger(__name__)
 
 # -- metrics ----------------------------------------------------------------
 
@@ -135,17 +138,19 @@ def _require_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be at least 1, got {count}")
 
 
-def _normalized_loglik(model: LayerChainModel, pi: DiscreteDistribution) -> float:
-    return model.log_likelihood(pi.probs) / model.layers.q_max
-
-
-def _replicate_scores(datasets: list[Dataset], kernel: Kernel, arms, score) -> np.ndarray:
-    """(arms x replicates) array of ``score(model, pi)``: every arm is scored
-    on every dataset, with one chain model per dataset and distinct support
-    (common random numbers across the arms)."""
+def _replicate_scores(datasets: list[Dataset], kernel: Kernel, arms) -> np.ndarray:
+    """(arms x replicates) array of q_max-normalized log-likelihoods: every
+    arm is scored on every dataset (common random numbers), in one batched
+    forward sweep per dataset and distinct support."""
     vals = np.empty((len(arms), len(datasets)))
     for r, ds in enumerate(datasets):
-        vals[:, r] = _per_support(ds, kernel, arms, score)
+        vals[:, r] = _log_likelihoods(ds, kernel, arms) / ds.layers.q_max
+    log.debug(
+        "scored: arms=%d replicates=%d supports=%d",
+        len(arms),
+        len(datasets),
+        len(_support_groups(arms)),
+    )
     return vals
 
 
@@ -160,7 +165,7 @@ def _risk_scores(arms, kernel: Kernel, pi_star: DiscreteDistribution, params: Ri
             f"q_max = {q_max} is below the configured minimum {params.min_q_max}; "
             "the boundary bias of the normalized likelihood is O(1/q_max)"
         )
-    return _replicate_scores(datasets, kernel, arms, _normalized_loglik), q_max
+    return _replicate_scores(datasets, kernel, arms), q_max
 
 
 def estimate_limit_likelihood(
@@ -550,7 +555,7 @@ def scaling_experiment(
         arms += [pi_star.with_probs([hi, 1.0 - hi]), pi_star.with_probs([lo, 1.0 - lo])]
     eval_seeds = np.random.SeedSequence([base_seed, 424243]).generate_state(eval_replicates)
     datasets = _simulate_replicates(pi_star, kernel, eval_N, n, [int(s) for s in eval_seeds])
-    vals = _replicate_scores(datasets, kernel, arms + fits, _normalized_loglik)
+    vals = _replicate_scores(datasets, kernel, arms + fits)
     gaps = [float((vals[0] - v).mean()) for v in vals]
     slope = 0.0
     if pi_star.size == 2:
@@ -622,12 +627,14 @@ def z_process_concentration(
         raise LayerOutOfRange("graph too small: no interior window")
     num_layers = m - 1
     pi_list = list(pi_list)
-    all_sums = _replicate_scores(
-        datasets,
-        kernel,
-        pi_list,
-        lambda model, pi: np.mean(list(model.conditional_profile(pi.probs, m).values())),
-    )
+    groups = _support_groups(pi_list)
+    all_sums = np.empty((len(pi_list), replicates))
+    for r, ds in enumerate(datasets):
+        for indices in groups:
+            model = LayerChainModel(ds, kernel, pi_list[indices[0]].support)
+            for k in indices:
+                profile = model.conditional_profile(pi_list[k].probs, m)
+                all_sums[k, r] = np.mean(list(profile.values()))
     out = []
     for pi, sums in zip(pi_list, all_sums):
         centered = sums - sums.mean()

@@ -98,6 +98,18 @@ def _section(config: dict, key: str, settings) -> dict:
     return dict(section)
 
 
+def _analysis_int(section: dict, name: str, default: int) -> int:
+    """``section[name]`` (or ``default``) of the ``analysis`` section as an
+    int; JSON null, booleans, strings and non-integral numbers are config
+    errors."""
+    value = section.get(name, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"config key analysis.{name} must be an integer, got {json.dumps(value)}")
+
+
 def _distribution(config: dict, probs_key: str) -> DiscreteDistribution:
     model = _require(config, "model")
     support = _require(model, "support")
@@ -234,13 +246,11 @@ def cmd_risk(args) -> int:
     candidates = [DiscreteDistribution(support, p) for p in cand_probs]
     a_cfg = _section(config, "analysis", analysis.RiskParams)
     params = analysis.RiskParams(
-        N=int(a_cfg.get("N", 2000)),
-        n=int(a_cfg.get("n", 2)),
-        replicates=int(a_cfg.get("replicates", 20)),
-        base_seed=int(
-            args.seed if args.seed is not None else a_cfg.get("base_seed", 7)
-        ),
-        min_q_max=int(a_cfg.get("min_q_max", 30)),
+        N=_analysis_int(a_cfg, "N", 2000),
+        n=_analysis_int(a_cfg, "n", 2),
+        replicates=_analysis_int(a_cfg, "replicates", 20),
+        base_seed=args.seed if args.seed is not None else _analysis_int(a_cfg, "base_seed", 7),
+        min_q_max=_analysis_int(a_cfg, "min_q_max", 30),
     )
     reports = analysis.excess_risks(candidates, kernel, pi_star, params)
     out = _out_dir(args)

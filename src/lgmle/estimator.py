@@ -18,7 +18,7 @@ import numpy as np
 from .distributions import DiscreteDistribution, random_simplex, uniform
 from .errors import NoCandidates
 from .kernels import Kernel
-from .likelihood import LayerChainModel, _per_support
+from .likelihood import LayerChainModel, _log_likelihoods
 from .simulator import Dataset
 
 log = logging.getLogger(__name__)
@@ -93,10 +93,6 @@ def em_step(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -> Discr
     return pi.with_probs(probs)
 
 
-def _log_likelihood(model: LayerChainModel, pi: DiscreteDistribution) -> float:
-    return model.log_likelihood(pi.probs)
-
-
 def _em_run(model: LayerChainModel, start: np.ndarray, config: FitConfig):
     probs = np.asarray(start, dtype=float)
     marginals, ll = model.posterior_pass(probs)
@@ -157,7 +153,7 @@ def fit_mle(dataset: Dataset, kernel: Kernel, config: FitConfig) -> FitResult:
     if config.mode == "grid":
         if not config.candidates:
             raise NoCandidates("grid mode needs a non-empty candidate list")
-        values = _per_support(dataset, kernel, config.candidates, _log_likelihood)
+        values = list(_log_likelihoods(dataset, kernel, config.candidates))
         best = 0
         for idx, value in enumerate(values):
             if value > values[best]:
@@ -198,5 +194,5 @@ def profile_likelihood(
 ) -> list[tuple[DiscreteDistribution, float]]:
     """Per-candidate log-likelihood normalized by the layer count q_max."""
     q_max = dataset.layers.q_max
-    values = _per_support(dataset, kernel, candidates, _log_likelihood)
-    return [(cand, value / q_max) for cand, value in zip(candidates, values)]
+    values = _log_likelihoods(dataset, kernel, candidates) / q_max
+    return list(zip(candidates, values))

@@ -192,11 +192,14 @@ class LayerChainModel:
     the state vectors in an order compiled once per positional plan.  Both
     engines give the same per-block log normalizers up to float64 roundoff.
 
-    ``forward_constants`` and ``posterior_pass`` share one forward recursion,
-    ``_forward``.  Their per-block loops do the recursion alone; logs, shifts
-    and node marginals follow for all blocks at once, in the floating-point
-    order of a per-block computation.  All methods are pure; instances are
-    safe for concurrent reads.
+    ``forward_constants`` scores K rows of simplex weights in one forward
+    recursion, each row pushed as its own vector-matrix product, so every
+    row's result is bit-identical to a sweep of that row alone.
+    ``posterior_pass`` runs the one-chain recursion ``_forward``, which also
+    keeps the forward messages.  The per-block loops do the recursion alone;
+    logs, shifts and node marginals follow for all blocks at once, in the
+    floating-point order of a per-block computation.  All methods are pure;
+    instances are safe for concurrent reads.
     """
 
     def __init__(self, dataset: Dataset, kernel: Kernel, support):
@@ -366,16 +369,18 @@ class LayerChainModel:
     # -- priors ---------------------------------------------------------------
 
     def _prior(self, probs: np.ndarray, q: int) -> np.ndarray:
+        """The block prior of layer q along the last axis of ``probs``."""
         width = self.widths[q]
         if width == 1:
             return probs
-        return probs[self._width_digits[width]].prod(axis=1)
+        return probs[..., self._width_digits[width]].prod(axis=-1)
 
     def _priors(self, probs: np.ndarray) -> list[np.ndarray]:
         """``_prior(probs, q)`` for every layer q, built once per distinct width.
 
-        Layers of one width share one array (at width 1, ``probs`` itself), so
-        sweeps must not write into a prior in place.
+        ``probs`` holds the weights along its last axis; leading axes carry
+        over.  Layers of one width share one array (at width 1, ``probs``
+        itself), so sweeps must not write into a prior in place.
         """
         by_width: dict[int, np.ndarray] = {}
         for q, width in enumerate(self.widths):
@@ -385,23 +390,22 @@ class LayerChainModel:
 
     # -- forward / backward sweeps ---------------------------------------------
 
-    def log_likelihood(self, probs) -> float:
+    def log_likelihood(self, probs):
+        """Log-likelihood of simplex ``probs``: a float for shape (s,), one
+        value per row for shape (K, s)."""
         return self.forward_constants(probs)[0]
 
-    def _forward(
-        self, priors: list[np.ndarray], keep_alphas: bool = False
-    ) -> tuple[list[np.ndarray] | None, np.ndarray]:
-        """The scaled forward recursion: (alphas, per-block log normalizers).
+    def _forward(self, priors: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+        """The scaled forward recursion of one chain: (alphas, per-block log
+        normalizers).
 
-        ``alphas[q]`` is the normalized forward message of layer q (the
-        prior at q = 0).  They are kept only when ``keep_alphas``: a
-        likelihood needs none, and they hold one state vector per layer.
-        ``constants[q]`` is log P(X_q | X_{0:q-1}).  The loop does
-        the recursion alone; logs and shifts are applied after it.
+        ``alphas[q]`` is the normalized forward message of layer q (the prior
+        at q = 0) and ``constants[q]`` is log P(X_q | X_{0:q-1}).  The loop
+        does the recursion alone; logs and shifts are applied after it.
         """
         mats = self._mats
         cs = np.empty(self.num_blocks)
-        alphas = [priors[0]] if keep_alphas else None
+        alphas = [priors[0]]
         w = priors[0]
         for q in range(self.num_blocks):
             w = (w @ mats[q] if mats is not None else self._push(q, w)) * priors[q + 1]
@@ -410,17 +414,43 @@ class LayerChainModel:
                 raise H1Violated(f"zero likelihood mass at block {q}")
             w /= c
             cs[q] = c
-            if alphas is not None:
-                alphas.append(w)
+            alphas.append(w)
         return alphas, np.log(cs) + self._shifts
 
-    def forward_constants(self, probs) -> tuple[float, np.ndarray]:
-        """(log-likelihood, per-block log normalizer) for simplex ``probs``.
+    def forward_constants(self, probs) -> tuple:
+        """(log-likelihood, per-block log normalizers) for simplex ``probs``.
 
-        The log-likelihood sums the normalizers sequentially in block order.
+        ``probs`` of shape (s,) gives a float and a (num_blocks,) array;
+        shape (K, s) gives (K,) log-likelihoods and (K, num_blocks) normalizers
+        from one recursion over all rows.  Each row's state is a (1, S)
+        matrix pushed on its own, which keeps every row bit-identical to a
+        sweep of that row alone (a (K, S) matrix product is not).  Mass is
+        checked once after the loop; ``H1Violated`` names the first block at
+        which any row's mass is zero.  The log-likelihood sums the
+        normalizers sequentially in block order.
         """
-        _, constants = self._forward(self._priors(np.asarray(probs, dtype=float)))
-        return np.cumsum(constants)[-1], constants
+        probs = np.asarray(probs, dtype=float)
+        priors = self._priors(np.atleast_2d(probs)[:, None, :])
+        mats = self._mats
+        cs = np.empty((self.num_blocks, priors[0].shape[0], 1, 1))
+        w = priors[0]
+        # A row that lost its mass turns to NaN in the division and stays
+        # NaN; the check after the loop reports where it happened.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for q in range(self.num_blocks):
+                w = (w @ mats[q] if mats is not None else self._push(q, w)) * priors[q + 1]
+                c = w.sum(axis=-1, keepdims=True)
+                w /= c
+                cs[q] = c
+            cs = cs.reshape(self.num_blocks, -1)
+            lost = ~(cs > 0.0).all(axis=1)
+        if lost.any():
+            raise H1Violated(f"zero likelihood mass at block {int(np.argmax(lost))}")
+        constants = np.log(cs) + self._shifts[:, None]
+        totals = np.cumsum(constants, axis=0)[-1]
+        if probs.ndim == 1:
+            return totals[0], constants[:, 0]
+        return totals, constants.T
 
     def node_marginals(self, probs) -> np.ndarray:
         """(N, s) posterior P(V_i = support[a] | outcomes); row i-1 is node i."""
@@ -437,7 +467,7 @@ class LayerChainModel:
         underflows to zero or is not finite.
         """
         priors = self._priors(np.asarray(probs, dtype=float))
-        gammas, constants = self._forward(priors, keep_alphas=True)
+        gammas, constants = self._forward(priors)
         mats = self._mats
         beta = np.ones(self.s ** self.widths[-1])
         for q in range(self.num_blocks, 0, -1):
@@ -593,21 +623,26 @@ class LayerChainModel:
 # -- module-level operations ------------------------------------------------------
 
 
-def _per_support(dataset: Dataset, kernel: Kernel, dists, score) -> list:
-    """``score(model, d)`` for every distribution d in ``dists``, in order.
-
-    Distributions on a common support share one model.  Models are built one
-    support at a time and dropped after their last use, so at most one is
-    alive.
-    """
+def _support_groups(dists) -> list[list[int]]:
+    """Indices of ``dists`` grouped by support, in order of first appearance."""
     groups: dict[tuple, list[int]] = {}
     for k, d in enumerate(dists):
         groups.setdefault(tuple(d.support), []).append(k)
-    out = [None] * len(dists)
-    for indices in groups.values():
-        model = LayerChainModel(dataset, kernel, dists[indices[0]].support)
-        for k in indices:
-            out[k] = score(model, dists[k])
+    return list(groups.values())
+
+
+def _log_likelihoods(dataset: Dataset, kernel: Kernel, dists) -> np.ndarray:
+    """Log-likelihood of every distribution in ``dists``, in order.
+
+    Distributions on a common support are scored on one model in one batched
+    forward sweep.  Each model is dropped before the next is built, so at
+    most one is alive.
+    """
+    out = np.empty(len(dists))
+    for indices in _support_groups(dists):
+        rows = np.array([dists[k].probs for k in indices])
+        support = dists[indices[0]].support
+        out[indices] = LayerChainModel(dataset, kernel, support).log_likelihood(rows)
     return out
 
 

@@ -411,3 +411,17 @@ def test_replicate_set_logs_one_debug_line(caplog):
         "replicates: N=60 n=2 count=3 q_max=29",
         "replicates: N=40 n=3 count=2 q_max=9",
     ]
+
+
+def test_replicate_scores_log_one_debug_line(caplog):
+    pi = DiscreteDistribution([0.5, 2.0], [0.3, 0.7])
+    k = degree_model()
+    params = RiskParams(N=60, n=2, replicates=3, base_seed=2, min_q_max=5)
+    arms = [pi.with_probs([0.5, 0.5]), uniform([0.8, 1.5, 3.0])]
+    with caplog.at_level(logging.DEBUG, logger="lgmle.analysis"):
+        excess_risks(arms, k, pi, params)
+        estimate_limit_likelihood(pi, k, pi, params)
+    assert [r.getMessage() for r in caplog.records if r.name == "lgmle.analysis"] == [
+        "scored: arms=3 replicates=3 supports=2",
+        "scored: arms=1 replicates=3 supports=1",
+    ]

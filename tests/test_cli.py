@@ -127,6 +127,16 @@ def test_risk_thread_count_does_not_change_results(tmp_path, base_config):
     assert (out1 / "risk.csv").read_bytes() == (out2 / "risk.csv").read_bytes()
 
 
+def test_risk_accepts_integral_floats(tmp_path, base_config):
+    analysis = {"N": 300, "n": 2, "replicates": 3, "base_seed": 5, "min_q_max": 20}
+    outs = []
+    for section in (analysis, {key: float(value) for key, value in analysis.items()}):
+        cfg = base_config(extra={"candidates": [[0.4, 0.6]], "analysis": section})
+        outs.append(tmp_path / f"r{len(outs)}")
+        assert run(["risk", "--config", cfg, "--out", outs[-1]]) == 0
+    assert (outs[0] / "risk.csv").read_bytes() == (outs[1] / "risk.csv").read_bytes()
+
+
 def test_risk_builds_one_model_per_replicate(tmp_path, base_config, monkeypatch):
     replicates, candidates = 3, [[0.4, 0.6], [0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]
     cfg = base_config(
@@ -162,8 +172,32 @@ def test_risk_builds_one_model_per_replicate(tmp_path, base_config, monkeypatch)
         ({"candidates": 5}, "config key candidates must be a list of probability lists"),
         ({"analysis": {"N": 300, "replicate": 3}}, "unknown key analysis.replicate"),
         ({"analysis": {"N": 300, "replicates": 0}}, "replicates must be at least 1, got 0"),
+        ({"analysis": {"N": None}}, "config key analysis.N must be an integer, got null"),
+        (
+            {"analysis": {"replicates": True}},
+            "config key analysis.replicates must be an integer, got true",
+        ),
+        ({"analysis": {"N": 800.7}}, "config key analysis.N must be an integer, got 800.7"),
+        (
+            {"analysis": {"base_seed": "7"}},
+            'config key analysis.base_seed must be an integer, got "7"',
+        ),
+        (
+            {"analysis": {"min_q_max": [5]}},
+            "config key analysis.min_q_max must be an integer, got [5]",
+        ),
     ],
-    ids=["analysis-not-object", "candidates-not-list", "unknown-analysis-key", "no-replicates"],
+    ids=[
+        "analysis-not-object",
+        "candidates-not-list",
+        "unknown-analysis-key",
+        "no-replicates",
+        "null",
+        "bool",
+        "non-integral-float",
+        "string",
+        "list",
+    ],
 )
 def test_risk_config_errors_exit_2(tmp_path, base_config, capsys, extra, message):
     cfg = base_config(extra={"candidates": [[0.5, 0.5]], **extra})

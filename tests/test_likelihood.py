@@ -603,10 +603,9 @@ def test_sweeps_match_per_block_oracle_exactly(n, s, extra, kernel_index, engine
     assert loglik == loglik_o == total
 
 
-def _extreme_posterior(n, s, engine, floored, seed):
-    """posterior_pass under a binary custom_table whose rare outcome, per weight
-    pair, has probability down to 1e-300, on data simulated from a fair coin."""
-    rng = np.random.default_rng(seed)
+def _extreme_model(n, s, engine, seed, rng):
+    """A model of a binary custom_table whose rare outcome, per weight pair,
+    has probability down to 1e-300, on data simulated from a fair coin."""
     support = np.arange(1.0, s + 1.0)
     rare = 10.0 ** -rng.uniform(0.3, 300.0, size=(s, s))
     swap = rng.random((s, s)) < 0.5
@@ -615,10 +614,125 @@ def _extreme_posterior(n, s, engine, floored, seed):
     fair = custom_table((0, 1), support, np.full((2, s, s), 0.5))
     pi = uniform(support)
     ds = simulate(pi, fair, 4 * n + 2 + 2 * int(rng.integers(0, 4)), n, seed=seed)
+    return _model(ds, pi, extreme, engine)
+
+
+@given(
+    K=st.integers(1, 6),
+    n=st.integers(2, 4),
+    s=st.integers(2, 3),
+    extra=st.integers(0, 6),
+    kernel_index=st.integers(0, 3),
+    engine=st.sampled_from(["dense", "factored"]),
+    seed=st.integers(1, 2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_forward_matches_per_row_oracle_exactly(K, n, s, extra, kernel_index, engine, seed):
+    rng = np.random.default_rng(seed)
+    kernel = kernel_variants()[kernel_index]
+    pi = random_distribution(rng, s)
+    ds = simulate(pi, kernel, 4 * n + 2 + 2 * extra, n, seed=seed)
+    model = _model(ds, pi, kernel, engine)
+    rows = rng.dirichlet(np.ones(s), size=K)
+    for row, floored in zip(rows, rng.integers(0, s, size=K)):
+        row[:floored] = WEIGHT_FLOOR
+    rows /= rows.sum(axis=1, keepdims=True)
+
+    totals, constants = model.forward_constants(rows)
+    assert totals.shape == (K,)
+    assert constants.shape == (K, model.num_blocks)
+    for k in range(K):
+        total_o, constants_o = _oracle_forward_constants(model, rows[k])
+        assert totals[k] == total_o
+        assert np.array_equal(constants[k], constants_o)
+    assert np.array_equal(model.log_likelihood(rows), totals)
+
+    total, row_constants = model.forward_constants(rows[0])
+    assert np.ndim(total) == 0
+    assert total == totals[0]
+    assert np.array_equal(row_constants, constants[0])
+
+
+def _oracle_outcome(model, probs):
+    """The per-row oracle's (total, constants), or the message it raises."""
+    try:
+        return _oracle_forward_constants(model, probs)
+    except H1Violated as exc:
+        return str(exc)
+
+
+def _assert_batch_matches_oracle_outcomes(model, rows):
+    """The batched sweep raises at the first block where any row's oracle
+    raises, and otherwise returns each row's oracle values."""
+    outcomes = [_oracle_outcome(model, row) for row in rows]
+    raised = [o for o in outcomes if isinstance(o, str)]
+    if raised:
+        first = min(raised, key=lambda message: int(message.rsplit(" ", 1)[1]))
+        with pytest.raises(H1Violated, match=f"^{first}$"):
+            model.forward_constants(rows)
+        return first
+    totals, constants = model.forward_constants(rows)
+    assert np.all(np.isfinite(totals)) and np.all(np.isfinite(constants))
+    for (total_o, constants_o), total, row_constants in zip(outcomes, totals, constants):
+        assert total == total_o
+        assert np.array_equal(row_constants, constants_o)
+    return None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("engine", ["dense", "factored"])
+def test_batched_forward_raises_where_one_row_loses_mass(engine):
+    # Outcome 1 between two nodes at support index 0 has probability 1e-200,
+    # so a block with two such outcomes has no mass under the point mass on
+    # index 0 (1e-400 underflows); the other rows keep theirs.
+    support = [1.0, 2.0]
+    table = np.full((2, 2, 2), 0.5)
+    table[:, 0, 0] = [1.0 - 1e-200, 1e-200]
+    kernel = custom_table((0, 1), support, table)
+    fair = custom_table((0, 1), support, np.full((2, 2, 2), 0.5))
+    pi = uniform(support)
+    ds = simulate(pi, fair, 40, 2, seed=4)
+    model = _model(ds, pi, kernel, engine)
+    first = next(
+        q
+        for q in range(model.num_blocks)
+        if sum(ds.outcomes[e] == 1 for e in ds.layers.block_edges(q)) >= 2
+    )
+    assert first > 0
+    rows = np.array([[0.5, 0.5], [1.0, 0.0], [0.3, 0.7]])
+    assert _assert_batch_matches_oracle_outcomes(model, rows) == (
+        f"zero likelihood mass at block {first}"
+    )
+    with pytest.raises(H1Violated, match=f"^zero likelihood mass at block {first}$"):
+        model.log_likelihood(rows[1])
+    assert np.all(np.isfinite(model.log_likelihood(rows[[0, 2]])))
+
+
+@pytest.mark.filterwarnings("error")
+@given(
+    K=st.integers(2, 5),
+    n=st.integers(2, 3),
+    s=st.integers(2, 3),
+    engine=st.sampled_from(["dense", "factored"]),
+    seed=st.integers(1, 2**31 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_batched_forward_with_extreme_tables_matches_per_row_oracle(K, n, s, engine, seed):
+    rng = np.random.default_rng(seed)
+    model = _extreme_model(n, s, engine, seed, rng)
+    rows = rng.dirichlet(np.ones(s), size=K)
+    rows[rng.integers(K)] = np.eye(s)[rng.integers(s)]  # zero prior off one index
+    _assert_batch_matches_oracle_outcomes(model, rows)
+
+
+def _extreme_posterior(n, s, engine, floored, seed):
+    """posterior_pass of an ``_extreme_model``."""
+    rng = np.random.default_rng(seed)
+    model = _extreme_model(n, s, engine, seed, rng)
     probs = rng.dirichlet(np.ones(s))
     probs[: min(floored, s - 1)] = WEIGHT_FLOOR
     probs /= probs.sum()
-    return _model(ds, pi, extreme, engine).posterior_pass(probs)
+    return model.posterior_pass(probs)
 
 
 @given(
