@@ -26,7 +26,13 @@ from .distributions import DiscreteDistribution
 from .errors import LayerOutOfRange
 from .estimator import FitConfig, fit_mle
 from .kernels import Kernel, epsilon_floor
-from .likelihood import LayerChainModel, _digits, _log_likelihoods, _support_groups
+from .likelihood import (
+    ContractionProfile,
+    LayerChainModel,
+    _digits,
+    _log_likelihoods,
+    _support_groups,
+)
 from .simulator import Dataset, _simulate_replicates
 
 log = logging.getLogger(__name__)
@@ -281,12 +287,56 @@ class ForgettingRow:
     bound: float
 
 
-def _interior_nus(model: LayerChainModel, epsilon: float) -> dict[int, float]:
-    return {k: epsilon**model.block_sizes[k] for k in range(len(model.block_sizes))}
+@dataclass(frozen=True)
+class Envelope:
+    """One envelope check as columns.  Row r is the window
+    ``{key: col[r] for key, col in windows.items()}`` (e.g. q, m, ell), its
+    measured ``value[r]`` and its ``bound[r]``."""
+
+    windows: dict[str, np.ndarray]
+    value: np.ndarray
+    bound: np.ndarray
+
+    def __len__(self) -> int:
+        return self.value.size
+
+    def rows(self) -> list[tuple]:
+        """(*window, value, bound) per row, as Python scalars."""
+        columns = [*self.windows.values(), self.value, self.bound]
+        return list(zip(*(col.tolist() for col in columns)))
+
+    def violations(self, tol: float) -> int:
+        """Number of rows whose value exceeds the bound by more than ``tol``."""
+        return int(np.count_nonzero(self.value > self.bound + tol))
+
+    def slack_summary(self) -> str:
+        """Row count, smallest slack (bound - value) and the window where it
+        occurs, for logs."""
+        if not len(self):
+            return "rows=0"
+        slack = self.bound - self.value
+        row = int(np.argmin(slack))
+        where = " ".join(f"{key}={int(col[row])}" for key, col in self.windows.items())
+        return f"rows={len(self)} min_slack={float(slack[row])!r} at {where}"
 
 
-def forgetting_gap_bound(nus: dict[int, float], q: int, m: int) -> float:
-    """nu_q^-1 * prod_{k=q+1}^{m-1} (1 - nu_k): horizon-extension envelope."""
+@dataclass(frozen=True)
+class Diagnosis:
+    """What ``lgmle diagnose`` reports, all from one model."""
+
+    epsilon: float
+    contraction: ContractionProfile
+    envelopes: dict[str, Envelope]  # "forgetting", "magnitude", "contraction"
+
+
+def _interior_nus(model: LayerChainModel, epsilon: float) -> np.ndarray:
+    """nu_k = epsilon^|X_k| for every block k."""
+    return np.array([epsilon**size for size in model.block_sizes])
+
+
+def forgetting_gap_bound(nus, q: int, m: int) -> float:
+    """nu_q^-1 * prod_{k=q+1}^{m-1} (1 - nu_k), with nu_k = ``nus[k]``:
+    horizon-extension envelope."""
     prod = 1.0
     for k in range(q + 1, m):
         prod *= 1.0 - nus[k]
@@ -294,39 +344,68 @@ def forgetting_gap_bound(nus: dict[int, float], q: int, m: int) -> float:
 
 
 def _interior_profiles(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel):
-    """(model, epsilon, profiles): ``profiles[m][q]`` is log P(X_q | X_{q+1:m})
-    for every interior window, from one backward sweep per horizon m."""
+    """(model, epsilon, profiles): ``profiles[m, q]`` is log P(X_q | X_{q+1:m})
+    for every interior window 2 <= q <= m <= q_max - 1 (NaN elsewhere), from
+    one backward sweep per horizon m."""
     model = LayerChainModel(dataset, kernel, pi.support)
     epsilon = epsilon_floor(kernel, pi.support).epsilon
     top = dataset.layers.q_max - 1
-    profiles = {m: model.conditional_profile(pi.probs, m) for m in range(2, top + 1)}
+    profiles = np.full((top + 1, top + 1), np.nan)
+    for m in range(2, top + 1):
+        profiles[m, 2 : m + 1] = list(model.conditional_profile(pi.probs, m).values())
     return model, epsilon, profiles
 
 
-def _forgetting_rows(model, epsilon, profiles, q_values=None, max_ell=None):
+def _forgetting_envelope(model, epsilon, profiles, q_values=None, max_ell=None) -> Envelope:
+    """Gaps |log P(X_q | X_{q+1:m}) - log P(X_q | X_{q+1:m+ell})| against
+    :func:`forgetting_gap_bound`, ordered by q (as given), m, then ell.
+
+    The bound of (q, m) is a running product over m, which does the
+    multiplications of :func:`forgetting_gap_bound` in the same order.
+    """
     top = model.layers.q_max - 1
     if top < 2:
         raise LayerOutOfRange("graph too small: no interior window")
-    nus = _interior_nus(model, epsilon)
-    if q_values is None:
-        q_values = range(2, top + 1)
-    rows: list[ForgettingRow] = []
+    q_values = range(2, top + 1) if q_values is None else list(q_values)
     for q in q_values:
-        for m in range(q, top):
-            bound = forgetting_gap_bound(nus, q, m)
-            ell_cap = top - m if max_ell is None else min(max_ell, top - m)
-            for ell in range(1, ell_cap + 1):
-                gap = abs(profiles[m][q] - profiles[m + ell][q])
-                rows.append(ForgettingRow(q=q, m=m, ell=ell, gap=gap, bound=bound))
-    return rows
+        if not 2 <= q <= top:
+            raise LayerOutOfRange(f"forgetting window q={q} is outside [2, {top}]")
+    nus = _interior_nus(model, epsilon)
+    bounds = np.ones((top + 1, top + 1))  # bounds[q, m] for m = q..top-1
+    for q in range(2, top + 1):
+        bounds[q, q + 2 : top] = np.cumprod(1.0 - nus[q + 1 : top - 1])
+        bounds[q] /= nus[q]
+    windows = [np.empty((3, 0), dtype=int)]
+    for q in q_values:
+        # (m - q, m + ell - q) over the upper triangle, m ascending, then ell
+        i, j = np.triu_indices(top + 1 - q, 1)
+        if max_ell is not None:
+            keep = j - i <= max_ell
+            i, j = i[keep], j[keep]
+        windows.append(np.stack([np.full(i.size, q), q + i, j - i]))
+    q, m, ell = np.concatenate(windows, axis=1)
+    gap = np.abs(profiles[m, q] - profiles[m + ell, q])
+    return Envelope({"q": q, "m": m, "ell": ell}, gap, bounds[q, m])
 
 
-def _magnitude_rows(model, epsilon, profiles) -> list[tuple[int, int, float, float]]:
-    rows = []
-    for m, profile in profiles.items():
-        for q, value in profile.items():
-            rows.append((q, m, abs(value), model.block_sizes[q] * math.log(1.0 / epsilon)))
-    return rows
+def _magnitude_envelope(model, epsilon, profiles) -> Envelope:
+    """|log P(X_q | X_{q+1:m})| against |X_q| log(1/epsilon), ordered by m,
+    then q."""
+    m, q = np.tril_indices(profiles.shape[0])
+    interior = q >= 2
+    m, q = m[interior], q[interior]
+    bounds = np.array([size * math.log(1.0 / epsilon) for size in model.block_sizes])
+    return Envelope({"q": q, "m": m}, np.abs(profiles[m, q]), bounds[q])
+
+
+def _contraction_envelope(profile: ContractionProfile) -> Envelope:
+    """Each backward step's total variation against 1 - nu_k times the total
+    variation before the step."""
+    steps = profile.steps
+    tv = np.array([s.tv for s in steps])
+    before = np.concatenate(([profile.initial_tv], tv[:-1]))
+    bound = np.array([s.step_factor for s in steps]) * before
+    return Envelope({"layer": np.array([s.layer for s in steps], dtype=int)}, tv, bound)
 
 
 def forgetting_profile(
@@ -340,23 +419,38 @@ def forgetting_profile(
 
     For every interior q and every horizon pair (m, m + ell) the row records
     |log P(X_q | X_{q+1:m}) - log P(X_q | X_{q+1:m+ell})| next to its
-    geometric envelope.  One backward sweep per horizon.
+    geometric envelope.  One backward sweep per horizon.  Every q in
+    ``q_values`` must lie in [2, q_max - 1].
     """
-    return _forgetting_rows(*_interior_profiles(dataset, pi, kernel), q_values, max_ell)
+    profiles = _interior_profiles(dataset, pi, kernel)
+    return [ForgettingRow(*row) for row in _forgetting_envelope(*profiles, q_values, max_ell).rows()]
 
 
 def conditional_magnitude_rows(
     dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel
 ) -> list[tuple[int, int, float, float]]:
     """(q, m, |log P(X_q | X_{q+1:m})|, |X_q| log(1/epsilon)) on the interior."""
-    return _magnitude_rows(*_interior_profiles(dataset, pi, kernel))
+    return _magnitude_envelope(*_interior_profiles(dataset, pi, kernel)).rows()
 
 
-def _diagnose_rows(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel):
-    """(forgetting_profile rows, conditional_magnitude_rows rows) from one
-    model and one backward sweep per horizon."""
-    profiles = _interior_profiles(dataset, pi, kernel)
-    return _forgetting_rows(*profiles), _magnitude_rows(*profiles)
+def _diagnose(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -> Diagnosis:
+    """The forgetting, magnitude and contraction envelopes, from one model
+    and one backward sweep per horizon."""
+    model, epsilon, profiles = _interior_profiles(dataset, pi, kernel)
+    forgetting = _forgetting_envelope(model, epsilon, profiles)
+    top = dataset.layers.q_max - 1
+    contraction = model.contraction_profile(pi.probs, 2, top, epsilon=epsilon)
+    envelopes = {
+        "forgetting": forgetting,
+        "magnitude": _magnitude_envelope(model, epsilon, profiles),
+        "contraction": _contraction_envelope(contraction),
+    }
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "diagnose envelopes: %s",
+            "; ".join(f"{name} {env.slack_summary()}" for name, env in envelopes.items()),
+        )
+    return Diagnosis(epsilon, contraction, envelopes)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, estimator, likelihood, rr_graph, simulator
 from .distributions import DiscreteDistribution
 from .errors import LgmleError
-from .kernels import epsilon_floor, kernel_from_config
+from .kernels import kernel_from_config
 
 log = logging.getLogger("lgmle")
 
@@ -66,6 +66,28 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _write_forgetting_csv(path, forgetting) -> None:
+    """The forgetting envelope as ``csv.writer`` writes its rows (floats as
+    repr, CRLF line ends), from the columns.  Each float is formatted once:
+    the "q,m," head and the ",bound" tail once per (q, m), whose rows share
+    one bound."""
+    q, m, ell = (forgetting.windows[key] for key in ("q", "m", "ell"))
+    first = np.ones(q.size, dtype=bool)
+    first[1:] = (q[1:] != q[:-1]) | (m[1:] != m[:-1])
+    starts = np.flatnonzero(first)
+    # q <= m, so the labels up to max(m, ell) cover all three columns
+    labels = [str(k) for k in range(max(m.max(initial=0), ell.max(initial=0)) + 1)]
+    heads = [f"{labels[i]},{labels[j]}," for i, j in zip(q[starts].tolist(), m[starts].tolist())]
+    tails = [f",{bound!r}\r\n" for bound in forgetting.bound[starts].tolist()]
+    starts = starts.tolist()
+    ell = ell.tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write("q,m,ell,gap,bound\r\n")
+        for head, tail, a, b in zip(heads, tails, starts, starts[1:] + [len(ell)]):
+            gaps = forgetting.value[a:b].tolist()
+            fh.write("".join([f"{head}{labels[e]},{g!r}{tail}" for e, g in zip(ell[a:b], gaps)]))
+
+
 def _load_config(args) -> dict:
     if getattr(args, "config", None) is None:
         return {}
@@ -98,16 +120,14 @@ def _section(config: dict, key: str, settings) -> dict:
     return dict(section)
 
 
-def _analysis_int(section: dict, name: str, default: int) -> int:
-    """``section[name]`` (or ``default``) of the ``analysis`` section as an
-    int; JSON null, booleans, strings and non-integral numbers are config
-    errors."""
-    value = section.get(name, default)
+def _config_int(key: str, value) -> int:
+    """``value``, read from config key ``key``, as an int; JSON null,
+    booleans, strings and non-integral numbers are config errors."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise ConfigError(f"config key analysis.{name} must be an integer, got {json.dumps(value)}")
+    raise ConfigError(f"config key {key} must be an integer, got {json.dumps(value)}")
 
 
 def _distribution(config: dict, probs_key: str) -> DiscreteDistribution:
@@ -120,17 +140,16 @@ def _distribution(config: dict, probs_key: str) -> DiscreteDistribution:
 def _dataset(config: dict, args) -> simulator.Dataset:
     if "dataset" in config:
         return simulator.dataset_from_json(config["dataset"])
-    graph_cfg = _require(config, "graph")
     sim_cfg = config.get("sim", {})
-    seed = args.seed if args.seed is not None else sim_cfg.get("seed", 0)
+    seed = args.seed if args.seed is not None else _config_int("sim.seed", sim_cfg.get("seed", 0))
     kernel = kernel_from_config(_require(config, "model", "kernel"))
     pi_star = _distribution(config, "pi_star")
     return simulator.simulate(
         pi_star,
         kernel,
-        int(graph_cfg["N"]),
-        int(graph_cfg["n"]),
-        int(seed),
+        _config_int("graph.N", _require(config, "graph", "N")),
+        _config_int("graph.n", _require(config, "graph", "n")),
+        seed,
         blind=bool(sim_cfg.get("blind", False)),
         strict=bool(sim_cfg.get("strict", True)),
     )
@@ -246,11 +265,15 @@ def cmd_risk(args) -> int:
     candidates = [DiscreteDistribution(support, p) for p in cand_probs]
     a_cfg = _section(config, "analysis", analysis.RiskParams)
     params = analysis.RiskParams(
-        N=_analysis_int(a_cfg, "N", 2000),
-        n=_analysis_int(a_cfg, "n", 2),
-        replicates=_analysis_int(a_cfg, "replicates", 20),
-        base_seed=args.seed if args.seed is not None else _analysis_int(a_cfg, "base_seed", 7),
-        min_q_max=_analysis_int(a_cfg, "min_q_max", 30),
+        N=_config_int("analysis.N", a_cfg.get("N", 2000)),
+        n=_config_int("analysis.n", a_cfg.get("n", 2)),
+        replicates=_config_int("analysis.replicates", a_cfg.get("replicates", 20)),
+        base_seed=(
+            args.seed
+            if args.seed is not None
+            else _config_int("analysis.base_seed", a_cfg.get("base_seed", 7))
+        ),
+        min_q_max=_config_int("analysis.min_q_max", a_cfg.get("min_q_max", 30)),
     )
     reports = analysis.excess_risks(candidates, kernel, pi_star, params)
     out = _out_dir(args)
@@ -305,44 +328,30 @@ def cmd_diagnose(args) -> int:
         else _distribution(config, "pi_star")
     )
     out = _out_dir(args)
-    forgetting, magnitude = analysis._diagnose_rows(ds, pi, kernel)
-    _write_csv(
-        os.path.join(out, "forgetting.csv"),
-        ["q", "m", "ell", "gap", "bound"],
-        [(r.q, r.m, r.ell, r.gap, r.bound) for r in forgetting],
-    )
+    diagnosis = analysis._diagnose(ds, pi, kernel)
+    envelopes = diagnosis.envelopes
+    _write_forgetting_csv(os.path.join(out, "forgetting.csv"), envelopes["forgetting"])
     _write_csv(
         os.path.join(out, "conditional_magnitude.csv"),
         ["q", "m", "abs_log_prob", "bound"],
-        magnitude,
+        envelopes["magnitude"].rows(),
     )
-    profile = likelihood.backward_contraction_profile(ds, pi, kernel)
+    steps = diagnosis.contraction.steps
     _write_csv(
         os.path.join(out, "contraction.csv"),
         ["layer", "tv", "step_factor", "cumulative_bound"],
-        [(s.layer, s.tv, s.step_factor, s.cumulative_bound) for s in profile.steps],
+        [(s.layer, s.tv, s.step_factor, s.cumulative_bound) for s in steps],
     )
     _write_json(
         os.path.join(out, "diagnose_config.json"),
-        {
-            "config": config,
-            "seed": ds.seed,
-            "epsilon": epsilon_floor(kernel, pi.support).epsilon,
-        },
+        {"config": config, "seed": ds.seed, "epsilon": diagnosis.epsilon},
     )
-    tol = 1e-9
-    violations = [r for r in forgetting if r.gap > r.bound + tol]
-    violations += [r for r in magnitude if r[2] > r[3] + tol]
-    prev = profile.initial_tv
-    for step in profile.steps:
-        if step.tv > step.step_factor * prev + tol:
-            violations.append(step)
-        prev = step.tv
+    violations = sum(env.violations(1e-9) for env in envelopes.values())
     if violations:
-        print(f"{len(violations)} bound violations; see CSVs in {out}", file=sys.stderr)
+        print(f"{violations} bound violations; see CSVs in {out}", file=sys.stderr)
         return EXIT_RUNTIME
-    print(f"diagnostics clean: {len(forgetting)} forgetting rows, "
-          f"{len(magnitude)} magnitude rows, {len(profile.steps)} contraction steps")
+    print(f"diagnostics clean: {len(envelopes['forgetting'])} forgetting rows, "
+          f"{len(envelopes['magnitude'])} magnitude rows, {len(steps)} contraction steps")
     return EXIT_OK
 
 

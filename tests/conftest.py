@@ -21,7 +21,13 @@ from lgmle import (
     simplex_entropy_integral,
     simulate,
 )
-from lgmle.analysis import RiskReport, ScalingRow, ZProcessSummary
+from lgmle.analysis import (
+    ForgettingRow,
+    RiskReport,
+    ScalingRow,
+    ZProcessSummary,
+    forgetting_gap_bound,
+)
 
 
 def kernel_variants():
@@ -266,6 +272,69 @@ def oracle_z_process(pi_list, kernel, pi_star, N, n, replicates, base_seed, t_gr
             )
         )
     return out
+
+
+# -- the diagnose rows as they were built before the column envelopes ---------
+# One row object per window, the forgetting bound re-multiplied per (q, m).
+
+
+def _oracle_diagnose_model(ds, pi, kernel):
+    model = LayerChainModel(ds, kernel, pi.support)
+    epsilon = epsilon_floor(kernel, pi.support).epsilon
+    top = ds.layers.q_max - 1
+    profiles = {m: model.conditional_profile(pi.probs, m) for m in range(2, top + 1)}
+    return model, epsilon, top, profiles
+
+
+def oracle_forgetting_rows(ds, pi, kernel, q_values=None, max_ell=None, nus=None):
+    """``forgetting_profile``, row by row; ``nus`` (indexed by block)
+    defaults to epsilon^|X_k|."""
+    model, epsilon, top, profiles = _oracle_diagnose_model(ds, pi, kernel)
+    if nus is None:
+        nus = {k: epsilon**size for k, size in enumerate(model.block_sizes)}
+    if q_values is None:
+        q_values = range(2, top + 1)
+    rows = []
+    for q in q_values:
+        for m in range(q, top):
+            bound = forgetting_gap_bound(nus, q, m)
+            ell_cap = top - m if max_ell is None else min(max_ell, top - m)
+            for ell in range(1, ell_cap + 1):
+                gap = abs(profiles[m][q] - profiles[m + ell][q])
+                rows.append(ForgettingRow(q=q, m=m, ell=ell, gap=gap, bound=bound))
+    return rows
+
+
+def oracle_magnitude_rows(ds, pi, kernel):
+    """``conditional_magnitude_rows``, row by row."""
+    model, epsilon, _, profiles = _oracle_diagnose_model(ds, pi, kernel)
+    rows = []
+    for m, profile in profiles.items():
+        for q, value in profile.items():
+            rows.append((q, m, abs(value), model.block_sizes[q] * math.log(1.0 / epsilon)))
+    return rows
+
+
+def oracle_contraction_rows(ds, pi, kernel):
+    """(layer, tv, step bound) per backward step of ``lgmle diagnose``: the
+    step bound is 1 - nu_k times the total variation before the step."""
+    model, _, top, _ = _oracle_diagnose_model(ds, pi, kernel)
+    contraction = model.contraction_profile(pi.probs, 2, top)
+    rows = []
+    prev = contraction.initial_tv
+    for step in contraction.steps:
+        rows.append((step.layer, step.tv, step.step_factor * prev))
+        prev = step.tv
+    return rows
+
+
+def oracle_diagnose_violations(ds, pi, kernel, nus=None, tol=1e-9) -> int:
+    """The bound violations ``lgmle diagnose`` counts, row by row."""
+    forgetting = oracle_forgetting_rows(ds, pi, kernel, nus=nus)
+    count = sum(r.gap > r.bound + tol for r in forgetting)
+    count += sum(value > bound + tol for _, _, value, bound in oracle_magnitude_rows(ds, pi, kernel))
+    count += sum(tv > bound + tol for _, tv, bound in oracle_contraction_rows(ds, pi, kernel))
+    return count
 
 
 @pytest.fixture

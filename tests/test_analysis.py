@@ -1,13 +1,17 @@
 import dataclasses
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgmle import (
     DiscreteDistribution,
     FitConfig,
+    LayerOutOfRange,
     RiskParams,
     bradley_terry,
     bt_ties,
@@ -27,6 +31,7 @@ from lgmle import (
     uniform_kernel,
     z_process_concentration,
 )
+from lgmle import analysis
 from lgmle.analysis import (
     forgetting_profile,
     conditional_magnitude_rows,
@@ -36,7 +41,11 @@ from lgmle.analysis import (
 )
 
 from conftest import (
+    kernel_variants,
+    oracle_contraction_rows,
     oracle_excess_risks,
+    oracle_forgetting_rows,
+    oracle_magnitude_rows,
     oracle_limit_likelihood,
     oracle_scaling_experiment,
     oracle_z_process,
@@ -208,6 +217,73 @@ def test_forgetting_and_magnitude_bounds_hold():
     assert rows and all(r.gap <= r.bound + 1e-12 for r in rows)
     mags = conditional_magnitude_rows(ds, pi, k)
     assert mags and all(value <= bound + 1e-12 for _, _, value, bound in mags)
+
+
+@given(
+    n=st.sampled_from([2, 3]),
+    N=st.sampled_from([14, 20, 28]),
+    s=st.sampled_from([2, 3]),
+    kernel_index=st.integers(0, 3),
+    seed=st.integers(1, 2**31 - 1),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_forgetting_columns_equal_row_oracle(n, N, s, kernel_index, seed, data):
+    rng = np.random.default_rng(seed)
+    pi = random_distribution(rng, s)
+    kernel = kernel_variants()[kernel_index]
+    ds = simulate(pi, kernel, N, n, seed=seed)
+    top = ds.layers.q_max - 1
+    q_values = data.draw(st.none() | st.lists(st.integers(2, top), max_size=top), label="q_values")
+    max_ell = data.draw(st.sampled_from([None, 1, 3, top + 1]), label="max_ell")
+    # Interior blocks share one size, so epsilon^|X_k| is flat there; the
+    # second pass varies nu_k per block to pin the running product's indices.
+    varied = rng.uniform(0.05, 1.0, size=ds.layers.q_max + 2)
+    for nus in (None, varied):
+        with mock.patch.object(
+            analysis,
+            "_interior_nus",
+            analysis._interior_nus if nus is None else (lambda model, epsilon: nus),
+        ):
+            rows = forgetting_profile(ds, pi, kernel, q_values=q_values, max_ell=max_ell)
+        oracle = oracle_forgetting_rows(ds, pi, kernel, q_values, max_ell, nus)
+        for field in ("q", "m", "ell", "gap", "bound"):
+            assert [getattr(r, field) for r in rows] == [getattr(r, field) for r in oracle], field
+
+
+def test_forgetting_window_outside_interior_raises():
+    pi = DiscreteDistribution([1.0, 3.0], [0.4, 0.6])
+    k = bradley_terry()
+    ds = simulate(pi, k, 30, 2, seed=11)
+    top = ds.layers.q_max - 1
+    assert forgetting_profile(ds, pi, k, q_values=[top]) == []
+    for q in (1, 0, -1, top + 1):
+        with pytest.raises(LayerOutOfRange, match=f"q={q} "):
+            forgetting_profile(ds, pi, k, q_values=[2, q])
+
+
+def test_diagnose_logs_tightest_envelopes(caplog):
+    pi = DiscreteDistribution([1.0, 3.0], [0.4, 0.6])
+    k = bradley_terry()
+    ds = simulate(pi, k, 30, 2, seed=11)
+    with caplog.at_level(logging.DEBUG, logger="lgmle.analysis"):
+        analysis._diagnose(ds, pi, k)
+    forgetting = [((r.q, r.m, r.ell), r.gap, r.bound) for r in oracle_forgetting_rows(ds, pi, k)]
+    magnitude = [((q, m), value, bound) for q, m, value, bound in oracle_magnitude_rows(ds, pi, k)]
+    contraction = [((layer,), tv, bound) for layer, tv, bound in oracle_contraction_rows(ds, pi, k)]
+    parts = []
+    for name, keys, rows in (
+        ("forgetting", ("q", "m", "ell"), forgetting),
+        ("magnitude", ("q", "m"), magnitude),
+        ("contraction", ("layer",), contraction),
+    ):
+        slacks = [float(bound - value) for _, value, bound in rows]
+        tight = slacks.index(min(slacks))
+        where = " ".join(f"{key}={v}" for key, v in zip(keys, rows[tight][0]))
+        parts.append(f"{name} rows={len(rows)} min_slack={slacks[tight]!r} at {where}")
+    assert [r.getMessage() for r in caplog.records if r.name == "lgmle.analysis"] == [
+        "diagnose envelopes: " + "; ".join(parts)
+    ]
 
 
 def test_single_flip_bounds_hold():

@@ -1,11 +1,15 @@
 import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
-from lgmle import simulator
+from lgmle import DiscreteDistribution, analysis, bradley_terry, likelihood, simulate, simulator
 from lgmle.cli import main
 from lgmle.likelihood import LayerChainModel
+
+from conftest import oracle_diagnose_violations, oracle_forgetting_rows
 
 
 def run(args):
@@ -248,6 +252,98 @@ def test_diagnose_bounds_and_exit(tmp_path, base_config, capsys):
     with open(out / "contraction.csv") as fh:
         crows = list(csv.reader(fh))
     assert crows[0] == ["layer", "tv", "step_factor", "cumulative_bound"]
+
+
+def _base_dataset():
+    """The dataset and the diagnosed pi of ``base_config``."""
+    kernel = bradley_terry()
+    ds = simulate(DiscreteDistribution([1.0, 3.0], [0.4, 0.6]), kernel, 60, 2, seed=11)
+    return ds, DiscreteDistribution([1.0, 3.0], [0.5, 0.5]), kernel
+
+
+def test_diagnose_forgetting_csv_equals_row_oracle(tmp_path, base_config):
+    out = tmp_path / "diag"
+    assert run(["diagnose", "--config", base_config(), "--out", out]) == 0
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["q", "m", "ell", "gap", "bound"])
+    writer.writerows((r.q, r.m, r.ell, r.gap, r.bound) for r in oracle_forgetting_rows(*_base_dataset()))
+    assert (out / "forgetting.csv").read_bytes() == expected.getvalue().encode()
+
+
+def test_diagnose_counts_violations(tmp_path, base_config, monkeypatch, capsys):
+    # nu_k near 1 shrinks the forgetting envelope to ~0 two layers out
+    def shrunk_nus(model, epsilon):
+        return np.full(len(model.block_sizes), 0.999)
+
+    monkeypatch.setattr(analysis, "_interior_nus", shrunk_nus)
+    ds, pi, kernel = _base_dataset()
+    nus = shrunk_nus(LayerChainModel(ds, kernel, pi.support), None)
+    expected = oracle_diagnose_violations(ds, pi, kernel, nus=nus)
+    assert 0 < expected < len(oracle_forgetting_rows(ds, pi, kernel))
+    out = tmp_path / "diag"
+    assert run(["diagnose", "--config", base_config(), "--out", out]) == 1
+    assert capsys.readouterr().err == f"{expected} bound violations; see CSVs in {out}\n"
+
+
+def test_diagnose_without_interior_window_exit_2(tmp_path, base_config, capsys):
+    # N=12, n=4 (relaxed schedule) has q_max = 2: no window 2 <= q <= q_max - 1
+    cfg = base_config(graph={"N": 12, "n": 4}, sim={"seed": 3, "strict": False})
+    assert run(["diagnose", "--config", cfg, "--out", tmp_path / "diag"]) == 2
+    assert capsys.readouterr().err == "error: graph too small: no interior window\n"
+
+
+def test_diagnose_builds_one_model(tmp_path, base_config, monkeypatch):
+    counts = {"model": 0, "epsilon": 0}
+    init, epsilon_floor = LayerChainModel.__init__, analysis.epsilon_floor
+
+    def counting_init(self, *args, **kwargs):
+        counts["model"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_epsilon_floor(*args, **kwargs):
+        counts["epsilon"] += 1
+        return epsilon_floor(*args, **kwargs)
+
+    monkeypatch.setattr(LayerChainModel, "__init__", counting_init)
+    for module in (analysis, likelihood):
+        monkeypatch.setattr(module, "epsilon_floor", counting_epsilon_floor)
+    assert run(["diagnose", "--config", base_config(), "--out", tmp_path / "diag"]) == 0
+    assert counts == {"model": 1, "epsilon": 1}
+
+
+@pytest.mark.parametrize("command", ["loglik", "diagnose"])
+@pytest.mark.parametrize(
+    "section, key, value, shown",
+    [
+        ("graph", "N", None, "null"),
+        ("graph", "N", True, "true"),
+        ("graph", "N", 60.5, "60.5"),
+        ("graph", "N", "60", '"60"'),
+        ("graph", "n", 2.5, "2.5"),
+        ("sim", "seed", None, "null"),
+        ("sim", "seed", "11", '"11"'),
+    ],
+    ids=["N-null", "N-bool", "N-non-integral", "N-string", "n-non-integral", "seed-null", "seed-string"],
+)
+def test_dataset_int_keys_exit_2(tmp_path, base_config, capsys, command, section, key, value, shown):
+    doc = {"graph": {"N": 60, "n": 2}, "sim": {"seed": 11}}
+    doc[section][key] = value
+    assert run([command, "--config", base_config(**doc), "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"error: config key {section}.{key} must be an integer, got {shown}\n"
+
+
+@pytest.mark.parametrize("command, output", [("loglik", "loglik.json"), ("diagnose", "forgetting.csv")])
+def test_dataset_accepts_integral_floats(tmp_path, base_config, command, output):
+    outs = []
+    for graph, sim in (({"N": 60, "n": 2}, {"seed": 11}), ({"N": 60.0, "n": 2.0}, {"seed": 11.0})):
+        outs.append(tmp_path / f"out{len(outs)}")
+        assert run([command, "--config", base_config(graph=graph, sim=sim), "--out", outs[-1]]) == 0
+    first, second = ((out / output).read_text() for out in outs)
+    if command == "loglik":
+        # loglik.json echoes the config as given, so compare the value only
+        first, second = (json.loads(text)["log_likelihood"] for text in (first, second))
+    assert first == second
 
 
 def test_missing_config_key_exit_2(tmp_path, capsys):
