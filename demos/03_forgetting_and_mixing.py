@@ -23,7 +23,7 @@ kernel = bradley_terry()
 ds = simulate(pi, kernel, N=60, n=2, seed=3)
 
 cert = epsilon_floor(kernel, pi.support)
-nu = cert.epsilon ** (ds.graph.n * (ds.graph.n - 1))
+nu = cert.nu(ds.graph.n * (ds.graph.n - 1))
 print(f"epsilon = {cert.epsilon} at k{cert.attained_at}, interior nu = {nu}")
 
 rows = forgetting_profile(ds, pi, kernel, q_values=[2, 5, 10])

@@ -329,40 +329,38 @@ class Diagnosis:
     envelopes: dict[str, Envelope]  # "forgetting", "magnitude", "contraction"
 
 
-def _interior_nus(model: LayerChainModel, epsilon: float) -> np.ndarray:
-    """nu_k = epsilon^|X_k| for every block k."""
-    return np.array([epsilon**size for size in model.block_sizes])
+def _forgetting_bounds(model: LayerChainModel) -> np.ndarray:
+    """``B[q, m] = nu_q^-1 prod_{k=q+1}^{m-1} (1 - nu_k)`` for every interior
+    2 <= q <= m <= q_max - 1, nu_k from ``model.block_nus()``: the envelope of
+    the change of log P(X_q | X_{q+1:m}) under a change at layer m or beyond.
 
-
-def forgetting_gap_bound(nus, q: int, m: int) -> float:
-    """nu_q^-1 * prod_{k=q+1}^{m-1} (1 - nu_k), with nu_k = ``nus[k]``:
-    horizon-extension envelope."""
-    prod = 1.0
-    for k in range(q + 1, m):
-        prod *= 1.0 - nus[k]
-    return prod / nus[q]
+    Row q is a running product over m, multiplied in the order of the
+    product's factors, then divided by nu_q.
+    """
+    nus = np.array(model.block_nus())
+    top = model.layers.q_max - 1
+    bounds = np.ones((top + 1, top + 1))
+    for q in range(2, top + 1):
+        bounds[q, q + 2 :] = np.cumprod(1.0 - nus[q + 1 : top])
+        bounds[q] /= nus[q]
+    return bounds
 
 
 def _interior_profiles(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel):
-    """(model, epsilon, profiles): ``profiles[m, q]`` is log P(X_q | X_{q+1:m})
-    for every interior window 2 <= q <= m <= q_max - 1 (NaN elsewhere), from
-    one backward sweep per horizon m."""
+    """(model, profiles): ``profiles[m, q]`` is log P(X_q | X_{q+1:m}) for
+    every interior window 2 <= q <= m <= q_max - 1 (NaN elsewhere), from one
+    backward sweep per horizon m."""
     model = LayerChainModel(dataset, kernel, pi.support)
-    epsilon = epsilon_floor(kernel, pi.support).epsilon
     top = dataset.layers.q_max - 1
     profiles = np.full((top + 1, top + 1), np.nan)
     for m in range(2, top + 1):
         profiles[m, 2 : m + 1] = list(model.conditional_profile(pi.probs, m).values())
-    return model, epsilon, profiles
+    return model, profiles
 
 
-def _forgetting_envelope(model, epsilon, profiles, q_values=None, max_ell=None) -> Envelope:
+def _forgetting_envelope(model, profiles, q_values=None, max_ell=None) -> Envelope:
     """Gaps |log P(X_q | X_{q+1:m}) - log P(X_q | X_{q+1:m+ell})| against
-    :func:`forgetting_gap_bound`, ordered by q (as given), m, then ell.
-
-    The bound of (q, m) is a running product over m, which does the
-    multiplications of :func:`forgetting_gap_bound` in the same order.
-    """
+    :func:`_forgetting_bounds`, ordered by q (as given), m, then ell."""
     top = model.layers.q_max - 1
     if top < 2:
         raise LayerOutOfRange("graph too small: no interior window")
@@ -370,11 +368,7 @@ def _forgetting_envelope(model, epsilon, profiles, q_values=None, max_ell=None) 
     for q in q_values:
         if not 2 <= q <= top:
             raise LayerOutOfRange(f"forgetting window q={q} is outside [2, {top}]")
-    nus = _interior_nus(model, epsilon)
-    bounds = np.ones((top + 1, top + 1))  # bounds[q, m] for m = q..top-1
-    for q in range(2, top + 1):
-        bounds[q, q + 2 : top] = np.cumprod(1.0 - nus[q + 1 : top - 1])
-        bounds[q] /= nus[q]
+    bounds = _forgetting_bounds(model)
     windows = [np.empty((3, 0), dtype=int)]
     for q in q_values:
         # (m - q, m + ell - q) over the upper triangle, m ascending, then ell
@@ -388,12 +382,13 @@ def _forgetting_envelope(model, epsilon, profiles, q_values=None, max_ell=None) 
     return Envelope({"q": q, "m": m, "ell": ell}, gap, bounds[q, m])
 
 
-def _magnitude_envelope(model, epsilon, profiles) -> Envelope:
+def _magnitude_envelope(model, profiles) -> Envelope:
     """|log P(X_q | X_{q+1:m})| against |X_q| log(1/epsilon), ordered by m,
     then q."""
     m, q = np.tril_indices(profiles.shape[0])
     interior = q >= 2
     m, q = m[interior], q[interior]
+    epsilon = model.floor.epsilon
     bounds = np.array([size * math.log(1.0 / epsilon) for size in model.block_sizes])
     return Envelope({"q": q, "m": m}, np.abs(profiles[m, q]), bounds[q])
 
@@ -436,13 +431,12 @@ def conditional_magnitude_rows(
 def _diagnose(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -> Diagnosis:
     """The forgetting, magnitude and contraction envelopes, from one model
     and one backward sweep per horizon."""
-    model, epsilon, profiles = _interior_profiles(dataset, pi, kernel)
-    forgetting = _forgetting_envelope(model, epsilon, profiles)
-    top = dataset.layers.q_max - 1
-    contraction = model.contraction_profile(pi.probs, 2, top, epsilon=epsilon)
+    model, profiles = _interior_profiles(dataset, pi, kernel)
+    forgetting = _forgetting_envelope(model, profiles)
+    contraction = model.contraction_profile(pi.probs, 2, dataset.layers.q_max - 1)
     envelopes = {
         "forgetting": forgetting,
-        "magnitude": _magnitude_envelope(model, epsilon, profiles),
+        "magnitude": _magnitude_envelope(model, profiles),
         "contraction": _contraction_envelope(contraction),
     }
     if log.isEnabledFor(logging.DEBUG):
@@ -450,7 +444,7 @@ def _diagnose(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -> Dia
             "diagnose envelopes: %s",
             "; ".join(f"{name} {env.slack_summary()}" for name, env in envelopes.items()),
         )
-    return Diagnosis(epsilon, contraction, envelopes)
+    return Diagnosis(model.floor.epsilon, contraction, envelopes)
 
 
 @dataclass(frozen=True)
@@ -467,24 +461,19 @@ def single_flip_rows(
     dataset: Dataset,
     pi: DiscreteDistribution,
     kernel: Kernel,
-    q_min: int = 2,
-    m: int | None = None,
 ) -> list[FlipRow]:
     """Exhaustive single-outcome flips against their influence envelope.
 
     Every edge of every interior block gets every alternative outcome; the
-    row compares the change of log P(X_q | X_{q+1:m}) for each q <= flip
-    layer with nu_q^-1 * prod_{k=q+1}^{flip-1}(1 - nu_k).
+    row compares the change of log P(X_q | X_{q+1:m}), m = q_max - 1, for
+    each interior q <= flip layer with nu_q^-1 * prod_{k=q+1}^{flip-1}(1 - nu_k).
     """
     model = LayerChainModel(dataset, kernel, pi.support)
-    top = dataset.layers.q_max - 1
-    if m is None:
-        m = top
-    epsilon = epsilon_floor(kernel, pi.support).epsilon
-    nus = _interior_nus(model, epsilon)
-    base = model.conditional_profile(pi.probs, m, q_min=q_min)
+    m = dataset.layers.q_max - 1
+    bounds = _forgetting_bounds(model)
+    base = model.conditional_profile(pi.probs, m)
     rows: list[FlipRow] = []
-    for flip_layer in range(q_min, m + 1):
+    for flip_layer in range(2, m + 1):
         for edge in dataset.layers.block_edges(flip_layer):
             original = dataset.outcomes[edge]
             for alt in kernel.outcomes:
@@ -496,8 +485,8 @@ def single_flip_rows(
                     dataset.graph, dataset.layers, flipped, None, dataset.seed
                 )
                 flipped_model = LayerChainModel(flipped_ds, kernel, pi.support)
-                prof = flipped_model.conditional_profile(pi.probs, m, q_min=q_min)
-                for q in range(q_min, flip_layer + 1):
+                prof = flipped_model.conditional_profile(pi.probs, m)
+                for q in range(2, flip_layer + 1):
                     rows.append(
                         FlipRow(
                             q=q,
@@ -505,7 +494,7 @@ def single_flip_rows(
                             edge=edge,
                             new_outcome=alt,
                             gap=abs(base[q] - prof[q]),
-                            bound=forgetting_gap_bound(nus, q, flip_layer),
+                            bound=float(bounds[q, flip_layer]),
                         )
                     )
     return rows
@@ -536,18 +525,15 @@ def increment_rows(
     pi: DiscreteDistribution,
     pi_prime: DiscreteDistribution,
     kernel: Kernel,
-    m: int | None = None,
 ) -> list[IncrementRow]:
-    """|log P_pi(X_q | X_{q+1:m}) - log P_pi'(X_q | X_{q+1:m})| vs envelopes."""
+    """|log P_pi(X_q | X_{q+1:m}) - log P_pi'(X_q | X_{q+1:m})| vs envelopes,
+    for m = q_max - 1 and every interior q <= m."""
     if not pi.same_support(pi_prime):
         raise ValueError("increment comparison requires a common support")
-    top = dataset.layers.q_max - 1
-    if m is None:
-        m = top
+    m = dataset.layers.q_max - 1
     model = LayerChainModel(dataset, kernel, pi.support)
-    epsilon = epsilon_floor(kernel, pi.support).epsilon
     n = dataset.graph.n
-    nu = epsilon ** (n * (n - 1))
+    nu = model.floor.nu(n * (n - 1))
     width = 2 * (n - 1)
     tv = tv_distance(pi, pi_prime)
     tv_product_bound = width * tv

@@ -107,13 +107,12 @@ def _require(config: dict, *keys):
     return node
 
 
-def _section(config: dict, key: str, settings) -> dict:
-    """A copy of the optional object ``config[key]``, whose keys must name
-    fields of the dataclass ``settings``."""
+def _section(config: dict, key: str, known) -> dict:
+    """A copy of the optional object ``config[key]``, whose keys must be in
+    ``known``."""
     section = config.get(key, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config key {key} must be an object")
-    known = {f.name for f in dataclasses.fields(settings)}
     for name in section:
         if name not in known:
             raise ConfigError(f"unknown key {key}.{name}")
@@ -130,6 +129,27 @@ def _config_int(key: str, value) -> int:
     raise ConfigError(f"config key {key} must be an integer, got {json.dumps(value)}")
 
 
+def _config_bool(key: str, value) -> bool:
+    """``value``, read from config key ``key``; only JSON true and false."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"config key {key} must be true or false, got {json.dumps(value)}")
+
+
+def _kernel(config: dict):
+    """The kernel of ``model.kernel``, whose ``theta`` must be a JSON number
+    and ``num_outcomes`` an integer."""
+    spec = _require(config, "model", "kernel")
+    if not isinstance(spec, dict):
+        raise ConfigError("config key model.kernel must be an object")
+    # An absent key passes; kernel_from_config knows which variants need it.
+    theta = spec.get("theta", 0.0)
+    if type(theta) not in (int, float):
+        raise ConfigError(f"config key model.kernel.theta must be a number, got {json.dumps(theta)}")
+    _config_int("model.kernel.num_outcomes", spec.get("num_outcomes", 2))
+    return kernel_from_config(spec)
+
+
 def _distribution(config: dict, probs_key: str) -> DiscreteDistribution:
     model = _require(config, "model")
     support = _require(model, "support")
@@ -140,9 +160,10 @@ def _distribution(config: dict, probs_key: str) -> DiscreteDistribution:
 def _dataset(config: dict, args) -> simulator.Dataset:
     if "dataset" in config:
         return simulator.dataset_from_json(config["dataset"])
-    sim_cfg = config.get("sim", {})
+    sim_cfg = _section(config, "sim", ("seed", "blind", "strict"))
+    _section(config, "graph", ("N", "n"))
     seed = args.seed if args.seed is not None else _config_int("sim.seed", sim_cfg.get("seed", 0))
-    kernel = kernel_from_config(_require(config, "model", "kernel"))
+    kernel = _kernel(config)
     pi_star = _distribution(config, "pi_star")
     return simulator.simulate(
         pi_star,
@@ -150,8 +171,8 @@ def _dataset(config: dict, args) -> simulator.Dataset:
         _config_int("graph.N", _require(config, "graph", "N")),
         _config_int("graph.n", _require(config, "graph", "n")),
         seed,
-        blind=bool(sim_cfg.get("blind", False)),
-        strict=bool(sim_cfg.get("strict", True)),
+        blind=_config_bool("sim.blind", sim_cfg.get("blind", False)),
+        strict=_config_bool("sim.strict", sim_cfg.get("strict", True)),
     )
 
 
@@ -200,7 +221,7 @@ def cmd_simulate(args) -> int:
 def cmd_loglik(args) -> int:
     config = _load_config(args)
     ds = _dataset(config, args)
-    kernel = kernel_from_config(_require(config, "model", "kernel"))
+    kernel = _kernel(config)
     pi = _distribution(config, "pi")
     value, constants = likelihood.log_likelihood_profile(ds, pi, kernel)
     out = _out_dir(args)
@@ -225,9 +246,9 @@ def cmd_loglik(args) -> int:
 
 def cmd_fit(args) -> int:
     config = _load_config(args)
-    fit_cfg = _section(config, "fit", estimator.FitConfig)
+    fit_cfg = _section(config, "fit", {f.name for f in dataclasses.fields(estimator.FitConfig)})
     ds = _dataset(config, args)
-    kernel = kernel_from_config(_require(config, "model", "kernel"))
+    kernel = _kernel(config)
     support = fit_cfg.pop("support", _require(config, "model", "support"))
     candidates = fit_cfg.pop("candidates", None)
     if candidates is not None:
@@ -256,14 +277,14 @@ def cmd_fit(args) -> int:
 
 def cmd_risk(args) -> int:
     config = _load_config(args)
-    kernel = kernel_from_config(_require(config, "model", "kernel"))
+    kernel = _kernel(config)
     pi_star = _distribution(config, "pi_star")
     support = _require(config, "model", "support")
     cand_probs = _require(config, "candidates")
     if not isinstance(cand_probs, list):
         raise ConfigError("config key candidates must be a list of probability lists")
     candidates = [DiscreteDistribution(support, p) for p in cand_probs]
-    a_cfg = _section(config, "analysis", analysis.RiskParams)
+    a_cfg = _section(config, "analysis", {f.name for f in dataclasses.fields(analysis.RiskParams)})
     params = analysis.RiskParams(
         N=_config_int("analysis.N", a_cfg.get("N", 2000)),
         n=_config_int("analysis.n", a_cfg.get("n", 2)),
@@ -321,7 +342,7 @@ def cmd_risk(args) -> int:
 def cmd_diagnose(args) -> int:
     config = _load_config(args)
     ds = _dataset(config, args)
-    kernel = kernel_from_config(_require(config, "model", "kernel"))
+    kernel = _kernel(config)
     pi = (
         _distribution(config, "pi")
         if "pi" in config.get("model", {})

@@ -250,19 +250,27 @@ def kernel_from_config(config: dict) -> Kernel:
 def epsilon_floor(kernel: Kernel, support) -> EpsilonCertificate:
     """Exact minimum of k over outcomes x support x support.
 
-    Raises H1Violated if the minimum is zero: downstream mixing bounds are
-    vacuous without a positive floor.
+    Raises H1Violated if the minimum is zero or a value is not finite:
+    downstream mixing bounds are vacuous without a positive floor.
     """
     support = np.asarray(support, dtype=float)
-    table = kernel.log_table(support)
-    flat = int(np.argmin(table))
+    return _table_floor(kernel, support, kernel.log_table(support))
+
+
+def _table_floor(kernel: Kernel, support: np.ndarray, table: np.ndarray) -> EpsilonCertificate:
+    """:func:`epsilon_floor` of the log table ``kernel.log_table(support)``.
+
+    Names the first non-finite entry, else the minimum, which may underflow
+    to zero in probability scale.
+    """
+    bad = ~np.isfinite(table)
+    flat = int(np.argmax(bad)) if bad.any() else int(np.argmin(table))
     xi, ai, bi = np.unravel_index(flat, table.shape)
     eps = float(np.exp(table[xi, ai, bi]))
-    if not np.isfinite(table[xi, ai, bi]) or eps <= 0.0:
+    at = (kernel.outcomes[xi], float(support[ai]), float(support[bi]))
+    if bad[xi, ai, bi] or eps <= 0.0:
         raise H1Violated(
-            f"k({kernel.outcomes[xi]}, {support[ai]}, {support[bi]}) = 0 on the grid"
+            f"kernel value k{at} = {eps} on the support grid; "
+            "H1 needs every value positive and finite"
         )
-    return EpsilonCertificate(
-        epsilon=eps,
-        attained_at=(kernel.outcomes[xi], float(support[ai]), float(support[bi])),
-    )
+    return EpsilonCertificate(epsilon=eps, attained_at=at)

@@ -46,7 +46,7 @@ from .errors import (
     LayerOutOfRange,
     TooLargeForBruteForce,
 )
-from .kernels import Kernel, epsilon_floor
+from .kernels import EpsilonCertificate, Kernel, _table_floor
 from .simulator import Dataset
 
 log = logging.getLogger(__name__)
@@ -192,6 +192,10 @@ class LayerChainModel:
     the state vectors in an order compiled once per positional plan.  Both
     engines give the same per-block log normalizers up to float64 roundoff.
 
+    ``floor`` is the kernel's H1 floor epsilon on the support grid (a model
+    without one raises ``H1Violated``), and :meth:`block_nus` gives each
+    block's Doeblin coefficient from it, for the mixing envelopes.
+
     ``forward_constants`` scores K rows of simplex weights in one forward
     recursion, each row pushed as its own vector-matrix product, so every
     row's result is bit-identical to a sweep of that row alone.
@@ -211,14 +215,8 @@ class LayerChainModel:
         self.layers = layers
         self.num_blocks = layers.q_max + 1
 
-        log_table = kernel.log_table(self.support)
-        if not np.all(np.isfinite(log_table)):
-            xi, ai, bi = np.unravel_index(int(np.argmin(log_table)), log_table.shape)
-            raise H1Violated(
-                f"kernel value k({kernel.outcomes[xi]}, {self.support[ai]}, "
-                f"{self.support[bi]}) = 0 on the support grid"
-            )
-        self.log_table = log_table
+        self.log_table = kernel.log_table(self.support)
+        self.floor: EpsilonCertificate = _table_floor(kernel, self.support, self.log_table)
 
         self.widths = [len(layer) for layer in layers.node_layers]
         layer_of = layers.layer_of()
@@ -280,6 +278,10 @@ class LayerChainModel:
             len(self._types),
             self.s ** max(self.widths),
         )
+
+    def block_nus(self) -> list[float]:
+        """The Doeblin coefficient nu_k = epsilon**|X_k| of every block k."""
+        return [self.floor.nu(size) for size in self.block_sizes]
 
     # -- block construction -------------------------------------------------
 
@@ -534,11 +536,10 @@ class LayerChainModel:
         msgs = self.backward_messages(probs, q, m)
         return msgs.log_normalizers[0] - msgs.log_normalizers[1]
 
-    def conditional_profile(self, probs, m: int, q_min: int = 2) -> dict[int, float]:
-        """log P(X_q | X_{q+1:m}) for every q in [q_min, m], one sweep."""
-        msgs = self.backward_messages(probs, q_min, m)
-        z = msgs.log_normalizers
-        return {q_min + k: z[k] - z[k + 1] for k in range(m - q_min + 1)}
+    def conditional_profile(self, probs, m: int) -> dict[int, float]:
+        """log P(X_q | X_{q+1:m}) for every q in [2, m], one sweep."""
+        z = self.backward_messages(probs, 2, m).log_normalizers
+        return {2 + k: z[k] - z[k + 1] for k in range(m - 1)}
 
     def _check_window(self, q: int, m: int) -> None:
         if not 2 <= q <= m <= self.layers.q_max - 1:
@@ -577,19 +578,16 @@ class LayerChainModel:
         m: int,
         mu1: np.ndarray | None = None,
         mu2: np.ndarray | None = None,
-        epsilon: float | None = None,
     ) -> ContractionProfile:
         """Propagate two block distributions of layer m backward to layer q.
 
         Records the total-variation distance (full-sum convention, range
         [0, 2]) after each realized kernel application, the per-step Doeblin
-        factor 1 - nu_k with nu_k = epsilon**|X_k|, and the cumulative
-        envelope initial_tv * prod(1 - nu_i).  Defaults: point masses on the
-        first and last block states of layer m.
+        factor 1 - nu_k (:meth:`block_nus`), and the cumulative envelope
+        initial_tv * prod(1 - nu_i).  Defaults: point masses on the first and
+        last block states of layer m.
         """
         self._check_window(q, m)
-        if epsilon is None:
-            epsilon = epsilon_floor(self.kernel, self.support).epsilon
         size_m = self.s ** self.widths[m]
         if mu1 is None:
             mu1 = np.zeros(size_m)
@@ -600,6 +598,7 @@ class LayerChainModel:
         mu1 = np.asarray(mu1, dtype=float)
         mu2 = np.asarray(mu2, dtype=float)
         kernels = self.backward_kernels(probs, q, m)
+        nus = self.block_nus()
         initial_tv = float(np.abs(mu1 - mu2).sum())
         steps = []
         cumulative = initial_tv
@@ -607,7 +606,7 @@ class LayerChainModel:
             kern = kernels[k - q]
             mu1 = mu1 @ kern
             mu2 = mu2 @ kern
-            factor = 1.0 - epsilon ** self.block_sizes[k]
+            factor = 1.0 - nus[k]
             cumulative *= factor
             steps.append(
                 ContractionStep(
@@ -689,8 +688,7 @@ def _brute_force_assignment_logliks(dataset, pi, kernel) -> np.ndarray:
             f"support^N = {s}^{N} exceeds the {_BRUTE_FORCE_CAP} assignment cap"
         )
     table = kernel.log_table(pi.support)
-    if not np.all(np.isfinite(table)):
-        raise H1Violated("kernel has a zero value on the support grid")
+    _table_floor(kernel, pi.support, table)
     digits = _digits(s, N)
     with np.errstate(divide="ignore"):
         log_probs = np.log(pi.probs)
@@ -725,17 +723,11 @@ def backward_contraction_profile(
     dataset: Dataset,
     pi: DiscreteDistribution,
     kernel: Kernel,
-    q: int | None = None,
-    m: int | None = None,
     mu1: np.ndarray | None = None,
     mu2: np.ndarray | None = None,
-    epsilon: float | None = None,
 ) -> ContractionProfile:
-    """Measured total-variation contraction of the realized backward kernels."""
+    """Measured total-variation contraction of the realized backward kernels
+    over the interior window, from layer q_max - 1 down to layer 2."""
     model = LayerChainModel(dataset, kernel, pi.support)
-    if q is None:
-        q = 2
-    if m is None:
-        m = dataset.layers.q_max - 1
-    return model.contraction_profile(pi.probs, q, m, mu1=mu1, mu2=mu2, epsilon=epsilon)
+    return model.contraction_profile(pi.probs, 2, dataset.layers.q_max - 1, mu1=mu1, mu2=mu2)
 

@@ -36,11 +36,6 @@ class RoundRobinGraph:
     n: int
     edges: tuple[tuple[int, int, int], ...]
 
-    @property
-    def satisfies_layer_bounds(self) -> bool:
-        """Whether N, n satisfy the hypotheses the layer formulas require."""
-        return self.N % 2 == 0 and 2 <= self.n and 4 * self.n < self.N
-
     def edge_pairs(self) -> list[Edge]:
         return [(i, j) for i, j, _ in self.edges]
 
@@ -98,9 +93,6 @@ class LayerStructure:
         if self.within_edges is None or self.cross_edges is None:
             raise ValueError("edge layers are not available on a predicted structure")
         return self.cross_edges[q] + self.within_edges[q + 1]
-
-    def block_sizes(self) -> list[int]:
-        return [len(self.block_edges(q)) for q in range(self.q_max + 1)]
 
 
 def _validate_dims(N: int, n: int) -> None:

@@ -169,17 +169,13 @@ def dataset_to_json(ds: Dataset, path) -> None:
         fh.write("\n")
 
 
-def dataset_from_json_dict(doc: dict, strict: bool = True) -> Dataset:
+def dataset_from_json_dict(doc: dict) -> Dataset:
     """Inverse of :func:`dataset_to_json_dict`.  The graph is rebuilt with the
-    relaxed scheduler if ``strict`` is False or the document says so."""
-    doc_strict = doc.get("strict", True)
-    if not isinstance(doc_strict, bool):
-        raise ValueError(f"dataset key strict must be true or false, got {doc_strict!r}")
-    graph = (
-        build_schedule(doc["N"], doc["n"])
-        if strict and doc_strict
-        else build_schedule_unchecked(doc["N"], doc["n"])
-    )
+    relaxed scheduler if the document says ``"strict": false``."""
+    strict = doc.get("strict", True)
+    if not isinstance(strict, bool):
+        raise ValueError(f"dataset key strict must be true or false, got {strict!r}")
+    graph = (build_schedule if strict else build_schedule_unchecked)(doc["N"], doc["n"])
     outcomes = {(i, j): x for i, j, x in doc["outcomes"]}
     edges = graph.edge_pairs()
     missing = [e for e in edges if e not in outcomes]
@@ -199,9 +195,9 @@ def dataset_from_json_dict(doc: dict, strict: bool = True) -> Dataset:
     )
 
 
-def dataset_from_json(path, strict: bool = True) -> Dataset:
+def dataset_from_json(path) -> Dataset:
     with open(path) as fh:
-        return dataset_from_json_dict(json.load(fh), strict=strict)
+        return dataset_from_json_dict(json.load(fh))
 
 
 def outcomes_to_csv(ds: Dataset, path) -> None:

@@ -26,7 +26,6 @@ from lgmle.analysis import (
     RiskReport,
     ScalingRow,
     ZProcessSummary,
-    forgetting_gap_bound,
 )
 
 
@@ -276,6 +275,15 @@ def oracle_z_process(pi_list, kernel, pi_star, N, n, replicates, base_seed, t_gr
 
 # -- the diagnose rows as they were built before the column envelopes ---------
 # One row object per window, the forgetting bound re-multiplied per (q, m).
+
+
+def forgetting_gap_bound(nus, q: int, m: int) -> float:
+    """nu_q^-1 * prod_{k=q+1}^{m-1} (1 - nu_k), with nu_k = ``nus[k]``:
+    horizon-extension envelope."""
+    prod = 1.0
+    for k in range(q + 1, m):
+        prod *= 1.0 - nus[k]
+    return prod / nus[q]
 
 
 def _oracle_diagnose_model(ds, pi, kernel):

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from lgmle import (
     DiscreteDistribution,
     FitConfig,
+    LayerChainModel,
     LayerOutOfRange,
     RiskParams,
     bradley_terry,
     bt_ties,
     degree_model,
+    epsilon_floor,
     estimate_limit_likelihood,
     excess_risk,
     excess_risks,
@@ -41,6 +43,7 @@ from lgmle.analysis import (
 )
 
 from conftest import (
+    forgetting_gap_bound,
     kernel_variants,
     oracle_contraction_rows,
     oracle_excess_risks,
@@ -241,9 +244,9 @@ def test_forgetting_columns_equal_row_oracle(n, N, s, kernel_index, seed, data):
     varied = rng.uniform(0.05, 1.0, size=ds.layers.q_max + 2)
     for nus in (None, varied):
         with mock.patch.object(
-            analysis,
-            "_interior_nus",
-            analysis._interior_nus if nus is None else (lambda model, epsilon: nus),
+            LayerChainModel,
+            "block_nus",
+            LayerChainModel.block_nus if nus is None else (lambda model: nus),
         ):
             rows = forgetting_profile(ds, pi, kernel, q_values=q_values, max_ell=max_ell)
         oracle = oracle_forgetting_rows(ds, pi, kernel, q_values, max_ell, nus)
@@ -292,6 +295,31 @@ def test_single_flip_bounds_hold():
     ds = simulate(pi, k, 24, 2, seed=12)
     rows = single_flip_rows(ds, pi, k)
     assert rows and all(r.gap <= r.bound + 1e-12 for r in rows)
+
+
+@given(
+    n=st.sampled_from([2, 3]),
+    N=st.sampled_from([14, 20]),
+    s=st.sampled_from([2, 3]),
+    kernel_index=st.integers(0, 3),
+    seed=st.integers(1, 2**31 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_single_flip_bounds_equal_gap_bound_oracle(n, N, s, kernel_index, seed):
+    rng = np.random.default_rng(seed)
+    pi = random_distribution(rng, s)
+    kernel = kernel_variants()[kernel_index]
+    ds = simulate(pi, kernel, N, n, seed=seed)
+    epsilon = epsilon_floor(kernel, pi.support).epsilon
+    real = [epsilon**size for size in LayerChainModel(ds, kernel, pi.support).block_sizes]
+    # Interior blocks share one size, so nu_k is also varied per block.
+    varied = rng.uniform(0.05, 1.0, size=ds.layers.q_max + 2)
+    for nus, block_nus in ((real, LayerChainModel.block_nus), (varied, lambda model: varied)):
+        with mock.patch.object(LayerChainModel, "block_nus", block_nus):
+            rows = single_flip_rows(ds, pi, kernel)
+        # flips reach the last interior layer, the bound matrix's last column
+        assert max(r.flip_layer for r in rows) == ds.layers.q_max - 1
+        assert [r.bound for r in rows] == [forgetting_gap_bound(nus, r.q, r.flip_layer) for r in rows]
 
 
 def test_increment_bounds_hold(rng):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lgmle import DiscreteDistribution, analysis, bradley_terry, likelihood, simulate, simulator
+from lgmle import DiscreteDistribution, bradley_terry, kernels, likelihood, simulate, simulator
 from lgmle.cli import main
 from lgmle.likelihood import LayerChainModel
 
@@ -272,13 +272,14 @@ def test_diagnose_forgetting_csv_equals_row_oracle(tmp_path, base_config):
 
 
 def test_diagnose_counts_violations(tmp_path, base_config, monkeypatch, capsys):
-    # nu_k near 1 shrinks the forgetting envelope to ~0 two layers out
-    def shrunk_nus(model, epsilon):
+    # nu_k near 1 shrinks the forgetting envelope to ~0 two layers out, and
+    # the contraction step factors to 0.001
+    def shrunk_nus(model):
         return np.full(len(model.block_sizes), 0.999)
 
-    monkeypatch.setattr(analysis, "_interior_nus", shrunk_nus)
+    monkeypatch.setattr(LayerChainModel, "block_nus", shrunk_nus)
     ds, pi, kernel = _base_dataset()
-    nus = shrunk_nus(LayerChainModel(ds, kernel, pi.support), None)
+    nus = shrunk_nus(LayerChainModel(ds, kernel, pi.support))
     expected = oracle_diagnose_violations(ds, pi, kernel, nus=nus)
     assert 0 < expected < len(oracle_forgetting_rows(ds, pi, kernel))
     out = tmp_path / "diag"
@@ -294,22 +295,23 @@ def test_diagnose_without_interior_window_exit_2(tmp_path, base_config, capsys):
 
 
 def test_diagnose_builds_one_model(tmp_path, base_config, monkeypatch):
-    counts = {"model": 0, "epsilon": 0}
-    init, epsilon_floor = LayerChainModel.__init__, analysis.epsilon_floor
+    counts = {"model": 0, "floor": 0}
+    init, table_floor = LayerChainModel.__init__, kernels._table_floor
 
     def counting_init(self, *args, **kwargs):
         counts["model"] += 1
         init(self, *args, **kwargs)
 
-    def counting_epsilon_floor(*args, **kwargs):
-        counts["epsilon"] += 1
-        return epsilon_floor(*args, **kwargs)
+    def counting_table_floor(*args, **kwargs):
+        counts["floor"] += 1
+        return table_floor(*args, **kwargs)
 
     monkeypatch.setattr(LayerChainModel, "__init__", counting_init)
-    for module in (analysis, likelihood):
-        monkeypatch.setattr(module, "epsilon_floor", counting_epsilon_floor)
+    # kernels.epsilon_floor computes its floor through kernels._table_floor too
+    for module in (kernels, likelihood):
+        monkeypatch.setattr(module, "_table_floor", counting_table_floor)
     assert run(["diagnose", "--config", base_config(), "--out", tmp_path / "diag"]) == 0
-    assert counts == {"model": 1, "epsilon": 1}
+    assert counts == {"model": 1, "floor": 1}
 
 
 @pytest.mark.parametrize("command", ["loglik", "diagnose"])
@@ -344,6 +346,76 @@ def test_dataset_accepts_integral_floats(tmp_path, base_config, command, output)
         # loglik.json echoes the config as given, so compare the value only
         first, second = (json.loads(text)["log_likelihood"] for text in (first, second))
     assert first == second
+
+
+def _model_with_kernel(kernel):
+    return {"kernel": kernel, "support": [1.0, 3.0], "pi_star": [0.4, 0.6], "pi": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            # N=12, n=3 breaks the n < N/4 bound, which "false" used to keep
+            {"graph": {"N": 12, "n": 3}, "sim": {"seed": 3, "strict": "false"}},
+            'config key sim.strict must be true or false, got "false"',
+        ),
+        ({"sim": {"seed": 11, "blind": "false"}}, 'config key sim.blind must be true or false, got "false"'),
+        ({"sim": {"seed": 11, "blind": 0}}, "config key sim.blind must be true or false, got 0"),
+        ({"sim": {"seed": 11, "typo_key": 1}}, "unknown key sim.typo_key"),
+        ({"graph": {"N": 60, "n": 2, "rounds": 2}}, "unknown key graph.rounds"),
+        ({"sim": [11]}, "config key sim must be an object"),
+        ({"model": _model_with_kernel("bradley_terry")}, "config key model.kernel must be an object"),
+        (
+            {"model": _model_with_kernel({"variant": "bt_ties", "theta": None})},
+            "config key model.kernel.theta must be a number, got null",
+        ),
+        (
+            {"model": _model_with_kernel({"variant": "bt_home_advantage", "theta": "1.5"})},
+            'config key model.kernel.theta must be a number, got "1.5"',
+        ),
+        (
+            {"model": _model_with_kernel({"variant": "uniform", "num_outcomes": None})},
+            "config key model.kernel.num_outcomes must be an integer, got null",
+        ),
+        (
+            {"model": _model_with_kernel({"variant": "uniform", "num_outcomes": 2.5})},
+            "config key model.kernel.num_outcomes must be an integer, got 2.5",
+        ),
+    ],
+    ids=[
+        "strict-string",
+        "blind-string",
+        "blind-int",
+        "unknown-sim-key",
+        "unknown-graph-key",
+        "sim-not-object",
+        "kernel-not-object",
+        "theta-null",
+        "theta-string",
+        "num-outcomes-null",
+        "num-outcomes-non-integral",
+    ],
+)
+def test_dataset_config_errors_exit_2(tmp_path, base_config, capsys, doc, message):
+    assert run(["simulate", "--config", base_config(**doc), "--out", tmp_path / "sim"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "kernel, same",
+    [
+        ({"variant": "bt_ties", "theta": 2}, {"variant": "bt_ties", "theta": 2.0}),
+        ({"variant": "uniform", "num_outcomes": 2.0}, {"variant": "uniform"}),
+    ],
+)
+def test_kernel_config_accepts_whole_numbers(tmp_path, base_config, kernel, same):
+    values = []
+    for spec in (kernel, same):
+        out = tmp_path / f"out{len(values)}"
+        assert run(["loglik", "--config", base_config(model=_model_with_kernel(spec)), "--out", out]) == 0
+        values.append(json.loads((out / "loglik.json").read_text())["log_likelihood"])
+    assert values[0] == values[1]
 
 
 def test_missing_config_key_exit_2(tmp_path, capsys):

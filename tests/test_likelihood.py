@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from lgmle import (
     DiscreteDistribution,
     H1Violated,
+    Kernel,
     LayerOutOfRange,
     TooLargeForBruteForce,
     backward_contraction_profile,
@@ -106,6 +108,54 @@ def test_h1_violated_on_zero_table():
     ds = simulate(pi, uniform_kernel(2), 12, 2, seed=3)
     with pytest.raises(H1Violated):
         log_likelihood(ds, pi, k)
+
+
+_TABLE = [[[0.3, 0.6, 0.1], [0.5, 0.2, 0.9], [0.05, 0.7, 0.4]]]
+_TABLE.append([[1.0 - p for p in row] for row in _TABLE[0]])
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    kernel_variants() + [custom_table((0, 1), [0.5, 1.0, 2.0], _TABLE)],
+    ids=lambda kernel: kernel.name,
+)
+def test_model_floor_equals_epsilon_floor(kernel):
+    pi = DiscreteDistribution([0.5, 1.0, 2.0], [0.2, 0.3, 0.5])
+    ds = simulate(pi, kernel, 20, 3, seed=5)
+    model = LayerChainModel(ds, kernel, pi.support)
+    cert = epsilon_floor(kernel, pi.support)
+    assert model.floor == cert  # epsilon and attained_at
+    assert model.block_nus() == [cert.epsilon**size for size in model.block_sizes]
+
+
+def _spiked_kernel(log_value):
+    """k = 1/2 everywhere except log k(0, 2.0, 1.0) = ``log_value``."""
+
+    def log_fn(xi, v, w):
+        out = np.full(np.broadcast(v, w).shape, math.log(0.5))
+        return np.where((v == 2.0) & (w == 1.0), log_value, out) if xi == 0 else out
+
+    return Kernel(name="spiked", outcomes=(0, 1), log_fn=log_fn)
+
+
+@pytest.mark.parametrize(
+    "kernel, shown",
+    [
+        (custom_table((0, 1), [1.0, 2.0], [[[0.0, 0.5], [1.0, 0.5]], [[1.0, 0.5], [0.0, 0.5]]]), "k(0, 1.0, 1.0) = 0.0"),
+        (_spiked_kernel(math.inf), "k(0, 2.0, 1.0) = inf"),
+        (_spiked_kernel(math.nan), "k(0, 2.0, 1.0) = nan"),
+        (_spiked_kernel(-800.0), "k(0, 2.0, 1.0) = 0.0"),
+    ],
+    ids=["zero-entry", "inf", "nan", "underflow"],
+)
+def test_h1_raises_in_model_and_epsilon_floor_alike(kernel, shown):
+    support = [1.0, 2.0]
+    ds = simulate(uniform(support), uniform_kernel(2), 12, 2, seed=3)
+    message = f"^kernel value {re.escape(shown)} on the support grid; H1 needs every value positive and finite$"
+    with pytest.raises(H1Violated, match=message):
+        epsilon_floor(kernel, support)
+    with pytest.raises(H1Violated, match=message):
+        LayerChainModel(ds, kernel, support)
 
 
 def test_per_layer_normalizers_sum_to_total():
