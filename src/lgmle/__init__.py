@@ -30,6 +30,7 @@ from .errors import (
     H1Violated,
     InconsistentBlockShapes,
     InvalidDimensions,
+    InvalidValue,
     LayerOutOfRange,
     LgmleError,
     NoCandidates,

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .distributions import DiscreteDistribution
-from .errors import LayerOutOfRange
+from .errors import InvalidValue, LayerOutOfRange
 from .estimator import FitConfig, fit_mle
 from .kernels import Kernel, epsilon_floor
 from .likelihood import (
@@ -85,7 +85,7 @@ def product_tv_distance(
 ) -> float:
     """Exact total variation between the m-fold product measures."""
     if not pi.same_support(pi_prime):
-        raise ValueError("product TV requires a common support")
+        raise InvalidValue("product TV requires a common support")
     digits = _digits(pi.size, m)
     p = pi.probs[digits].prod(axis=1)
     q = pi_prime.probs[digits].prod(axis=1)
@@ -114,6 +114,8 @@ class RiskParams:
     min_q_max: int = 30
 
     def seeds(self) -> list[int]:
+        if self.base_seed < 0:
+            raise InvalidValue(f"base_seed must be non-negative, got {self.base_seed}")
         state = np.random.SeedSequence(self.base_seed).generate_state(self.replicates)
         return [int(x) for x in state]
 
@@ -141,7 +143,7 @@ def _stderr(values: np.ndarray) -> float:
 def _require_counts(**counts: int) -> None:
     for name, count in counts.items():
         if count < 1:
-            raise ValueError(f"{name} must be at least 1, got {count}")
+            raise InvalidValue(f"{name} must be at least 1, got {count}")
 
 
 def _replicate_scores(datasets: list[Dataset], kernel: Kernel, arms) -> np.ndarray:
@@ -167,7 +169,7 @@ def _risk_scores(arms, kernel: Kernel, pi_star: DiscreteDistribution, params: Ri
     datasets = _simulate_replicates(pi_star, kernel, params.N, params.n, params.seeds())
     q_max = datasets[0].layers.q_max
     if q_max < params.min_q_max:
-        raise ValueError(
+        raise InvalidValue(
             f"q_max = {q_max} is below the configured minimum {params.min_q_max}; "
             "the boundary bias of the normalized likelihood is O(1/q_max)"
         )
@@ -266,7 +268,7 @@ def simplex_entropy_integral(
     is the number of grid points.
     """
     if s < 1:
-        raise ValueError("support size must be at least 1")
+        raise InvalidValue("support size must be at least 1")
     if s == 1:
         return 0.0
     u = np.geomspace(1e-15, 2.0, resolution)
@@ -529,7 +531,7 @@ def increment_rows(
     """|log P_pi(X_q | X_{q+1:m}) - log P_pi'(X_q | X_{q+1:m})| vs envelopes,
     for m = q_max - 1 and every interior q <= m."""
     if not pi.same_support(pi_prime):
-        raise ValueError("increment comparison requires a common support")
+        raise InvalidValue("increment comparison requires a common support")
     m = dataset.layers.q_max - 1
     model = LayerChainModel(dataset, kernel, pi.support)
     n = dataset.graph.n
@@ -613,7 +615,7 @@ def scaling_experiment(
     for support in fit_supports:
         support = np.asarray(support, dtype=float)
         if not np.array_equal(support, pi_star.support):
-            raise ValueError(
+            raise InvalidValue(
                 f"fit support {tuple(support.tolist())} differs from pi_star's support "
                 f"{tuple(pi_star.support.tolist())}; excess risks are scored on pi_star's support"
             )

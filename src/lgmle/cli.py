@@ -1,11 +1,12 @@
 """Batch experiment runner.
 
 Subcommands: schedule, simulate, loglik, fit, risk, diagnose.  Each command
-reads an optional JSON config (``--config``), applies flag overrides, writes
-its results together with the resolved config and the seeds it used, and
-returns exit code 0 on success, 2 on validation failure, and 1 on runtime
-error.  Outputs carry no timestamps: re-running a config reproduces them
-byte for byte.  ``LGMLE_LOG`` sets the log level (DEBUG/INFO/WARNING/...).
+but schedule checks every key of its JSON config (``--config``) against one
+table, applies flag overrides, writes its results with the config as given
+and the seeds it used, and returns 0 on success, 2 when the package rejects
+an input (an ``LgmleError``), and 1 on any other exception, a bug.  Outputs
+carry no timestamps: re-running a config reproduces them byte for byte.
+``LGMLE_LOG`` names the log level (DEBUG/INFO/WARNING/...).
 """
 
 from __future__ import annotations
@@ -33,12 +34,15 @@ EXIT_VALIDATION = 2
 
 
 class ConfigError(LgmleError):
-    """The config file or flags do not describe a runnable experiment."""
+    """The config file, flags or environment do not describe a runnable experiment."""
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("LGMLE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    name = os.environ.get("LGMLE_LOG") or "WARNING"
+    level = logging.getLevelName(name.upper())
+    if not isinstance(level, int):
+        raise ConfigError(f"LGMLE_LOG must be a logging level name such as DEBUG or INFO, got {name!r}")
+    logging.basicConfig(level=level)
 
 
 def _jsonable(obj):
@@ -88,92 +92,109 @@ def _write_forgetting_csv(path, forgetting) -> None:
             fh.write("".join([f"{head}{labels[e]},{g!r}{tail}" for e, g in zip(ell[a:b], gaps)]))
 
 
-def _load_config(args) -> dict:
-    if getattr(args, "config", None) is None:
-        return {}
+# Every section and key a config may hold, with its JSON kind: int (an
+# integral float such as 60.0 reads as an int), float (any number), bool, str,
+# [kind] for a list of that kind, and a nested table for an object with those
+# keys.  Ranges and names are checked by the library code that reads a value.
+_FIT_KINDS = {"support": [float], "mode": str, "init": str, "tol": float,
+              "init_list": [[float]], "candidates": [[float]]}
+_CONFIG = {
+    "model": {
+        "kernel": {
+            "variant": str,
+            "theta": float,
+            "num_outcomes": int,
+            "outcomes": [float],
+            "support": [float],
+            "table": [[[float]]],
+            "path": str,
+        },
+        "support": [float],
+        "pi_star": [float],
+        "pi": [float],
+    },
+    "graph": {"N": int, "n": int},
+    "sim": {"seed": int, "blind": bool, "strict": bool},
+    "fit": {f.name: _FIT_KINDS.get(f.name, int) for f in dataclasses.fields(estimator.FitConfig)},
+    "analysis": {f.name: int for f in dataclasses.fields(analysis.RiskParams)},
+    "candidates": [[float]],
+    "dataset": str,
+}
+_SCALARS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_LISTS = ("a list of numbers", "a list of probability lists", "a list of probability tables")
+
+
+class _Section(dict):
+    """A checked config object; looking up a key it lacks is a config error
+    that names the key."""
+
+    def __init__(self, prefix: str):
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, name):
+        raise ConfigError(f"config is missing key {self.prefix}{name}")
+
+
+def _check(key: str, value, kind=_CONFIG):
+    """``value``, found at dotted config key ``key`` ("" for the document),
+    checked against ``kind``; objects come back as ``_Section``s."""
+    if isinstance(kind, dict):
+        if type(value) is not dict:
+            raise ConfigError(f"config key {key} must be an object" if key else "config must be an object")
+        section = _Section(f"{key}." if key else "")
+        for name, item in value.items():
+            if name not in kind:
+                raise ConfigError(f"unknown key {section.prefix}{name}")
+            section[name] = _check(section.prefix + name, item, kind[name])
+        return section
+    if isinstance(kind, list):
+        if type(value) is not list:
+            depth = str(kind).count("[")  # [float] is 1, [[float]] is 2, ...
+            raise ConfigError(f"config key {key} must be {_LISTS[depth - 1]}")
+        return [_check(f"{key}[{i}]", item, kind[0]) for i, item in enumerate(value)]
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise ConfigError(f"config key {key} must be {_SCALARS[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def _load_config(args) -> tuple[dict, _Section]:
+    """The config document as given, which outputs echo, and checked."""
     try:
         with open(args.config) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    return doc, _check("", doc)
 
 
-def _require(config: dict, *keys):
-    node = config
-    for key in keys:
-        if not isinstance(node, dict) or key not in node:
-            raise ConfigError(f"config is missing key {'.'.join(keys)}")
-        node = node[key]
-    return node
+def _kernel(config: _Section):
+    return kernel_from_config(config["model"]["kernel"])
 
 
-def _section(config: dict, key: str, known) -> dict:
-    """A copy of the optional object ``config[key]``, whose keys must be in
-    ``known``."""
-    section = config.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config key {key} must be an object")
-    for name in section:
-        if name not in known:
-            raise ConfigError(f"unknown key {key}.{name}")
-    return dict(section)
+def _distribution(config: _Section, probs_key: str) -> DiscreteDistribution:
+    model = config["model"]
+    return DiscreteDistribution(model["support"], model[probs_key])
 
 
-def _config_int(key: str, value) -> int:
-    """``value``, read from config key ``key``, as an int; JSON null,
-    booleans, strings and non-integral numbers are config errors."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"config key {key} must be an integer, got {json.dumps(value)}")
+def _seeded(config: _Section, section: str, key: str, args) -> dict:
+    """A copy of the optional ``section`` with ``--seed``, if given, as its ``key``."""
+    values = dict(config.get(section, {}))
+    if args.seed is not None:
+        values[key] = args.seed
+    return values
 
 
-def _config_bool(key: str, value) -> bool:
-    """``value``, read from config key ``key``; only JSON true and false."""
-    if isinstance(value, bool):
-        return value
-    raise ConfigError(f"config key {key} must be true or false, got {json.dumps(value)}")
-
-
-def _kernel(config: dict):
-    """The kernel of ``model.kernel``, whose ``theta`` must be a JSON number
-    and ``num_outcomes`` an integer."""
-    spec = _require(config, "model", "kernel")
-    if not isinstance(spec, dict):
-        raise ConfigError("config key model.kernel must be an object")
-    # An absent key passes; kernel_from_config knows which variants need it.
-    theta = spec.get("theta", 0.0)
-    if type(theta) not in (int, float):
-        raise ConfigError(f"config key model.kernel.theta must be a number, got {json.dumps(theta)}")
-    _config_int("model.kernel.num_outcomes", spec.get("num_outcomes", 2))
-    return kernel_from_config(spec)
-
-
-def _distribution(config: dict, probs_key: str) -> DiscreteDistribution:
-    model = _require(config, "model")
-    support = _require(model, "support")
-    probs = _require(model, probs_key)
-    return DiscreteDistribution(support, probs)
-
-
-def _dataset(config: dict, args) -> simulator.Dataset:
+def _dataset(config: _Section, args) -> simulator.Dataset:
     if "dataset" in config:
         return simulator.dataset_from_json(config["dataset"])
-    sim_cfg = _section(config, "sim", ("seed", "blind", "strict"))
-    _section(config, "graph", ("N", "n"))
-    seed = args.seed if args.seed is not None else _config_int("sim.seed", sim_cfg.get("seed", 0))
     kernel = _kernel(config)
     pi_star = _distribution(config, "pi_star")
-    return simulator.simulate(
-        pi_star,
-        kernel,
-        _config_int("graph.N", _require(config, "graph", "N")),
-        _config_int("graph.n", _require(config, "graph", "n")),
-        seed,
-        blind=_config_bool("sim.blind", sim_cfg.get("blind", False)),
-        strict=_config_bool("sim.strict", sim_cfg.get("strict", True)),
-    )
+    graph = config["graph"]
+    sim = {"seed": 0, **_seeded(config, "sim", "seed", args)}
+    return simulator.simulate(pi_star, kernel, graph["N"], graph["n"], **sim)
 
 
 def _out_dir(args) -> str:
@@ -206,20 +227,17 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args)
+    doc, config = _load_config(args)
     ds = _dataset(config, args)
     out = _out_dir(args)
     simulator.dataset_to_json(ds, os.path.join(out, "dataset.json"))
     simulator.outcomes_to_csv(ds, os.path.join(out, "outcomes.csv"))
-    _write_json(
-        os.path.join(out, "simulate_config.json"),
-        {"config": config, "seed": ds.seed},
-    )
+    _write_json(os.path.join(out, "simulate_config.json"), {"config": doc, "seed": ds.seed})
     return EXIT_OK
 
 
 def cmd_loglik(args) -> int:
-    config = _load_config(args)
+    doc, config = _load_config(args)
     ds = _dataset(config, args)
     kernel = _kernel(config)
     pi = _distribution(config, "pi")
@@ -231,7 +249,7 @@ def cmd_loglik(args) -> int:
             "log_likelihood": value,
             "q_max": ds.layers.q_max,
             "normalized": value / ds.layers.q_max,
-            "config": config,
+            "config": doc,
             "seed": ds.seed,
         },
     )
@@ -245,15 +263,14 @@ def cmd_loglik(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config = _load_config(args)
-    fit_cfg = _section(config, "fit", {f.name for f in dataclasses.fields(estimator.FitConfig)})
+    doc, config = _load_config(args)
+    fit_cfg = dict(config.get("fit", {}))
     ds = _dataset(config, args)
     kernel = _kernel(config)
-    support = fit_cfg.pop("support", _require(config, "model", "support"))
-    candidates = fit_cfg.pop("candidates", None)
-    if candidates is not None:
-        candidates = [DiscreteDistribution(support, p) for p in candidates]
-    fc = estimator.FitConfig(support=tuple(support), candidates=candidates, **fit_cfg)
+    support = fit_cfg.pop("support") if "support" in fit_cfg else config["model"]["support"]
+    if "candidates" in fit_cfg:
+        fit_cfg["candidates"] = [DiscreteDistribution(support, p) for p in fit_cfg["candidates"]]
+    fc = estimator.FitConfig(support=tuple(support), **fit_cfg)
     result = estimator.fit_mle(ds, kernel, fc)
     out = _out_dir(args)
     _write_json(
@@ -268,7 +285,7 @@ def cmd_fit(args) -> int:
             "converged": result.converged,
             "restart_index": result.restart_index,
             "restart_final_logliks": result.restart_final_logliks,
-            "config": config,
+            "config": doc,
             "seed": ds.seed,
         },
     )
@@ -276,26 +293,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_risk(args) -> int:
-    config = _load_config(args)
+    doc, config = _load_config(args)
     kernel = _kernel(config)
     pi_star = _distribution(config, "pi_star")
-    support = _require(config, "model", "support")
-    cand_probs = _require(config, "candidates")
-    if not isinstance(cand_probs, list):
-        raise ConfigError("config key candidates must be a list of probability lists")
-    candidates = [DiscreteDistribution(support, p) for p in cand_probs]
-    a_cfg = _section(config, "analysis", {f.name for f in dataclasses.fields(analysis.RiskParams)})
-    params = analysis.RiskParams(
-        N=_config_int("analysis.N", a_cfg.get("N", 2000)),
-        n=_config_int("analysis.n", a_cfg.get("n", 2)),
-        replicates=_config_int("analysis.replicates", a_cfg.get("replicates", 20)),
-        base_seed=(
-            args.seed
-            if args.seed is not None
-            else _config_int("analysis.base_seed", a_cfg.get("base_seed", 7))
-        ),
-        min_q_max=_config_int("analysis.min_q_max", a_cfg.get("min_q_max", 30)),
-    )
+    candidates = [pi_star.with_probs(p) for p in config["candidates"]]
+    params = analysis.RiskParams(**_seeded(config, "analysis", "base_seed", args))
     reports = analysis.excess_risks(candidates, kernel, pi_star, params)
     out = _out_dir(args)
     rows = [
@@ -332,7 +334,7 @@ def cmd_risk(args) -> int:
                 }
                 for r in reports
             ],
-            "config": config,
+            "config": doc,
             "seeds": params.seeds(),
         },
     )
@@ -340,14 +342,10 @@ def cmd_risk(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    config = _load_config(args)
+    doc, config = _load_config(args)
     ds = _dataset(config, args)
     kernel = _kernel(config)
-    pi = (
-        _distribution(config, "pi")
-        if "pi" in config.get("model", {})
-        else _distribution(config, "pi_star")
-    )
+    pi = _distribution(config, "pi" if "pi" in config["model"] else "pi_star")
     out = _out_dir(args)
     diagnosis = analysis._diagnose(ds, pi, kernel)
     envelopes = diagnosis.envelopes
@@ -365,7 +363,7 @@ def cmd_diagnose(args) -> int:
     )
     _write_json(
         os.path.join(out, "diagnose_config.json"),
-        {"config": config, "seed": ds.seed, "epsilon": diagnosis.epsilon},
+        {"config": doc, "seed": ds.seed, "epsilon": diagnosis.epsilon},
     )
     violations = sum(env.violations(1e-9) for env in envelopes.values())
     if violations:
@@ -420,16 +418,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        _setup_logging()
         return args.func(args)
-    except (LgmleError, ValueError, KeyError) as exc:
+    except LgmleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except Exception as exc:  # pragma: no cover - unexpected failures
-        log.exception("runtime failure")
+    except Exception as exc:
+        # Anything else is a bug, not a bad input; LGMLE_LOG=DEBUG shows where.
+        log.debug("runtime failure", exc_info=True)
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidValue
+
 SIMPLEX_TOL = 1e-12
 
 
@@ -24,17 +26,17 @@ class DiscreteDistribution:
         support = np.asarray(support, dtype=float)
         probs = np.asarray(probs, dtype=float)
         if support.ndim != 1 or probs.shape != support.shape:
-            raise ValueError("support and probs must be 1-d arrays of equal length")
+            raise InvalidValue("support and probs must be 1-d arrays of equal length")
         if support.size == 0:
-            raise ValueError("support must be non-empty")
+            raise InvalidValue("support must be non-empty")
         if np.any(support <= 0):
-            raise ValueError("support values must be strictly positive")
+            raise InvalidValue("support values must be strictly positive")
         if np.any(np.diff(support) <= 0):
-            raise ValueError("support values must be strictly increasing")
+            raise InvalidValue("support values must be strictly increasing")
         if np.any(probs < 0):
-            raise ValueError("probs must be non-negative")
+            raise InvalidValue("probs must be non-negative")
         if abs(probs.sum() - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"probs must sum to 1 within {SIMPLEX_TOL}")
+            raise InvalidValue(f"probs must sum to 1 within {SIMPLEX_TOL}")
         support.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "support", support)

@@ -5,6 +5,12 @@ class LgmleError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidValue(LgmleError, ValueError):
+    """A value the caller passed in breaks a rule of the function it was
+    passed to (a range, a name, a shape).  Also a ``ValueError``, so callers
+    that catch that keep working."""
+
+
 class InvalidDimensions(LgmleError):
     """Graph dimensions violate the scheduling/regularity requirements."""
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DiscreteDistribution, random_simplex, uniform
-from .errors import NoCandidates
+from .errors import InvalidValue, NoCandidates
 from .kernels import Kernel
 from .likelihood import LayerChainModel, _log_likelihoods
-from .simulator import Dataset
+from .simulator import Dataset, _stream
 
 log = logging.getLogger(__name__)
 
@@ -52,15 +52,15 @@ class FitConfig:
 
     def __post_init__(self):
         if self.tol <= 0:
-            raise ValueError("tol must be positive")
+            raise InvalidValue("tol must be positive")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise InvalidValue("max_iters must be at least 1")
         if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+            raise InvalidValue("restarts must be at least 1")
         if self.mode not in ("em", "grid"):
-            raise ValueError(f"unknown fit mode {self.mode!r}")
+            raise InvalidValue(f"unknown fit mode {self.mode!r}")
         if self.init not in ("uniform", "random", "explicit"):
-            raise ValueError(f"unknown init {self.init!r}")
+            raise InvalidValue(f"unknown init {self.init!r}")
 
 
 @dataclass
@@ -121,13 +121,13 @@ def _em_starts(config: FitConfig) -> list[np.ndarray]:
     starts: list[np.ndarray] = []
     if config.init == "explicit":
         if not config.init_list or len(config.init_list) < config.restarts:
-            raise ValueError("explicit init requires init_list with one entry per restart")
+            raise InvalidValue("explicit init requires init_list with one entry per restart")
         for k, entry in enumerate(config.init_list[: config.restarts]):
             probs = entry.probs if isinstance(entry, DiscreteDistribution) else entry
             try:
                 starts.append(DiscreteDistribution(support, probs).probs)
             except (TypeError, ValueError) as exc:
-                raise ValueError(
+                raise InvalidValue(
                     f"init_list[{k}] is not a distribution on the support: {exc}"
                 ) from exc
         return starts
@@ -135,10 +135,7 @@ def _em_starts(config: FitConfig) -> list[np.ndarray]:
         if config.init == "uniform" and r == 0:
             starts.append(uniform(support).probs)
         else:
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence([int(config.seed), 100 + r]))
-            )
-            starts.append(random_simplex(support, rng).probs)
+            starts.append(random_simplex(support, _stream(config.seed, 100 + r)).probs)
     return starts
 
 

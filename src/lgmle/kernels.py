@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     H1Violated,
     InconsistentBlockShapes,
+    InvalidValue,
     NonPositiveWeight,
     OutcomeNotInSpace,
     SupportMismatch,
@@ -128,7 +129,7 @@ def bradley_terry() -> Kernel:
 def bt_home_advantage(theta: float) -> Kernel:
     """Home player's weight is scaled by theta; first argument is home."""
     if theta <= 0:
-        raise ValueError(f"home-advantage parameter must be positive, got {theta}")
+        raise InvalidValue(f"home-advantage parameter must be positive, got {theta}")
 
     def log_fn(xi, v, w):
         denom = np.log(theta * v + w)
@@ -142,7 +143,7 @@ def bt_home_advantage(theta: float) -> Kernel:
 def bt_ties(theta: float) -> Kernel:
     """Win/tie/loss outcomes (1/0/-1); theta > 1 controls the tie mass."""
     if theta <= 1:
-        raise ValueError(f"ties parameter must exceed 1, got {theta}")
+        raise InvalidValue(f"ties parameter must exceed 1, got {theta}")
 
     def log_fn(xi, v, w):
         x = (-1, 0, 1)[xi]
@@ -173,6 +174,8 @@ def degree_model() -> Kernel:
 
 def uniform_kernel(num_outcomes: int = 2) -> Kernel:
     """k(x, v, w) = 1/|X| regardless of weights; handy as an uninformative case."""
+    if num_outcomes < 1:
+        raise InvalidValue(f"num_outcomes must be at least 1, got {num_outcomes}")
     logp = -np.log(num_outcomes)
 
     def log_fn(xi, v, w):
@@ -190,18 +193,21 @@ def custom_table(outcomes, support, table) -> Kernel:
     a floor is requested).
     """
     outcomes = tuple(outcomes)
-    support = np.asarray(support, dtype=float)
-    table = np.asarray(table, dtype=float)
+    try:
+        support = np.asarray(support, dtype=float)
+        table = np.asarray(table, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidValue(f"table support and entries must be arrays of numbers: {exc}") from exc
     if table.shape != (len(outcomes), support.size, support.size):
         raise InconsistentBlockShapes(
             f"table shape {table.shape} != (|X|, s, s) = "
             f"({len(outcomes)}, {support.size}, {support.size})"
         )
     if np.any(table < 0) or np.any(table > 1):
-        raise ValueError("table entries must be probabilities in [0, 1]")
+        raise InvalidValue("table entries must be probabilities in [0, 1]")
     sums = table.sum(axis=0)
     if np.max(np.abs(sums - 1.0)) > PROB_NORMALIZATION_TOL:
-        raise ValueError(
+        raise InvalidValue(
             f"table must normalize over outcomes within {PROB_NORMALIZATION_TOL}"
         )
     support.setflags(write=False)
@@ -222,8 +228,18 @@ def custom_table(outcomes, support, table) -> Kernel:
 
 
 def custom_table_from_json(path) -> Kernel:
-    with open(path) as fh:
-        doc = json.load(fh)
+    """The :func:`custom_table` of a JSON object with keys ``outcomes``,
+    ``support`` and ``table``."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidValue(f"cannot read kernel table {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidValue(f"kernel table {path} must be a JSON object")
+    for key in ("outcomes", "support", "table"):
+        if key not in doc:
+            raise InvalidValue(f"kernel table {path} is missing key {key}")
     return custom_table(doc["outcomes"], doc["support"], doc["table"])
 
 
@@ -244,7 +260,7 @@ def kernel_from_config(config: dict) -> Kernel:
         if "path" in config:
             return custom_table_from_json(config["path"])
         return custom_table(config["outcomes"], config["support"], config["table"])
-    raise ValueError(f"unknown kernel variant {variant!r}")
+    raise InvalidValue(f"unknown kernel variant {variant!r}")
 
 
 def epsilon_floor(kernel: Kernel, support) -> EpsilonCertificate:

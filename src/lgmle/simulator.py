@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution
+from .errors import InvalidValue
 from .kernels import Kernel
 from .rr_graph import (
     LayerStructure,
@@ -34,6 +35,8 @@ _OUTCOMES_STREAM = 1
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidValue(f"seed must be non-negative, got {seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), stream])))
 
 
@@ -101,7 +104,7 @@ def sample_outcomes(
     """
     weights = np.asarray(weights, dtype=float)
     if weights.size != graph.N:
-        raise ValueError(f"need {graph.N} weights, got {weights.size}")
+        raise InvalidValue(f"need {graph.N} weights, got {weights.size}")
     return Dataset(
         graph=graph,
         layers=layer_decomposition(graph),
@@ -172,32 +175,50 @@ def dataset_to_json(ds: Dataset, path) -> None:
 def dataset_from_json_dict(doc: dict) -> Dataset:
     """Inverse of :func:`dataset_to_json_dict`.  The graph is rebuilt with the
     relaxed scheduler if the document says ``"strict": false``."""
+    if not isinstance(doc, dict):
+        raise InvalidValue("dataset must be a JSON object")
+    for key in ("N", "n", "seed", "outcomes"):
+        if key not in doc:
+            raise InvalidValue(f"dataset is missing key {key}")
+        if key != "outcomes" and type(doc[key]) is not int:
+            raise InvalidValue(f"dataset key {key} must be an integer, got {doc[key]!r}")
     strict = doc.get("strict", True)
     if not isinstance(strict, bool):
-        raise ValueError(f"dataset key strict must be true or false, got {strict!r}")
+        raise InvalidValue(f"dataset key strict must be true or false, got {strict!r}")
     graph = (build_schedule if strict else build_schedule_unchecked)(doc["N"], doc["n"])
-    outcomes = {(i, j): x for i, j, x in doc["outcomes"]}
+    try:
+        outcomes = {(i, j): x for i, j, x in doc["outcomes"]}
+    except (TypeError, ValueError) as exc:
+        raise InvalidValue(f"dataset outcomes must be [i, j, x] triples: {exc}") from exc
+    weights = doc.get("weights")
+    try:
+        weights = None if weights is None else np.asarray(weights, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidValue(f"dataset weights must be numbers: {exc}") from exc
     edges = graph.edge_pairs()
     missing = [e for e in edges if e not in outcomes]
     if missing:
-        raise ValueError(f"outcomes missing for edges {missing[:5]}")
+        raise InvalidValue(f"outcomes missing for edges {missing[:5]}")
     if len(outcomes) > len(edges):
         scheduled = set(edges)
         extra = [e for e in outcomes if e not in scheduled]
-        raise ValueError(f"outcomes for edges not in the schedule {extra[:5]}")
-    weights = doc.get("weights")
+        raise InvalidValue(f"outcomes for edges not in the schedule {extra[:5]}")
     return Dataset(
         graph=graph,
         layers=layer_decomposition(graph),
         outcomes=outcomes,
-        true_weights=None if weights is None else np.asarray(weights, dtype=float),
+        true_weights=weights,
         seed=doc["seed"],
     )
 
 
 def dataset_from_json(path) -> Dataset:
-    with open(path) as fh:
-        return dataset_from_json_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidValue(f"cannot read dataset {path}: {exc}") from exc
+    return dataset_from_json_dict(doc)
 
 
 def outcomes_to_csv(ds: Dataset, path) -> None:

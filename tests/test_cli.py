@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lgmle import DiscreteDistribution, bradley_terry, kernels, likelihood, simulate, simulator
-from lgmle.cli import main
+from lgmle import DiscreteDistribution, RiskParams, bradley_terry, kernels, likelihood, simulate, simulator
+from lgmle.cli import _CONFIG, _check, main
 from lgmle.likelihood import LayerChainModel
 
 from conftest import oracle_diagnose_violations, oracle_forgetting_rows
@@ -382,6 +387,10 @@ def _model_with_kernel(kernel):
             {"model": _model_with_kernel({"variant": "uniform", "num_outcomes": 2.5})},
             "config key model.kernel.num_outcomes must be an integer, got 2.5",
         ),
+        (
+            {"model": _model_with_kernel({"variant": "uniform", "num_outcomes": 0})},
+            "num_outcomes must be at least 1, got 0",
+        ),
     ],
     ids=[
         "strict-string",
@@ -395,6 +404,7 @@ def _model_with_kernel(kernel):
         "theta-string",
         "num-outcomes-null",
         "num-outcomes-non-integral",
+        "num-outcomes-zero",
     ],
 )
 def test_dataset_config_errors_exit_2(tmp_path, base_config, capsys, doc, message):
@@ -454,3 +464,240 @@ def test_fit_explicit_init_from_config(tmp_path, base_config, capsys):
 def test_fit_section_validated_exit_2(base_config, capsys, fit, message):
     assert run(["fit", "--config", base_config(extra={"fit": fit})]) == 2
     assert message in capsys.readouterr().err
+
+
+def _with_fit(**fit):
+    return {"fit": fit}
+
+
+def _with_kernel(kernel):
+    return {"model": _model_with_kernel(kernel)}
+
+
+@pytest.mark.parametrize("command", ["simulate", "loglik", "fit", "risk", "diagnose"])
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"sims": {"seed": 3}}, "unknown key sims"),
+        ({"model": dict(_model_with_kernel({"variant": "bradley_terry"}), suport=[1.0])}, "unknown key model.suport"),
+        (_with_kernel({"variant": "bt_ties", "theta": 2, "thetta": 2}), "unknown key model.kernel.thetta"),
+        ([{"model": {}}], "config must be an object"),
+        ({"model": []}, "config key model must be an object"),
+        (_with_kernel({"variant": "bt_ties"}), "config is missing key model.kernel.theta"),
+        (_with_kernel({"theta": 2}), "config is missing key model.kernel.variant"),
+        (_with_kernel({"variant": "custom_table", "outcomes": [0, 1]}), "config is missing key model.kernel.support"),
+        ({"model": dict(_model_with_kernel({"variant": "bradley_terry"}), support="1,2")},
+         "config key model.support must be a list of numbers"),
+        (_with_fit(tol="1e-8"), 'config key fit.tol must be a number, got "1e-8"'),
+        (_with_fit(max_iters=2.5), "config key fit.max_iters must be an integer, got 2.5"),
+        (_with_fit(restarts="2"), 'config key fit.restarts must be an integer, got "2"'),
+        (_with_fit(seed=None, restarts=2), "config key fit.seed must be an integer, got null"),
+    ],
+    ids=[
+        "top-level-typo",
+        "model-key-typo",
+        "kernel-key-typo",
+        "document-is-list",
+        "model-is-list",
+        "ties-without-theta",
+        "kernel-without-variant",
+        "custom-table-without-support",
+        "support-is-string",
+        "tol-string",
+        "max-iters-non-integral",
+        "restarts-string",
+        "fit-seed-null",
+    ],
+)
+def test_config_checked_before_any_command_exit_2(tmp_path, base_config, capsys, command, doc, message):
+    # every command checks every section, also those it does not read
+    if isinstance(doc, list):
+        cfg = tmp_path / "list.json"
+        cfg.write_text(json.dumps(doc))
+    else:
+        cfg = base_config(extra={"candidates": [[0.5, 0.5]], **doc})
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_RISK = {"candidates": [[0.5, 0.5]], "analysis": {"N": 300, "replicates": 2, "min_q_max": 20}}
+
+
+@pytest.mark.parametrize(
+    "command, extra, flag, message",
+    [
+        ("fit", {"sim": {"seed": -1}}, [], "seed must be non-negative, got -1"),
+        ("fit", {}, ["--seed", -2], "seed must be non-negative, got -2"),
+        ("fit", _with_fit(seed=-1, restarts=2, max_iters=2), [], "seed must be non-negative, got -1"),
+        ("risk", _RISK, ["--seed", -1], "base_seed must be non-negative, got -1"),
+    ],
+    ids=["sim-seed", "seed-flag", "fit-seed", "risk-base-seed"],
+)
+def test_negative_seeds_exit_2(tmp_path, base_config, capsys, command, extra, flag, message):
+    assert run([command, "--config", base_config(extra=extra), "--out", tmp_path / "out", *flag]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_seed_flag_overrides_config(tmp_path, base_config):
+    assert run(["simulate", "--config", base_config(), "--out", tmp_path / "sim", "--seed", 5]) == 0
+    assert json.loads((tmp_path / "sim" / "simulate_config.json").read_text())["seed"] == 5
+    assert run(["risk", "--config", base_config(extra=_RISK), "--out", tmp_path / "risk", "--seed", 9]) == 0
+    seeds = json.loads((tmp_path / "risk" / "risk.json").read_text())["seeds"]
+    assert seeds == RiskParams(base_seed=9, replicates=2).seeds()
+
+
+def _saved_dataset(tmp_path, base_config):
+    """A dataset document simulated from ``base_config``, and a config that
+    loads it from ``tmp_path / "ds.json"``."""
+    assert run(["simulate", "--config", base_config(), "--out", tmp_path / "sim"]) == 0
+    doc = json.loads((tmp_path / "sim" / "dataset.json").read_text())
+    cfg = tmp_path / "loaded.json"
+    cfg.write_text(json.dumps({"model": json.loads(base_config().read_text())["model"], "dataset": str(tmp_path / "ds.json")}))
+    return doc, cfg
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.pop("N"), "dataset is missing key N"),
+        (lambda doc: doc.pop("n"), "dataset is missing key n"),
+        (lambda doc: doc.pop("seed"), "dataset is missing key seed"),
+        (lambda doc: doc.pop("outcomes"), "dataset is missing key outcomes"),
+        (lambda doc: doc.update(N="60"), "dataset key N must be an integer, got '60'"),
+        (lambda doc: doc.update(seed=None), "dataset key seed must be an integer, got None"),
+        (
+            lambda doc: doc.update(outcomes=[[1, 2]]),
+            "dataset outcomes must be [i, j, x] triples: not enough values to unpack (expected 3, got 2)",
+        ),
+        (lambda doc: doc.update(outcomes=5), "dataset outcomes must be [i, j, x] triples: 'int' object is not iterable"),
+        (
+            lambda doc: doc.update(weights=["a"] * 60),
+            "dataset weights must be numbers: could not convert string to float: 'a'",
+        ),
+    ],
+    ids=["no-N", "no-n", "no-seed", "no-outcomes", "N-string", "seed-null", "outcome-pair", "outcomes-int", "weights-string"],
+)
+def test_malformed_dataset_exit_2(tmp_path, base_config, capsys, edit, message):
+    doc, cfg = _saved_dataset(tmp_path, base_config)
+    edit(doc)
+    (tmp_path / "ds.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["loglik", "--config", cfg, "--out", tmp_path / "ll"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read dataset {path}: [Errno 2] No such file or directory: '{path}'"),
+        ("[1, 2]", "dataset must be a JSON object"),
+        ("{", "cannot read dataset {path}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ],
+    ids=["missing", "list", "not-json"],
+)
+def test_unreadable_dataset_exit_2(tmp_path, base_config, capsys, content, message):
+    _, cfg = _saved_dataset(tmp_path, base_config)
+    path = tmp_path / "ds.json"
+    if content is not None:
+        path.write_text(content)
+    capsys.readouterr()
+    assert run(["loglik", "--config", cfg, "--out", tmp_path / "ll"]) == 2
+    assert capsys.readouterr().err == "error: " + message.format(path=path) + "\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read kernel table {path}: [Errno 2] No such file or directory: '{path}'"),
+        ({"outcomes": [0, 1], "table": []}, "kernel table {path} is missing key support"),
+        ([0, 1], "kernel table {path} must be a JSON object"),
+        (
+            {"outcomes": [0, 1], "support": [1.0, 3.0], "table": [[[0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]},
+            "table support and entries must be arrays of numbers: setting an array element with a sequence. "
+            "The requested array has an inhomogeneous shape after 2 dimensions. "
+            "The detected shape was (2, 2) + inhomogeneous part.",
+        ),
+    ],
+    ids=["missing", "no-support", "list", "ragged"],
+)
+def test_kernel_table_file_errors_exit_2(tmp_path, base_config, capsys, content, message):
+    path = tmp_path / "table.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    cfg = base_config(model=_model_with_kernel({"variant": "custom_table", "path": str(path)}))
+    assert run(["loglik", "--config", cfg, "--out", tmp_path / "ll"]) == 2
+    assert capsys.readouterr().err == "error: " + message.format(path=path) + "\n"
+
+
+@pytest.mark.parametrize("level", ["nonsense", "BASIC_FORMAT"])
+def test_unknown_log_level_exit_2(tmp_path, base_config, capsys, monkeypatch, level):
+    monkeypatch.setenv("LGMLE_LOG", level)
+    assert run(["loglik", "--config", base_config(), "--out", tmp_path / "ll"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: LGMLE_LOG must be a logging level name such as DEBUG or INFO, got {level!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "exc, shown", [(ValueError("not a config error"), "not a config error"), (KeyError("layer"), "'layer'")]
+)
+def test_other_exceptions_exit_1(tmp_path, base_config, capsys, monkeypatch, exc, shown):
+    # only package errors are input errors; a plain ValueError or KeyError is a bug
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(likelihood, "log_likelihood_profile", broken)
+    assert run(["loglik", "--config", base_config(), "--out", tmp_path / "ll"]) == 1
+    assert capsys.readouterr().err == f"runtime error: {shown}\n"
+
+
+def test_runtime_error_traceback_at_debug(tmp_path, base_config):
+    src = Path(likelihood.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from lgmle import cli, likelihood\n"
+        "def broken(*args):\n"
+        "    raise KeyError('layer')\n"
+        "likelihood.log_likelihood_profile = broken\n"
+        f"sys.exit(cli.main(['loglik', '--config', {str(base_config())!r}, '--out', {str(tmp_path)!r}]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src), LGMLE_LOG="DEBUG")
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert "Traceback (most recent call last)" in result.stderr
+    assert "in broken\nKeyError: 'layer'\n" in result.stderr
+    assert result.stderr.endswith("runtime error: 'layer'\n")
+
+
+def _readme_config_example() -> dict:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"A config is a single JSON file.*?```json\n(.*?)```", readme, re.S)
+    return json.loads(block.group(1))
+
+
+def test_readme_config_example_passes_the_checker():
+    doc = _readme_config_example()
+    checked = _check("", doc)
+    assert checked == doc and set(doc) >= {"model", "graph", "sim", "fit", "candidates", "analysis"}
+
+
+def _kind_name(kind) -> str:
+    if isinstance(kind, dict):
+        return "object"
+    names = {int: "integer", float: "number", bool: "true/false", str: "string"}
+    lists = {"[<class 'float'>]": "list of numbers", "[[<class 'float'>]]": "list of number lists",
+             "[[[<class 'float'>]]]": "list of number tables"}
+    return lists[str(kind)] if isinstance(kind, list) else names[kind]
+
+
+def _dotted_kinds(table, prefix=""):
+    for name, kind in table.items():
+        yield prefix + name, _kind_name(kind)
+        if isinstance(kind, dict):
+            yield from _dotted_kinds(kind, f"{prefix}{name}.")
+
+
+def test_readme_key_table_mirrors_the_checker():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([\w.]+)` \| ([\w /]+) \|", readme, re.M)
+    assert rows == list(_dotted_kinds(_CONFIG))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lgmle import (
     H1Violated,
     InconsistentBlockShapes,
+    InvalidValue,
     NonPositiveWeight,
     OutcomeNotInSpace,
     SupportMismatch,
@@ -190,3 +191,18 @@ def test_block_log_kernel_shape_errors():
         block_log_kernel(k, [(1, 5)], [1], [1], [2], [1.0], [1.0])
     with pytest.raises(InconsistentBlockShapes):
         block_log_kernel(k, [(1, 2)], [1], [1], [2], [1.0, 2.0], [1.0])
+
+
+@pytest.mark.parametrize("num_outcomes", [0, -3])
+def test_uniform_kernel_needs_an_outcome(num_outcomes):
+    with pytest.raises(InvalidValue, match=f"^num_outcomes must be at least 1, got {num_outcomes}$"):
+        uniform_kernel(num_outcomes)
+
+
+def test_custom_table_file_errors_name_the_path(tmp_path):
+    path = tmp_path / "table.json"
+    with pytest.raises(InvalidValue, match=f"^cannot read kernel table {path}: "):
+        custom_table_from_json(path)
+    path.write_text(json.dumps({"outcomes": [0, 1], "support": [1.0]}))
+    with pytest.raises(InvalidValue, match=f"^kernel table {path} is missing key table$"):
+        custom_table_from_json(path)

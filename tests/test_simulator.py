@@ -3,6 +3,9 @@ import pytest
 
 from lgmle import (
     DiscreteDistribution,
+    FitConfig,
+    InvalidValue,
+    LgmleError,
     bradley_terry,
     bt_ties,
     build_schedule,
@@ -16,6 +19,9 @@ from lgmle import (
     uniform,
     uniform_kernel,
 )
+from lgmle.analysis import simplex_entropy_integral, tv_log_of_tv
+from lgmle.kernels import kernel_from_config
+from lgmle.rr_graph import predicted_layers
 from lgmle.simulator import (
     _simulate_replicates,
     dataset_from_json,
@@ -187,3 +193,50 @@ def test_replicates_equal_per_seed_simulate(N, n):
             ref.seed,
         )
         assert np.array_equal(ds.true_weights, ref.true_weights)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: DiscreteDistribution([1.0, 2.0], [0.7, 0.7]),
+        lambda: FitConfig(support=(1.0,), tol=0.0),
+        lambda: bt_ties(1.0),
+        lambda: uniform_kernel(0),
+        lambda: kernel_from_config({"variant": "mystery"}),
+        lambda: simplex_entropy_integral(0),
+        lambda: simulate(uniform([1.0, 3.0]), bradley_terry(), 16, 3, seed=-1),
+        lambda: sample_outcomes(build_schedule(16, 3), bradley_terry(), np.ones(10), seed=0),
+        lambda: dataset_from_json_dict({"N": 16, "n": 3, "outcomes": []}),
+    ],
+    ids=["probs", "tol", "theta", "num-outcomes", "variant", "support-size", "seed", "weights", "dataset-key"],
+)
+def test_caller_input_errors_are_package_errors(call):
+    # a package error, so the CLI exits 2, and a ValueError as before
+    with pytest.raises(InvalidValue) as info:
+        call()
+    assert isinstance(info.value, LgmleError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: tv_log_of_tv(-0.5), lambda: predicted_layers(16, 3).block_edges(0)],
+    ids=["negative-tv", "predicted-edges"],
+)
+def test_internal_invariants_stay_plain_value_errors(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert not isinstance(info.value, LgmleError)
+
+
+def test_dataset_missing_key_named():
+    doc = dataset_to_json_dict(simulate(uniform([1.0, 3.0]), bradley_terry(), 16, 3, seed=7))
+    for key in ("N", "n", "seed", "outcomes"):
+        broken = {k: v for k, v in doc.items() if k != key}
+        with pytest.raises(InvalidValue, match=f"^dataset is missing key {key}$"):
+            dataset_from_json_dict(broken)
+
+
+def test_dataset_file_errors_name_the_path(tmp_path):
+    path = tmp_path / "absent.json"
+    with pytest.raises(InvalidValue, match=f"^cannot read dataset {path}: "):
+        dataset_from_json(path)
