@@ -351,12 +351,11 @@ def _forgetting_bounds(model: LayerChainModel) -> np.ndarray:
 def _interior_profiles(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel):
     """(model, profiles): ``profiles[m, q]`` is log P(X_q | X_{q+1:m}) for
     every interior window 2 <= q <= m <= q_max - 1 (NaN elsewhere), from one
-    backward sweep per horizon m."""
+    backward sweep over all horizons m."""
     model = LayerChainModel(dataset, kernel, pi.support)
     top = dataset.layers.q_max - 1
     profiles = np.full((top + 1, top + 1), np.nan)
-    for m in range(2, top + 1):
-        profiles[m, 2 : m + 1] = list(model.conditional_profile(pi.probs, m).values())
+    profiles[2:] = model.conditional_profiles(pi.probs, range(2, top + 1))
     return model, profiles
 
 
@@ -416,7 +415,7 @@ def forgetting_profile(
 
     For every interior q and every horizon pair (m, m + ell) the row records
     |log P(X_q | X_{q+1:m}) - log P(X_q | X_{q+1:m+ell})| next to its
-    geometric envelope.  One backward sweep per horizon.  Every q in
+    geometric envelope.  One backward sweep for all horizons.  Every q in
     ``q_values`` must lie in [2, q_max - 1].
     """
     profiles = _interior_profiles(dataset, pi, kernel)
@@ -432,7 +431,7 @@ def conditional_magnitude_rows(
 
 def _diagnose(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -> Diagnosis:
     """The forgetting, magnitude and contraction envelopes, from one model
-    and one backward sweep per horizon."""
+    and one backward sweep for all horizons."""
     model, profiles = _interior_profiles(dataset, pi, kernel)
     forgetting = _forgetting_envelope(model, profiles)
     contraction = model.contraction_profile(pi.probs, 2, dataset.layers.q_max - 1)
@@ -473,7 +472,7 @@ def single_flip_rows(
     model = LayerChainModel(dataset, kernel, pi.support)
     m = dataset.layers.q_max - 1
     bounds = _forgetting_bounds(model)
-    base = model.conditional_profile(pi.probs, m)
+    (base,) = model.conditional_profiles(pi.probs, [m])
     rows: list[FlipRow] = []
     for flip_layer in range(2, m + 1):
         for edge in dataset.layers.block_edges(flip_layer):
@@ -487,7 +486,7 @@ def single_flip_rows(
                     dataset.graph, dataset.layers, flipped, None, dataset.seed
                 )
                 flipped_model = LayerChainModel(flipped_ds, kernel, pi.support)
-                prof = flipped_model.conditional_profile(pi.probs, m)
+                (prof,) = flipped_model.conditional_profiles(pi.probs, [m])
                 for q in range(2, flip_layer + 1):
                     rows.append(
                         FlipRow(
@@ -540,8 +539,7 @@ def increment_rows(
     tv = tv_distance(pi, pi_prime)
     tv_product_bound = width * tv
     tv_exact = product_tv_distance(pi, pi_prime, width)
-    prof_a = model.conditional_profile(pi.probs, m)
-    prof_b = model.conditional_profile(pi_prime.probs, m)
+    prof_a, prof_b = model.conditional_profiles([pi.probs, pi_prime.probs], m)
     rows = []
     for q in range(2, m + 1):
         gap = abs(prof_a[q] - prof_b[q])
@@ -714,9 +712,8 @@ def z_process_concentration(
     for r, ds in enumerate(datasets):
         for indices in groups:
             model = LayerChainModel(ds, kernel, pi_list[indices[0]].support)
-            for k in indices:
-                profile = model.conditional_profile(pi_list[k].probs, m)
-                all_sums[k, r] = np.mean(list(profile.values()))
+            profiles = model.conditional_profiles([pi_list[k].probs for k in indices], m)
+            all_sums[indices, r] = np.mean(profiles[:, 2:], axis=1)
     out = []
     for pi, sums in zip(pi_list, all_sums):
         centered = sums - sums.mean()

@@ -187,10 +187,14 @@ def _seeded(config: _Section, section: str, key: str, args) -> dict:
     return values
 
 
-def _dataset(config: _Section, args) -> simulator.Dataset:
+def _dataset(config: _Section, args, kernel) -> simulator.Dataset:
+    """The config's dataset: loaded, with every outcome checked against
+    ``kernel``, or simulated with it."""
     if "dataset" in config:
-        return simulator.dataset_from_json(config["dataset"])
-    kernel = _kernel(config)
+        ds = simulator.dataset_from_json(config["dataset"])
+        for x in ds.outcomes.values():
+            kernel.outcome_index(x)
+        return ds
     pi_star = _distribution(config, "pi_star")
     graph = config["graph"]
     sim = {"seed": 0, **_seeded(config, "sim", "seed", args)}
@@ -228,7 +232,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_simulate(args) -> int:
     doc, config = _load_config(args)
-    ds = _dataset(config, args)
+    ds = _dataset(config, args, _kernel(config))
     out = _out_dir(args)
     simulator.dataset_to_json(ds, os.path.join(out, "dataset.json"))
     simulator.outcomes_to_csv(ds, os.path.join(out, "outcomes.csv"))
@@ -238,8 +242,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_loglik(args) -> int:
     doc, config = _load_config(args)
-    ds = _dataset(config, args)
     kernel = _kernel(config)
+    ds = _dataset(config, args, kernel)
     pi = _distribution(config, "pi")
     value, constants = likelihood.log_likelihood_profile(ds, pi, kernel)
     out = _out_dir(args)
@@ -265,8 +269,8 @@ def cmd_loglik(args) -> int:
 def cmd_fit(args) -> int:
     doc, config = _load_config(args)
     fit_cfg = dict(config.get("fit", {}))
-    ds = _dataset(config, args)
     kernel = _kernel(config)
+    ds = _dataset(config, args, kernel)
     support = fit_cfg.pop("support") if "support" in fit_cfg else config["model"]["support"]
     if "candidates" in fit_cfg:
         fit_cfg["candidates"] = [DiscreteDistribution(support, p) for p in fit_cfg["candidates"]]
@@ -343,8 +347,8 @@ def cmd_risk(args) -> int:
 
 def cmd_diagnose(args) -> int:
     doc, config = _load_config(args)
-    ds = _dataset(config, args)
     kernel = _kernel(config)
+    ds = _dataset(config, args, kernel)
     pi = _distribution(config, "pi" if "pi" in config["model"] else "pi_star")
     out = _out_dir(args)
     diagnosis = analysis._diagnose(ds, pi, kernel)

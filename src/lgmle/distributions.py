@@ -29,10 +29,15 @@ class DiscreteDistribution:
             raise InvalidValue("support and probs must be 1-d arrays of equal length")
         if support.size == 0:
             raise InvalidValue("support must be non-empty")
+        # NaN passes every comparison check below, so finiteness comes first.
+        if not np.all(np.isfinite(support)):
+            raise InvalidValue("support values must be finite")
         if np.any(support <= 0):
             raise InvalidValue("support values must be strictly positive")
         if np.any(np.diff(support) <= 0):
             raise InvalidValue("support values must be strictly increasing")
+        if not np.all(np.isfinite(probs)):
+            raise InvalidValue("probs must be finite")
         if np.any(probs < 0):
             raise InvalidValue("probs must be non-negative")
         if abs(probs.sum() - 1.0) > SIMPLEX_TOL:

@@ -362,11 +362,12 @@ class LayerChainModel:
         return self._push(q, np.eye(self.s ** self.widths[q]))
 
     def _pull(self, q: int, x: np.ndarray) -> np.ndarray:
-        """M_q @ x for one layer-(q+1) state vector x."""
+        """M_q @ x for layer-(q+1) state vectors x, (..., s**w_{q+1}), row by row."""
         if self._mats is not None:
-            return self._mats[q] @ x
+            return (self._mats[q] @ x[..., None])[..., 0]
         _, _, plan, operands = self._factored[q]
-        return plan.run(x.reshape((1,) + (self.s,) * self.widths[q + 1]), operands).ravel()
+        out = plan.run(x.reshape((-1,) + (self.s,) * self.widths[q + 1]), operands)
+        return out.reshape(x.shape[:-1] + (-1,))
 
     # -- priors ---------------------------------------------------------------
 
@@ -381,13 +382,14 @@ class LayerChainModel:
         """``_prior(probs, q)`` for every layer q, built once per distinct width.
 
         ``probs`` holds the weights along its last axis; leading axes carry
-        over.  Layers of one width share one array (at width 1, ``probs``
-        itself), so sweeps must not write into a prior in place.
+        over.  Layers of one width share one C-contiguous array (a batched
+        row then sweeps as it would alone), so sweeps must not write into a
+        prior in place.
         """
         by_width: dict[int, np.ndarray] = {}
         for q, width in enumerate(self.widths):
             if width not in by_width:
-                by_width[width] = self._prior(probs, q)
+                by_width[width] = np.ascontiguousarray(self._prior(probs, q))
         return [by_width[width] for width in self.widths]
 
     # -- forward / backward sweeps ---------------------------------------------
@@ -505,41 +507,57 @@ class LayerChainModel:
                 ).reshape(-1, s)
         return out, np.cumsum(constants)[-1]
 
+    def _conditional_sweep(self, probs: np.ndarray, horizons: np.ndarray, bottom: int):
+        """Yield (k, rows, P(V_k | X_{k:m_r}), log P(X_{k:m_r})) for the rows r
+        with m_r = ``horizons[r]`` >= k, k = max(horizons) down to ``bottom``;
+        ``probs`` is (s,) or (K, s).  Row r starts from its layer-(m_r + 1)
+        prior and is pulled and normalized alone, bit-identical to its own
+        sweep.  Raises ``H1Violated`` at the first block where any row has no mass."""
+        order = np.argsort(-horizons, kind="stable")
+        horizons = horizons[order]
+        priors = self._priors(np.broadcast_to(probs, (order.size, self.s))[order])
+        log_z, n = np.zeros(order.size), 0
+        for k in range(int(horizons.max(initial=bottom - 1)), bottom - 1, -1):
+            # Rows join at their horizon: the first join starts the batch.
+            start, n = n, int(np.searchsorted(-horizons, -k, side="right"))
+            if n > start:
+                x = np.concatenate((x, priors[k + 1][start:n])) if start else priors[k + 1][:n]
+            x = priors[k][:n] * self._pull(k, x)
+            c = x.sum(axis=-1)
+            if not (c > 0.0).all():
+                raise H1Violated(f"zero conditional mass at block {k}")
+            x /= c[:, None]
+            log_z[:n] += np.log(c) + self._shifts[k]
+            yield k, order[:n], x, log_z[:n].copy()
+
     def backward_messages(self, probs, q: int, m: int) -> BackwardMessages:
         """Messages P(V_k | X_{k:m}) and log P(X_{k:m}) for k = q..m+1."""
         self._check_window(q, m)
-        priors = self._priors(np.asarray(probs, dtype=float))
-        u = priors[m + 1]
-        log_z = 0.0
-        messages = [np.log(u)]
-        normalizers = [0.0]
-        for k in range(m, q - 1, -1):
-            u = priors[k] * self._pull(k, u)
-            c = float(u.sum())
-            if c <= 0.0:
-                raise H1Violated(f"zero conditional mass at block {k}")
-            u /= c
-            log_z += np.log(c) + self._shifts[k]
-            with np.errstate(divide="ignore"):
-                messages.append(np.log(u))
-            normalizers.append(log_z)
-        messages.reverse()
-        normalizers.reverse()
-        return BackwardMessages(
-            window=(q, m),
-            log_messages=tuple(messages),
-            log_normalizers=tuple(normalizers),
-        )
+        probs = np.asarray(probs, dtype=float)
+        messages, normalizers = [np.log(self._prior(probs, m + 1))], [0.0]
+        with np.errstate(divide="ignore"):
+            for _, _, x, log_z in self._conditional_sweep(probs, np.array([m]), q):
+                messages.append(np.log(x[0]))
+                normalizers.append(log_z[0])
+        return BackwardMessages((q, m), tuple(messages[::-1]), tuple(normalizers[::-1]))
 
     def conditional_log_prob(self, probs, q: int, m: int) -> float:
         """log P(X_q | X_{q+1:m}) on the interior window."""
         msgs = self.backward_messages(probs, q, m)
         return msgs.log_normalizers[0] - msgs.log_normalizers[1]
 
-    def conditional_profile(self, probs, m: int) -> dict[int, float]:
-        """log P(X_q | X_{q+1:m}) for every q in [2, m], one sweep."""
-        z = self.backward_messages(probs, 2, m).log_normalizers
-        return {2 + k: z[k] - z[k + 1] for k in range(m - 1)}
+    def conditional_profiles(self, probs, horizons) -> np.ndarray:
+        """(R, q_max): log P(X_q | X_{q+1:m_r}) at columns 2 <= q <= m_r, else NaN.
+        Row r has horizon ``horizons[r]`` (or the one given) and ``probs`` or ``probs[r]``."""
+        probs = np.asarray(probs, dtype=float)
+        horizons = np.zeros(probs.shape[:-1], dtype=int) + np.array(horizons, dtype=int, ndmin=1)
+        for m in np.unique(horizons).tolist():
+            self._check_window(2, m)
+        z = np.full((horizons.size, self.layers.q_max + 1), np.nan)
+        z[np.arange(horizons.size), horizons + 1] = 0.0
+        for k, rows, _, log_z in self._conditional_sweep(probs, horizons, 2):
+            z[rows, k] = log_z
+        return z[:, :-1] - z[:, 1:]
 
     def _check_window(self, q: int, m: int) -> None:
         if not 2 <= q <= m <= self.layers.q_max - 1:

@@ -6,6 +6,7 @@ import pytest
 
 from lgmle import (
     DiscreteDistribution,
+    H1Violated,
     InconsistentBlockShapes,
     LayerChainModel,
     LayerOutOfRange,
@@ -117,6 +118,39 @@ def enumerate_window_logprob(ds, pi, kernel, a, b):
                 prob *= kernel.prob(ds.outcomes[(i, j)], weight_of[i], weight_of[j])
         total += prob
     return math.log(total)
+
+
+# -- the single-vector conditional backward sweep -------------------------------
+# One horizon and one simplex per sweep, the loop the K-row sweep replaced.
+
+
+def oracle_backward_messages(model, probs, q: int, m: int):
+    """(messages, normalizers) of ``LayerChainModel.backward_messages``, for
+    k = q..m+1."""
+    priors = model._priors(np.asarray(probs, dtype=float))
+    u = priors[m + 1]
+    log_z = 0.0
+    messages = [np.log(u)]
+    normalizers = [0.0]
+    for k in range(m, q - 1, -1):
+        u = priors[k] * model._pull(k, u)
+        c = float(u.sum())
+        if c <= 0.0:
+            raise H1Violated(f"zero conditional mass at block {k}")
+        u /= c
+        log_z += np.log(c) + model._shifts[k]
+        with np.errstate(divide="ignore"):
+            messages.append(np.log(u))
+        normalizers.append(log_z)
+    messages.reverse()
+    normalizers.reverse()
+    return messages, normalizers
+
+
+def oracle_conditional_profile(model, probs, m: int) -> dict[int, float]:
+    """log P(X_q | X_{q+1:m}) for every q in [2, m], from one single-vector sweep."""
+    _, z = oracle_backward_messages(model, probs, 2, m)
+    return {2 + k: z[k] - z[k + 1] for k in range(m - 1)}
 
 
 # -- the Monte-Carlo estimators as they were before the shared replicate path --
@@ -251,7 +285,10 @@ def oracle_z_process(pi_list, kernel, pi_star, N, n, replicates, base_seed, t_gr
     for pi in pi_list:
         models = [LayerChainModel(ds, kernel, pi.support) for ds in datasets]
         sums = np.array(
-            [np.mean(list(model.conditional_profile(pi.probs, m).values())) for model in models]
+            [
+                np.mean(list(oracle_conditional_profile(model, pi.probs, m).values()))
+                for model in models
+            ]
         )
         centered = sums - sums.mean()
         sigma = centered.std(ddof=1) if replicates > 1 else 0.0
@@ -290,7 +327,7 @@ def _oracle_diagnose_model(ds, pi, kernel):
     model = LayerChainModel(ds, kernel, pi.support)
     epsilon = epsilon_floor(kernel, pi.support).epsilon
     top = ds.layers.q_max - 1
-    profiles = {m: model.conditional_profile(pi.probs, m) for m in range(2, top + 1)}
+    profiles = {m: oracle_conditional_profile(model, pi.probs, m) for m in range(2, top + 1)}
     return model, epsilon, top, profiles
 
 

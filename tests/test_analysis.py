@@ -51,6 +51,7 @@ from conftest import (
     oracle_magnitude_rows,
     oracle_limit_likelihood,
     oracle_scaling_experiment,
+    oracle_conditional_profile,
     oracle_z_process,
     random_distribution,
 )
@@ -320,6 +321,32 @@ def test_single_flip_bounds_equal_gap_bound_oracle(n, N, s, kernel_index, seed):
         # flips reach the last interior layer, the bound matrix's last column
         assert max(r.flip_layer for r in rows) == ds.layers.q_max - 1
         assert [r.bound for r in rows] == [forgetting_gap_bound(nus, r.q, r.flip_layer) for r in rows]
+
+
+@pytest.mark.parametrize("kernel_index", range(4))
+def test_flip_and_increment_gaps_equal_single_vector_oracle(kernel_index):
+    rng = np.random.default_rng(kernel_index)
+    kernel = kernel_variants()[kernel_index]
+    pi = random_distribution(rng, 3)
+    other = pi.with_probs(random_distribution(rng, 3).probs)
+    ds = simulate(pi, kernel, 20, 2, seed=kernel_index + 1)
+    m = ds.layers.q_max - 1
+    model = LayerChainModel(ds, kernel, pi.support)
+    base = oracle_conditional_profile(model, pi.probs, m)
+    moved = oracle_conditional_profile(model, other.probs, m)
+    rows = increment_rows(ds, pi, other, kernel)
+    assert [(r.q, r.gap) for r in rows] == [(q, abs(base[q] - moved[q])) for q in range(2, m + 1)]
+    expected = []
+    for flip_layer in range(2, m + 1):
+        for edge in ds.layers.block_edges(flip_layer):
+            for alt in kernel.outcomes:
+                if alt != ds.outcomes[edge]:
+                    flipped = dataclasses.replace(ds, outcomes={**ds.outcomes, edge: alt})
+                    prof = oracle_conditional_profile(
+                        LayerChainModel(flipped, kernel, pi.support), pi.probs, m
+                    )
+                    expected += [abs(base[q] - prof[q]) for q in range(2, flip_layer + 1)]
+    assert [r.gap for r in single_flip_rows(ds, pi, kernel)] == expected
 
 
 def test_increment_bounds_hold(rng):

@@ -413,6 +413,79 @@ def test_dataset_config_errors_exit_2(tmp_path, base_config, capsys, doc, messag
 
 
 @pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"pi": [float("nan"), float("nan")]}, "probs must be finite"),
+        ({"pi_star": [0.4, float("nan")]}, "probs must be finite"),
+        ({"support": [1.0, float("nan")]}, "support values must be finite"),
+        ({"support": [1.0, float("inf")]}, "support values must be finite"),
+    ],
+    ids=["pi-nan", "pi-star-nan", "support-nan", "support-inf"],
+)
+def test_non_finite_distribution_exit_2(tmp_path, base_config, capsys, model, message):
+    # Python's json reads the NaN and Infinity literals
+    doc = {
+        "kernel": {"variant": "bradley_terry"},
+        "support": [1.0, 3.0],
+        "pi_star": [0.4, 0.6],
+        "pi": [0.5, 0.5],
+        **model,
+    }
+    assert run(["loglik", "--config", base_config(model=doc), "--out", tmp_path / "ll"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["simulated", "loaded"])
+@pytest.mark.parametrize("command", ["simulate", "loglik", "fit", "diagnose"])
+def test_command_reads_kernel_table_once(tmp_path, base_config, monkeypatch, command, loaded):
+    table = tmp_path / "table.json"
+    table.write_text(
+        json.dumps(
+            {
+                "outcomes": [0, 1],
+                "support": [1.0, 3.0],
+                "table": [[[0.5, 0.25], [0.75, 0.5]], [[0.5, 0.75], [0.25, 0.5]]],
+            }
+        )
+    )
+    model = {
+        "kernel": {"variant": "custom_table", "path": str(table)},
+        "support": [1.0, 3.0],
+        "pi_star": [0.4, 0.6],
+        "pi": [0.5, 0.5],
+    }
+    extra = {"graph": {"N": 20, "n": 2}, "fit": {"max_iters": 2}}
+    if loaded:
+        ds = simulate(DiscreteDistribution([1.0, 3.0], [0.4, 0.6]), bradley_terry(), 20, 2, seed=5)
+        extra["dataset"] = str(tmp_path / "dataset.json")
+        simulator.dataset_to_json(ds, extra["dataset"])
+    cfg = base_config(model=model, **extra)
+    reads = []
+    original = kernels.custom_table_from_json
+
+    def counting(path):
+        reads.append(path)
+        return original(path)
+
+    monkeypatch.setattr(kernels, "custom_table_from_json", counting)
+    assert run([command, "--config", cfg, "--out", tmp_path / command]) == 0
+    assert reads == [str(table)]
+
+
+@pytest.mark.parametrize("command", ["simulate", "loglik", "fit", "diagnose"])
+def test_dataset_outcomes_outside_the_kernel_exit_2(tmp_path, base_config, capsys, command):
+    ds = simulate(DiscreteDistribution([1.0, 3.0], [0.4, 0.6]), bradley_terry(), 20, 2, seed=5)
+    doc = simulator.dataset_to_json_dict(ds)
+    doc["outcomes"] = [[i, j, 7] for i, j, _ in doc["outcomes"]]
+    path = tmp_path / "dataset.json"
+    path.write_text(json.dumps(doc))
+    cfg = base_config(dataset=str(path))
+    assert run([command, "--config", cfg, "--out", tmp_path / command]) == 2
+    assert capsys.readouterr().err == "error: outcome 7 not in outcome space (0, 1)\n"
+    assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize(
     "kernel, same",
     [
         ({"variant": "bt_ties", "theta": 2}, {"variant": "bt_ties", "theta": 2.0}),

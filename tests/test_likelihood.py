@@ -40,6 +40,8 @@ from conftest import (
     block_log_kernel,
     enumerate_window_logprob,
     kernel_variants,
+    oracle_backward_messages,
+    oracle_conditional_profile,
     random_distribution,
     small_instances,
 )
@@ -811,3 +813,123 @@ def test_backward_underflow_raises_not_nan(s, seed, where):
     # sweep keeps positive mass; the marginals used to come back NaN.
     with pytest.raises(H1Violated, match=f"zero posterior mass at {where}$"):
         _extreme_posterior(3, s, "dense", 1, seed)
+
+
+def _assert_conditional_sweep_matches_oracle(model, rng, K):
+    """The K-row pull and conditional sweep against one-vector pulls and the
+    single-vector sweep of ``conftest.oracle_backward_messages``."""
+    for q in range(model.num_blocks):
+        rows = rng.random((K, model.s ** model.widths[q + 1]))
+        pulled = model._pull(q, rows)
+        for r in range(K):
+            assert np.array_equal(pulled[r], model._pull(q, rows[r]))
+            if model._mats is not None:
+                assert np.array_equal(pulled[r], model._mats[q] @ rows[r])
+    top = model.layers.q_max - 1
+    if top < 2:
+        return
+    probs = rng.dirichlet(np.ones(model.s), size=K)
+    probs[rng.integers(K), : rng.integers(model.s)] = WEIGHT_FLOOR
+    probs /= probs.sum(axis=1, keepdims=True)
+
+    def oracle_row(row, m):
+        out = np.full(model.layers.q_max, np.nan)
+        out[2 : m + 1] = list(oracle_conditional_profile(model, row, m).values())
+        return out
+
+    # every horizon, in order and shuffled with repeats, on one simplex
+    ordered = list(range(2, top + 1))
+    shuffled = list(rng.permutation(ordered + ordered[-1:] + ordered[:1]))
+    for horizons in (ordered, shuffled):
+        profiles = model.conditional_profiles(probs[0], horizons)
+        expected = np.array([oracle_row(probs[0], m) for m in horizons])
+        assert np.array_equal(profiles, expected, equal_nan=True)
+    # every arm, at one horizon and at one horizon each
+    arm_horizons = rng.integers(2, top + 1, size=K)
+    for horizons in (top, arm_horizons):
+        profiles = model.conditional_profiles(probs, horizons)
+        expected = [oracle_row(row, m) for row, m in zip(probs, np.broadcast_to(horizons, K))]
+        assert np.array_equal(profiles, np.array(expected), equal_nan=True)
+    q = int(rng.integers(2, top + 1))
+    m = int(rng.integers(q, top + 1))
+    msgs = model.backward_messages(probs[-1], q, m)
+    messages, normalizers = oracle_backward_messages(model, probs[-1], q, m)
+    assert len(msgs.log_messages) == len(messages) == m - q + 2
+    assert all(np.array_equal(a, b) for a, b in zip(msgs.log_messages, messages))
+    assert msgs.log_normalizers == tuple(normalizers)
+
+
+@given(
+    K=st.integers(1, 4),
+    n=st.integers(2, 4),
+    s=st.integers(2, 3),
+    extra=st.integers(0, 4),
+    kernel_index=st.integers(0, 3),
+    engine=st.sampled_from(["dense", "factored"]),
+    seed=st.integers(1, 2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_conditional_sweep_matches_single_vector_oracle_exactly(
+    K, n, s, extra, kernel_index, engine, seed
+):
+    rng = np.random.default_rng(seed)
+    kernel = kernel_variants()[kernel_index]
+    pi = random_distribution(rng, s)
+    ds = simulate(pi, kernel, 4 * n + 2 + 2 * extra, n, seed=seed)
+    _assert_conditional_sweep_matches_oracle(_model(ds, pi, kernel, engine), rng, K)
+
+
+@pytest.mark.parametrize("engine, n, s", [("dense", 3, 6), ("factored", 3, 7), ("factored", 4, 4)])
+def test_conditional_sweep_matches_oracle_above_243_states(engine, n, s):
+    # s**(2(n-1)) interior states: 1296, 2401 and 4096
+    rng = np.random.default_rng(s)
+    kernel = bt_ties(2.0)
+    pi = random_distribution(rng, s)
+    ds = simulate(pi, kernel, 4 * n + 8, n, seed=s)
+    model = _model(ds, pi, kernel, engine)
+    assert max(model.widths) == 2 * (n - 1) and model.layers.q_max == 4
+    _assert_conditional_sweep_matches_oracle(model, rng, 3)
+
+
+def test_conditional_profiles_without_interior_window_are_empty():
+    pi = uniform([1.0, 2.0])
+    k = bradley_terry()
+    # N=12, n=4 on the relaxed schedule has q_max = 2: no interior window
+    model = LayerChainModel(simulate(pi, k, 12, 4, seed=3, strict=False), k, pi.support)
+    assert model.layers.q_max == 2
+    assert model.conditional_profiles(pi.probs, []).shape == (0, model.layers.q_max)
+    with pytest.raises(LayerOutOfRange):
+        model.conditional_profiles(pi.probs, [model.layers.q_max - 1])
+
+
+def test_conditional_sweep_raises_at_highest_block_without_mass():
+    # Outcome 1 between two nodes at support index 0 has probability 1e-200;
+    # a block holding two of them has no conditional mass under the point
+    # mass on index 0.  The batch names the highest such block in the window.
+    support = [1.0, 2.0]
+    table = np.full((2, 2, 2), 0.5)
+    table[:, 0, 0] = [1.0 - 1e-200, 1e-200]
+    kernel = custom_table((0, 1), support, table)
+    fair = custom_table((0, 1), support, np.full((2, 2, 2), 0.5))
+    pi = uniform(support)
+    ds = simulate(pi, fair, 40, 2, seed=4)
+    model = LayerChainModel(ds, kernel, support)
+    top = model.layers.q_max - 1
+    lost = [
+        q
+        for q in range(2, top + 1)
+        if sum(ds.outcomes[e] == 1 for e in ds.layers.block_edges(q)) >= 2
+    ]
+    assert lost
+    point = [1.0, 0.0]
+    for m in range(2, top + 1):
+        failing = [q for q in lost if q <= m]
+        if failing:
+            with pytest.raises(H1Violated, match=f"^zero conditional mass at block {failing[-1]}$"):
+                with np.errstate(divide="ignore"):
+                    oracle_backward_messages(model, point, 2, m)
+    with pytest.raises(H1Violated, match=f"^zero conditional mass at block {lost[-1]}$"):
+        model.conditional_profiles(point, range(2, top + 1))
+    with pytest.raises(H1Violated, match=f"^zero conditional mass at block {lost[-1]}$"):
+        model.conditional_profiles([[0.5, 0.5], point], top)
+    assert np.isfinite(model.conditional_profiles([0.5, 0.5], top)[0, 2:]).all()

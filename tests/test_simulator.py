@@ -217,6 +217,28 @@ def test_caller_input_errors_are_package_errors(call):
     assert isinstance(info.value, LgmleError) and isinstance(info.value, ValueError)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "support, probs, message",
+    [
+        ([1.0, 2.0], [NAN, NAN], "probs must be finite"),
+        ([1.0, 2.0], [NAN, 1.0], "probs must be finite"),
+        ([1.0, 2.0], [INF, 0.0], "probs must be finite"),
+        ([1.0, NAN], [0.5, 0.5], "support values must be finite"),
+        ([NAN, 2.0], [0.5, 0.5], "support values must be finite"),
+        ([1.0, INF], [0.5, 0.5], "support values must be finite"),
+        ([NAN], [1.0], "support values must be finite"),
+    ],
+)
+def test_distribution_rejects_non_finite_values(support, probs, message):
+    # NaN compares false both ways, so `nan < 0` and `abs(nan - 1) > tol`
+    # let these through before
+    with pytest.raises(InvalidValue, match=f"^{message}$"):
+        DiscreteDistribution(support, probs)
+
+
 @pytest.mark.parametrize(
     "call",
     [lambda: tv_log_of_tv(-0.5), lambda: predicted_layers(16, 3).block_edges(0)],
