@@ -93,27 +93,54 @@ def em_step(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -> Discr
     return pi.with_probs(probs)
 
 
-def _em_run(model: LayerChainModel, start: np.ndarray, config: FitConfig):
-    probs = np.asarray(start, dtype=float)
-    marginals, ll = model.posterior_pass(probs)
-    trajectory = [ll]
-    converged = False
-    clipped = 0
+def _em_lockstep(model: LayerChainModel, starts: list[np.ndarray], config: FitConfig):
+    """EM from every start at once: one (probs, log-likelihood, trajectory,
+    converged) per start, in order.
+
+    The rows of one ``posterior_pass`` are the restarts still running; each
+    is bit-identical to its own sweep, so every restart takes the steps it
+    would take alone.  A row runs its own M-step and stop test and leaves
+    the batch when it stops; a lone row sweeps as a plain vector.
+    """
+    probs = np.array(starts, dtype=float)
+
+    def sweep(rows: list[int]):
+        if len(rows) == 1:
+            marginals, ll = model.posterior_pass(probs[rows[0]])
+            return marginals[None], [ll]
+        return model.posterior_pass(probs[rows])
+
+    active = list(range(len(starts)))
+    marginals, lls = sweep(active)
+    trajectories = [[ll] for ll in lls]
+    converged = [False] * len(starts)
+    clipped = [0] * len(starts)
     for _ in range(config.max_iters):
-        probs, clipped = _m_step(marginals)
-        marginals, ll_new = model.posterior_pass(probs)
-        trajectory.append(ll_new)
-        converged = bool(ll_new - ll < config.tol * max(1.0, abs(ll)))
-        ll = ll_new
-        if converged:
+        for row, r in enumerate(active):
+            probs[r], clipped[r] = _m_step(marginals[row])
+        marginals, lls = sweep(active)
+        running = []
+        for row, (r, ll_new) in enumerate(zip(active, lls)):
+            ll = trajectories[r][-1]
+            trajectories[r].append(ll_new)
+            converged[r] = bool(ll_new - ll < config.tol * max(1.0, abs(ll)))
+            if not converged[r]:
+                running.append(row)
+        if not running:
             break
-    log.debug(
-        "em restart: sweeps=%d stop=%s clipped=%d",
-        len(trajectory),
-        "tol" if converged else "max_iters",
-        clipped,
-    )
-    return probs, ll, trajectory, converged
+        marginals = marginals[running]
+        active = [active[row] for row in running]
+    for trajectory, stop, count in zip(trajectories, converged, clipped):
+        log.debug(
+            "em restart: sweeps=%d stop=%s clipped=%d",
+            len(trajectory),
+            "tol" if stop else "max_iters",
+            count,
+        )
+    return [
+        (row_probs, trajectory[-1], trajectory, stop)
+        for row_probs, trajectory, stop in zip(probs, trajectories, converged)
+    ]
 
 
 def _em_starts(config: FitConfig) -> list[np.ndarray]:
@@ -166,16 +193,13 @@ def fit_mle(dataset: Dataset, kernel: Kernel, config: FitConfig) -> FitResult:
 
     support = np.asarray(config.support, dtype=float)
     model = LayerChainModel(dataset, kernel, support)
-    best_result = None
-    best_index = -1
-    finals: list[float] = []
-    for r, start in enumerate(_em_starts(config)):
-        probs, ll, trajectory, converged = _em_run(model, start, config)
-        finals.append(ll)
-        if best_result is None or ll > best_result[1]:
-            best_result = (probs, ll, trajectory, converged)
+    runs = _em_lockstep(model, _em_starts(config), config)
+    finals = [ll for _, ll, _, _ in runs]
+    best_index = 0
+    for r, ll in enumerate(finals):
+        if ll > finals[best_index]:
             best_index = r
-    probs, ll, trajectory, converged = best_result
+    probs, ll, trajectory, converged = runs[best_index]
     return FitResult(
         pi_hat=DiscreteDistribution(support, probs),
         final_log_lik=ll,

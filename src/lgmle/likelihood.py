@@ -196,14 +196,14 @@ class LayerChainModel:
     without one raises ``H1Violated``), and :meth:`block_nus` gives each
     block's Doeblin coefficient from it, for the mixing envelopes.
 
-    ``forward_constants`` scores K rows of simplex weights in one forward
-    recursion, each row pushed as its own vector-matrix product, so every
-    row's result is bit-identical to a sweep of that row alone.
-    ``posterior_pass`` runs the one-chain recursion ``_forward``, which also
-    keeps the forward messages.  The per-block loops do the recursion alone;
-    logs, shifts and node marginals follow for all blocks at once, in the
-    floating-point order of a per-block computation.  All methods are pure;
-    instances are safe for concurrent reads.
+    ``forward_constants`` and ``posterior_pass`` sweep K rows of simplex
+    weights in one recursion (``_forward_rows`` forward), each row pushed and
+    pulled as its own vector-matrix product against the shared block
+    matrices, so every row's result is bit-identical to a sweep of that row
+    alone; one row sweeps as a plain vector.  The per-block loops do the
+    recursion alone; logs, shifts, gammas and node marginals follow for all
+    blocks at once, in the floating-point order of a per-block computation.
+    All methods are pure; instances are safe for concurrent reads.
     """
 
     def __init__(self, dataset: Dataset, kernel: Kernel, support):
@@ -251,11 +251,15 @@ class LayerChainModel:
             self.s ** (self.widths[q] + self.widths[q + 1]) for q in range(self.num_blocks)
         )
         self._mats: list[np.ndarray] | None = None
+        self._pulls: list[np.ndarray] | None = None
         self._factored: list[tuple] | None = None
         if total_entries <= _BLOCK_CACHE_BUDGET:
             self.engine = "dense"
             built = [self._build_dense(block_type) for block_type in self._types]
             self._mats = [built[k][0] for k in self._block_type]
+            # Row by row, x @ M.T is the product M @ x of _pull, bit for bit.
+            transposed = [mat.T for mat, _ in built]
+            self._pulls = [transposed[k] for k in self._block_type]
         else:
             self.engine = "factored"
             built = self._compile_factored()
@@ -378,6 +382,11 @@ class LayerChainModel:
             return probs
         return probs[..., self._width_digits[width]].prod(axis=-1)
 
+    @staticmethod
+    def _rows(probs: np.ndarray) -> np.ndarray:
+        """Simplex rows (K, s) as (K, 1, s), the shape of a batched sweep; one (s,) stays."""
+        return probs[:, None, :] if probs.ndim > 1 else probs
+
     def _priors(self, probs: np.ndarray) -> list[np.ndarray]:
         """``_prior(probs, q)`` for every layer q, built once per distinct width.
 
@@ -399,58 +408,49 @@ class LayerChainModel:
         value per row for shape (K, s)."""
         return self.forward_constants(probs)[0]
 
-    def _forward(self, priors: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
-        """The scaled forward recursion of one chain: (alphas, per-block log
-        normalizers).
+    def _forward_rows(self, priors: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+        """The scaled forward recursion of R rows: (alphas, (num_blocks, R) log
+        normalizers), with ``priors`` and ``alphas`` of shape (R, 1, S), or
+        (S,) for one row (R = 1).
 
         ``alphas[q]`` is the normalized forward message of layer q (the prior
-        at q = 0) and ``constants[q]`` is log P(X_q | X_{0:q-1}).  The loop
-        does the recursion alone; logs and shifts are applied after it.
+        at q = 0).  Each row is a (1, S) matrix pushed on its own, which keeps
+        it bit-identical to a sweep of that row alone (a (R, S) matrix product
+        is not).  Mass is checked once after the loop; ``H1Violated`` names
+        the first block at which any row's mass is zero.
         """
         mats = self._mats
-        cs = np.empty(self.num_blocks)
-        alphas = [priors[0]]
+        total = np.add.reduce
+        # One row divides by a scalar, which is faster than by a (1, 1) array.
+        rows = priors[0].ndim > 1
         w = priors[0]
-        for q in range(self.num_blocks):
-            w = (w @ mats[q] if mats is not None else self._push(q, w)) * priors[q + 1]
-            c = w.sum()
-            if c <= 0.0:
-                raise H1Violated(f"zero likelihood mass at block {q}")
-            w /= c
-            cs[q] = c
-            alphas.append(w)
-        return alphas, np.log(cs) + self._shifts
+        alphas, cs = [w], []
+        # A row that lost its mass turns to NaN in the division and stays
+        # NaN; the check after the loop reports where it happened.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for q in range(self.num_blocks):
+                w = (w @ mats[q] if mats is not None else self._push(q, w)) * priors[q + 1]
+                c = total(w, -1, keepdims=rows)
+                w /= c
+                cs.append(c)
+                alphas.append(w)
+            cs = np.array(cs).reshape(self.num_blocks, -1)
+            lost = ~(cs > 0.0).all(axis=1)
+        if lost.any():
+            raise H1Violated(f"zero likelihood mass at block {int(np.argmax(lost))}")
+        return alphas, np.log(cs) + self._shifts[:, None]
 
     def forward_constants(self, probs) -> tuple:
         """(log-likelihood, per-block log normalizers) for simplex ``probs``.
 
         ``probs`` of shape (s,) gives a float and a (num_blocks,) array;
         shape (K, s) gives (K,) log-likelihoods and (K, num_blocks) normalizers
-        from one recursion over all rows.  Each row's state is a (1, S)
-        matrix pushed on its own, which keeps every row bit-identical to a
-        sweep of that row alone (a (K, S) matrix product is not).  Mass is
-        checked once after the loop; ``H1Violated`` names the first block at
-        which any row's mass is zero.  The log-likelihood sums the
-        normalizers sequentially in block order.
+        from one recursion over all rows (``_forward_rows``), each row
+        bit-identical to a sweep of that row alone.  The log-likelihood sums
+        the normalizers sequentially in block order.
         """
         probs = np.asarray(probs, dtype=float)
-        priors = self._priors(np.atleast_2d(probs)[:, None, :])
-        mats = self._mats
-        cs = np.empty((self.num_blocks, priors[0].shape[0], 1, 1))
-        w = priors[0]
-        # A row that lost its mass turns to NaN in the division and stays
-        # NaN; the check after the loop reports where it happened.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for q in range(self.num_blocks):
-                w = (w @ mats[q] if mats is not None else self._push(q, w)) * priors[q + 1]
-                c = w.sum(axis=-1, keepdims=True)
-                w /= c
-                cs[q] = c
-            cs = cs.reshape(self.num_blocks, -1)
-            lost = ~(cs > 0.0).all(axis=1)
-        if lost.any():
-            raise H1Violated(f"zero likelihood mass at block {int(np.argmax(lost))}")
-        constants = np.log(cs) + self._shifts[:, None]
+        _, constants = self._forward_rows(self._priors(self._rows(probs)))
         totals = np.cumsum(constants, axis=0)[-1]
         if probs.ndim == 1:
             return totals[0], constants[:, 0]
@@ -460,52 +460,83 @@ class LayerChainModel:
         """(N, s) posterior P(V_i = support[a] | outcomes); row i-1 is node i."""
         return self.posterior_pass(probs)[0]
 
-    def posterior_pass(self, probs) -> tuple[np.ndarray, float]:
+    def posterior_pass(self, probs) -> tuple:
         """(node marginals, log-likelihood) from one forward-backward sweep.
 
-        The backward loop only forms gamma_q = alpha_q * beta_q and pulls beta
-        one block down.  Node marginals follow per distinct layer width: the
-        gammas of that width are stacked and row-normalized, and one
-        ``bincount`` per position sums each row into its node's bins.  Raises
-        ``H1Violated`` naming the block or layer where the backward mass
-        underflows to zero or is not finite.
-        """
-        priors = self._priors(np.asarray(probs, dtype=float))
-        gammas, constants = self._forward(priors)
-        mats = self._mats
-        beta = np.ones(self.s ** self.widths[-1])
-        for q in range(self.num_blocks, 0, -1):
-            # Rebind, never scale in place: alphas[0] is a shared prior.
-            gammas[q] = gammas[q] * beta
-            x = priors[q] * beta
-            beta = mats[q - 1] @ x if mats is not None else self._pull(q - 1, x)
-            peak = beta.max()
-            if not peak > 0.0:
-                raise H1Violated(f"zero posterior mass at block {q - 1}")
-            beta /= peak
-        gammas[0] = gammas[0] * beta
+        ``probs`` of shape (s,) gives (N, s) marginals and a float; shape
+        (R, s) gives (R, N, s) marginals and (R,) log-likelihoods from one
+        sweep over all rows.  Each row stays a (1, S) row both ways, pushed
+        and pulled on its own against the shared block matrices and scaled by
+        its own sum going forward and its own peak going backward, so every
+        row is bit-identical to a sweep of that row alone.
 
-        s = self.s
-        out = np.empty((self.dataset.graph.N, s))
+        The backward loop only pulls beta one block down; gamma_q = alpha_q *
+        beta_q and the node marginals follow in :meth:`_marginals`.  Raises
+        ``H1Violated`` naming the block or layer where the backward mass
+        underflows to zero or is not finite: the first place in sweep order
+        (forward blocks upward, backward blocks downward, then layers) where
+        any row fails, with the message that row's own sweep gives.
+        """
+        probs = np.asarray(probs, dtype=float)
+        priors = self._priors(self._rows(probs))
+        alphas, constants = self._forward_rows(priors)
+        pulls = self._pulls
+        peak_of = np.maximum.reduce
+        rows = probs.ndim > 1
+        beta = np.ones(priors[-1].shape)
+        betas = [beta]
+        # A row without mass turns to NaN in the division and stays NaN below
+        # that block; the check after the loop finds the block.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for q in range(self.num_blocks, 0, -1):
+                x = priors[q] * beta
+                beta = x @ pulls[q - 1] if pulls is not None else self._pull(q - 1, x)
+                beta /= peak_of(beta, -1, keepdims=rows)
+                betas.append(beta)
+        betas.reverse()
+        if np.isnan(beta).any():
+            block = max(k for k in range(self.num_blocks) if np.isnan(betas[k]).any())
+            raise H1Violated(f"zero posterior mass at block {block}")
+        totals = np.cumsum(constants, axis=0)[-1]
+        return self._marginals(alphas, betas, probs.shape[:-1]), totals if rows else totals[0]
+
+    def _marginals(self, alphas: list, betas: list, lead: tuple) -> np.ndarray:
+        """``lead`` + (N, s) node marginals from every layer's forward and
+        backward messages, each ``lead`` + (S,) (a row (R, 1, S) for ``lead``
+        (R,)); the lists are emptied as it goes.
+
+        Per distinct layer width, each row's gammas alpha_q * beta_q of that
+        width are stacked and row-normalized, and one ``bincount`` per
+        position sums each layer into its node's bins.  Raises ``H1Violated``
+        at the first layer, per width and then per row, whose gamma sum is
+        zero or not finite.
+        """
+        s, N = self.s, self.dataset.graph.N
+        out = np.empty(lead + (N, s))
+        # Rows (R, 1, S) join along their middle axis, one row (S,) along its only one.
+        axis = -2 if lead else -1
         for width, qs, nodes in self._width_groups:
-            # Drop each gamma once stacked: at most one copy of the chain's
-            # state and one bin array are alive at a time.
-            stacked = np.stack([gammas[q] for q in qs])
+            shape = (-1, len(qs), s**width)
+            gammas = np.concatenate([alphas[q] for q in qs], axis=axis).reshape(shape)
+            gammas *= np.concatenate([betas[q] for q in qs], axis=axis).reshape(shape)
+            # Drop each layer's messages once stacked, so they are freed
+            # width by width.
             for q in qs:
-                gammas[q] = None
-            sums = stacked.sum(axis=1)
-            bad = ~(np.isfinite(sums) & (sums > 0.0))
-            if bad.any():
-                raise H1Violated(f"zero posterior mass at layer {qs[int(np.argmax(bad))]}")
-            stacked /= sums[:, None]
-            weights = stacked.ravel()
+                alphas[q] = betas[q] = None
             rows = np.arange(len(qs))[:, None] * s
             digits = self._width_digits[width]
-            for pos in range(width):
-                out[nodes[:, pos]] = np.bincount(
-                    (rows + digits[:, pos]).ravel(), weights=weights, minlength=len(qs) * s
-                ).reshape(-1, s)
-        return out, np.cumsum(constants)[-1]
+            for row_gammas, marginals in zip(gammas, out.reshape(-1, N, s)):
+                sums = row_gammas.sum(axis=1)
+                bad = ~(np.isfinite(sums) & (sums > 0.0))
+                if bad.any():
+                    raise H1Violated(f"zero posterior mass at layer {qs[int(np.argmax(bad))]}")
+                row_gammas /= sums[:, None]
+                weights = row_gammas.ravel()
+                for pos in range(width):
+                    marginals[nodes[:, pos]] = np.bincount(
+                        (rows + digits[:, pos]).ravel(), weights=weights, minlength=len(qs) * s
+                    ).reshape(-1, s)
+        return out
 
     def _conditional_sweep(self, probs: np.ndarray, horizons: np.ndarray, bottom: int):
         """Yield (k, rows, P(V_k | X_{k:m_r}), log P(X_{k:m_r})) for the rows r
@@ -534,8 +565,8 @@ class LayerChainModel:
         """Messages P(V_k | X_{k:m}) and log P(X_{k:m}) for k = q..m+1."""
         self._check_window(q, m)
         probs = np.asarray(probs, dtype=float)
-        messages, normalizers = [np.log(self._prior(probs, m + 1))], [0.0]
         with np.errstate(divide="ignore"):
+            messages, normalizers = [np.log(self._prior(probs, m + 1))], [0.0]
             for _, _, x, log_z in self._conditional_sweep(probs, np.array([m]), q):
                 messages.append(np.log(x[0]))
                 normalizers.append(log_z[0])

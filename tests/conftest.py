@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,12 +23,14 @@ from lgmle import (
     simplex_entropy_integral,
     simulate,
 )
+from lgmle import likelihood
 from lgmle.analysis import (
     ForgettingRow,
     RiskReport,
     ScalingRow,
     ZProcessSummary,
 )
+from lgmle.estimator import _m_step
 
 
 def kernel_variants():
@@ -63,6 +66,15 @@ def small_instances(count, rng_seed=123, N_choices=(10, 12), n=2, s_choices=(2, 
         ds = simulate(pi, kernel, N, n, seed=int(rng.integers(1, 2**31)))
         out.append((ds, pi, kernel))
     return out
+
+
+def model_on_engine(ds, pi, kernel, engine):
+    """A model on the given engine, chosen through the dense-block budget."""
+    budget = {"dense": 10**12, "factored": 0}[engine]
+    with mock.patch.object(likelihood, "_BLOCK_CACHE_BUDGET", budget):
+        model = LayerChainModel(ds, kernel, pi.support)
+    assert model.engine == engine
+    return model
 
 
 def block_log_kernel(kernel, edges, outcomes, nodes_q, nodes_q1, v_block, w_block) -> float:
@@ -151,6 +163,28 @@ def oracle_conditional_profile(model, probs, m: int) -> dict[int, float]:
     """log P(X_q | X_{q+1:m}) for every q in [2, m], from one single-vector sweep."""
     _, z = oracle_backward_messages(model, probs, 2, m)
     return {2 + k: z[k] - z[k + 1] for k in range(m - 1)}
+
+
+# -- one EM run per restart, the loop the lockstep restarts replaced -----------
+# Verbatim apart from its DEBUG line.
+
+
+def oracle_em_run(model, start, config):
+    """(probs, log-likelihood, trajectory, converged) of one restart alone."""
+    probs = np.asarray(start, dtype=float)
+    marginals, ll = model.posterior_pass(probs)
+    trajectory = [ll]
+    converged = False
+    clipped = 0
+    for _ in range(config.max_iters):
+        probs, clipped = _m_step(marginals)
+        marginals, ll_new = model.posterior_pass(probs)
+        trajectory.append(ll_new)
+        converged = bool(ll_new - ll < config.tol * max(1.0, abs(ll)))
+        ll = ll_new
+        if converged:
+            break
+    return probs, ll, trajectory, converged
 
 
 # -- the Monte-Carlo estimators as they were before the shared replicate path --

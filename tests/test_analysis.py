@@ -498,6 +498,29 @@ def test_scaling_experiment_equals_per_replicate_oracle(k, pi_star, candidates, 
     assert table == oracle_scaling_experiment(pi_star, k, [32, 40], **kwargs)
 
 
+def test_scaling_experiment_fits_each_dataset_in_its_own_call(monkeypatch):
+    # A benchmark recorder wraps analysis.fit_mle and reads one fit per call,
+    # in call order: the seeds of one N must not be fitted in one call.
+    calls = []
+    fit_mle = analysis.fit_mle
+
+    def recording_fit_mle(dataset, kernel, config):
+        calls.append((dataset.graph.N, dataset.seed))
+        return fit_mle(dataset, kernel, config)
+
+    monkeypatch.setattr(analysis, "fit_mle", recording_fit_mle)
+    pi_star = DiscreteDistribution([0.5, 2.0], [0.3, 0.7])
+    fit_config = FitConfig(support=(0.5, 2.0), max_iters=2, restarts=2)
+    kwargs = dict(seeds_per_n=3, base_seed=23, fit_config=fit_config, eval_N=48, eval_replicates=2)
+    N_list = [32, 40]
+    scaling_experiment(pi_star, degree_model(), N_list, **kwargs)
+    assert calls == [
+        (N, int(seed))
+        for N in N_list
+        for seed in np.random.SeedSequence([23, N]).generate_state(3)
+    ]
+
+
 @pytest.mark.parametrize(
     "fit_config",
     [

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgmle import (
     DiscreteDistribution,
     FitConfig,
+    LayerChainModel,
     NoCandidates,
     bradley_terry,
     brute_force_node_marginals,
@@ -19,8 +22,15 @@ from lgmle import (
     uniform,
     uniform_kernel,
 )
+from lgmle.estimator import WEIGHT_FLOOR, _em_lockstep, _em_starts
 
-from conftest import small_instances
+from conftest import (
+    kernel_variants,
+    model_on_engine,
+    oracle_em_run,
+    random_distribution,
+    small_instances,
+)
 
 
 def test_em_step_uniform_kernel_fixed_point():
@@ -194,3 +204,92 @@ def test_em_logs_sweeps_stop_reason_and_clipping(caplog):
         "em restart: sweeps=3 stop=max_iters clipped=0",
         "em restart: sweeps=3 stop=max_iters clipped=0",
     ]
+
+
+def _assert_lockstep_matches_oracle(model, config):
+    """Every restart of the lockstep loop `==` its own oracle run; returns the oracle runs."""
+    starts = _em_starts(config)
+    runs = _em_lockstep(model, starts, config)
+    oracle = [oracle_em_run(model, start, config) for start in starts]
+    assert len(runs) == len(oracle) == config.restarts
+    for (probs, ll, trajectory, converged), (probs_o, ll_o, trajectory_o, converged_o) in zip(
+        runs, oracle
+    ):
+        assert np.array_equal(probs, probs_o)
+        assert ll == ll_o == trajectory[-1]
+        assert trajectory == trajectory_o
+        assert converged == converged_o
+    return oracle
+
+
+@pytest.mark.parametrize("init", ["random", "explicit"])
+@pytest.mark.parametrize("restarts", [2, 3, 4, 5])
+def test_lockstep_restarts_match_oracle_runs(restarts, init, caplog):
+    k = degree_model()
+    support = (0.5, 2.0)
+    ds = simulate(uniform(support), k, 60, 2, seed=3)
+    # From the point mass EM stops on tol at sweep 2 with one weight
+    # clipped; the random starts stop on tol at sweeps 4 and 5 or run into
+    # max_iters (7 sweeps).
+    starts = [point_mass_on(support, 0)] + list(np.random.default_rng(3).dirichlet([1, 1], size=4))
+    config = FitConfig(
+        support=support,
+        init=init,
+        init_list=starts[:restarts] if init == "explicit" else None,
+        restarts=restarts,
+        max_iters=6,
+        tol=1e-3,
+        seed=7,
+    )
+    oracle = _assert_lockstep_matches_oracle(LayerChainModel(ds, k, support), config)
+    with caplog.at_level(logging.DEBUG, logger="lgmle.estimator"):
+        result = fit_mle(ds, k, config)
+    finals = [ll for _, ll, _, _ in oracle]
+    best = max(range(restarts), key=lambda r: (finals[r], -r))
+    probs, ll, trajectory, converged = oracle[best]
+    assert result.pi_hat == DiscreteDistribution(support, probs)
+    assert result.final_log_lik == ll
+    assert result.trajectory == trajectory
+    assert result.converged == converged
+    assert result.restart_index == best
+    assert result.restart_final_logliks == finals
+    lines = [r.getMessage() for r in caplog.records]
+    assert [int(line.split()[2][len("sweeps=") :]) for line in lines] == [
+        len(t) for _, _, t, _ in oracle
+    ]
+    if init == "explicit":
+        assert lines[0] == "em restart: sweeps=2 stop=tol clipped=1"
+        assert not all(converged for *_, converged in oracle)
+
+
+@given(
+    restarts=st.integers(2, 4),
+    n=st.integers(2, 4),
+    s=st.integers(2, 3),
+    kernel_index=st.integers(0, 3),
+    engine=st.sampled_from(["dense", "factored"]),
+    max_iters=st.integers(1, 8),
+    tol=st.sampled_from([1e-2, 1e-3, 1e-4, 1e-8]),
+    seed=st.integers(1, 2**31 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_lockstep_matches_oracle_runs_on_both_engines(
+    restarts, n, s, kernel_index, engine, max_iters, tol, seed
+):
+    rng = np.random.default_rng(seed)
+    kernel = kernel_variants()[kernel_index]
+    pi = random_distribution(rng, s)
+    ds = simulate(pi, kernel, 4 * n + 6, n, seed=seed)
+    starts = rng.dirichlet(np.ones(s), size=restarts)
+    starts[0] = np.eye(s)[rng.integers(s)]
+    starts[1, : rng.integers(s)] = WEIGHT_FLOOR
+    starts /= starts.sum(axis=1, keepdims=True)
+    config = FitConfig(
+        support=tuple(pi.support),
+        init="explicit",
+        init_list=list(starts),
+        restarts=restarts,
+        max_iters=max_iters,
+        tol=tol,
+    )
+    _assert_lockstep_matches_oracle(model_on_engine(ds, pi, kernel, engine), config)

@@ -1,7 +1,7 @@
 import logging
 import math
 import re
-from unittest import mock
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +40,7 @@ from conftest import (
     block_log_kernel,
     enumerate_window_logprob,
     kernel_variants,
+    model_on_engine as _model,
     oracle_backward_messages,
     oracle_conditional_profile,
     random_distribution,
@@ -332,15 +333,6 @@ def test_contraction_envelope():
         assert step.tv <= step.step_factor * prev + 1e-12
         assert step.tv <= step.cumulative_bound + 1e-12
         prev = step.tv
-
-
-def _model(ds, pi, kernel, engine):
-    """A model on the given engine, chosen through the dense-block budget."""
-    budget = {"dense": 10**12, "factored": 0}[engine]
-    with mock.patch.object(likelihood, "_BLOCK_CACHE_BUDGET", budget):
-        model = LayerChainModel(ds, kernel, pi.support)
-    assert model.engine == engine
-    return model
 
 
 @pytest.mark.parametrize("engine", ["dense", "factored"])
@@ -758,6 +750,10 @@ def test_batched_forward_raises_where_one_row_loses_mass(engine):
     with pytest.raises(H1Violated, match=f"^zero likelihood mass at block {first}$"):
         model.log_likelihood(rows[1])
     assert np.all(np.isfinite(model.log_likelihood(rows[[0, 2]])))
+    assert _assert_posterior_batch_matches_rows(model, rows) == (
+        f"zero likelihood mass at block {first}"
+    )
+    assert _assert_posterior_batch_matches_rows(model, rows[[0, 2]]) is None
 
 
 @pytest.mark.filterwarnings("error")
@@ -813,6 +809,125 @@ def test_backward_underflow_raises_not_nan(s, seed, where):
     # sweep keeps positive mass; the marginals used to come back NaN.
     with pytest.raises(H1Violated, match=f"zero posterior mass at {where}$"):
         _extreme_posterior(3, s, "dense", 1, seed)
+
+
+def _posterior_outcome(model, probs):
+    """A one-row posterior sweep's (marginals, log-likelihood), or the message it raises."""
+    try:
+        return model.posterior_pass(probs)
+    except H1Violated as exc:
+        return str(exc)
+
+
+def _assert_posterior_batch_matches_rows(model, rows):
+    """The batched posterior sweep returns every row's own sweep, bit for bit,
+    or raises with the message of a failing row's own sweep: the lowest
+    forward block, else the highest backward block, else a layer."""
+    outcomes = [_posterior_outcome(model, row) for row in rows]
+    raised = [o for o in outcomes if isinstance(o, str)]
+    if raised:
+        with pytest.raises(H1Violated) as info:
+            model.posterior_pass(rows)
+        message = str(info.value)
+        assert message in raised
+        forward = [m for m in raised if m.startswith("zero likelihood mass at block")]
+        backward = [m for m in raised if m.startswith("zero posterior mass at block")]
+        if forward:
+            assert message == min(forward, key=lambda m: int(m.rsplit(" ", 1)[1]))
+        elif backward:
+            assert message == max(backward, key=lambda m: int(m.rsplit(" ", 1)[1]))
+        return message
+    marginals, logliks = model.posterior_pass(rows)
+    assert marginals.shape == (len(rows), model.dataset.graph.N, model.s)
+    assert logliks.shape == (len(rows),)
+    assert np.all(np.isfinite(marginals)) and np.all(np.isfinite(logliks))
+    for (marginals_r, loglik_r), row_marginals, loglik in zip(outcomes, marginals, logliks):
+        assert np.array_equal(row_marginals, marginals_r)
+        assert loglik == loglik_r
+    assert np.array_equal(logliks, model.log_likelihood(rows))
+    return None
+
+
+@given(
+    R=st.integers(1, 4),
+    n=st.integers(2, 4),
+    s=st.integers(2, 3),
+    extra=st.integers(0, 4),
+    kernel_index=st.integers(0, 3),
+    engine=st.sampled_from(["dense", "factored"]),
+    seed=st.integers(1, 2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_posterior_matches_per_row_sweeps_exactly(R, n, s, extra, kernel_index, engine, seed):
+    rng = np.random.default_rng(seed)
+    kernel = kernel_variants()[kernel_index]
+    pi = random_distribution(rng, s)
+    ds = simulate(pi, kernel, 4 * n + 2 + 2 * extra, n, seed=seed)
+    model = _model(ds, pi, kernel, engine)
+    rows = rng.dirichlet(np.ones(s), size=R)
+    for row, floored in zip(rows, rng.integers(0, s, size=R)):
+        row[:floored] = WEIGHT_FLOOR
+    rows /= rows.sum(axis=1, keepdims=True)
+    assert _assert_posterior_batch_matches_rows(model, rows) is None
+
+
+@pytest.mark.parametrize("engine, n, s", [("dense", 3, 6), ("factored", 3, 7)])
+def test_batched_posterior_matches_per_row_sweeps_above_243_states(engine, n, s):
+    # s**(2(n-1)) interior states: 1296 and 2401
+    rng = np.random.default_rng(s)
+    kernel = bt_ties(2.0)
+    pi = random_distribution(rng, s)
+    model = _model(simulate(pi, kernel, 4 * n + 8, n, seed=s), pi, kernel, engine)
+    assert s ** max(model.widths) > 243
+    assert _assert_posterior_batch_matches_rows(model, rng.dirichlet(np.ones(s), size=3)) is None
+
+
+@pytest.mark.filterwarnings("error")
+@given(
+    R=st.integers(2, 5),
+    n=st.integers(2, 3),
+    s=st.integers(2, 3),
+    engine=st.sampled_from(["dense", "factored"]),
+    seed=st.integers(1, 2**31 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_batched_posterior_with_extreme_tables_is_finite_or_raises(R, n, s, engine, seed):
+    rng = np.random.default_rng(seed)
+    model = _extreme_model(n, s, engine, seed, rng)
+    rows = rng.dirichlet(np.ones(s), size=R)
+    for row, floored in zip(rows, rng.integers(0, s, size=R)):
+        row[:floored] = WEIGHT_FLOOR
+    rows[rng.integers(R)] = np.eye(s)[rng.integers(s)]  # zero prior off one index
+    rows /= rows.sum(axis=1, keepdims=True)
+    _assert_posterior_batch_matches_rows(model, rows)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s, seed, where", [(2, 13, "block 2"), (3, 99, "layer 2")])
+def test_batched_posterior_raises_where_one_row_underflows(s, seed, where):
+    # The one-row draws of test_backward_underflow_raises_not_nan, with other rows around them.
+    rng = np.random.default_rng(seed)
+    model = _extreme_model(3, s, "dense", seed, rng)
+    probs = rng.dirichlet(np.ones(s))
+    probs[:1] = WEIGHT_FLOOR
+    probs /= probs.sum()
+    rows = np.array([np.full(s, 1.0 / s), probs, np.full(s, 1.0 / s)])
+    assert _assert_posterior_batch_matches_rows(model, rows) == f"zero posterior mass at {where}"
+
+
+def test_backward_messages_log_no_zero_weight_warning():
+    pi = uniform([1.0, 2.0])
+    k = bradley_terry()
+    model = LayerChainModel(simulate(pi, k, 20, 2, seed=1), k, pi.support)
+    point = np.array([1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        msgs = model.backward_messages(point, 2, 3)
+    # The first message is the log prior of layer m + 1 = 4.
+    prior = model._prior(point, 4)
+    first = msgs.log_messages[-1]
+    assert np.array_equal(np.isneginf(first), prior == 0.0)
+    assert np.array_equal(first[prior > 0.0], np.log(prior[prior > 0.0]))
 
 
 def _assert_conditional_sweep_matches_oracle(model, rng, K):
