@@ -10,11 +10,10 @@ import numpy as np
 
 from lgmle import (
     DiscreteDistribution,
+    LayerChainModel,
     bradley_terry,
     brute_force_log_likelihood,
     log_likelihood,
-    log_likelihood_profile,
-    posterior_node_marginals,
     simulate,
 )
 
@@ -29,13 +28,16 @@ bf = brute_force_log_likelihood(ds, pi_star, kernel)
 print(f"elimination: {ve:.12f}")
 print(f"enumeration: {bf:.12f}   (2^12 assignments, rel err {abs(ve-bf)/abs(bf):.1e})")
 
+# One chain model per (dataset, support) serves every sweep below.
+model = LayerChainModel(ds, kernel, pi_star.support)
+
 # Per-block log normalizers sum to the total.
-total, constants = log_likelihood_profile(ds, pi_star, kernel)
+total, constants = model.forward_constants(pi_star.probs)
 print(f"\nper-block log normalizers (sum {constants.sum():.6f}):")
 print(np.array2string(constants, precision=4))
 
 # Posterior weight distribution of each node given all outcomes.
-marginals = posterior_node_marginals(ds, pi_star, kernel)
+marginals, _ = model.posterior_pass(pi_star.probs)
 print("\nposterior P(V_i = 3 | outcomes) per node vs the true weights:")
 for node in range(1, ds.graph.N + 1):
     truth = ds.true_weights[node - 1]

@@ -11,7 +11,7 @@ import csv
 
 from lgmle import (
     DiscreteDistribution,
-    backward_contraction_profile,
+    LayerChainModel,
     bradley_terry,
     epsilon_floor,
     simulate,
@@ -26,23 +26,26 @@ cert = epsilon_floor(kernel, pi.support)
 nu = cert.nu(ds.graph.n * (ds.graph.n - 1))
 print(f"epsilon = {cert.epsilon} at k{cert.attained_at}, interior nu = {nu}")
 
-rows = forgetting_profile(ds, pi, kernel, q_values=[2, 5, 10])
-print(f"\n{len(rows)} horizon-extension gaps; all below the envelope:")
-for r in rows[:8]:
-    print(f"  q={r.q:2d} m={r.m:2d} ell={r.ell:2d}  gap={r.gap:.3e}  bound={r.bound:.3e}")
+# One envelope as columns: windows (q, m, ell), the measured gaps, their bounds.
+envelope = forgetting_profile(ds, pi, kernel, q_values=[2, 5, 10])
+print(f"\n{len(envelope)} horizon-extension gaps, {envelope.violations(0.0)} above the envelope:")
+rows = envelope.rows()
+for q, m, ell, gap, bound in rows[:8]:
+    print(f"  q={q:2d} m={m:2d} ell={ell:2d}  gap={gap:.3e}  bound={bound:.3e}")
 print("  ...")
-worst = max(r.gap / r.bound for r in rows)
+worst = (envelope.value / envelope.bound).max()
 print(f"worst gap/bound ratio: {worst:.3f}")
 
 with open("forgetting_profile.csv", "w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(["q", "m", "ell", "gap", "bound"])
-    writer.writerows((r.q, r.m, r.ell, r.gap, r.bound) for r in rows)
+    writer.writerows(rows)
 print("wrote forgetting_profile.csv")
 
 # Backward contraction: two extreme beliefs about the farthest layer merge
 # geometrically as they propagate toward node 1.
-profile = backward_contraction_profile(ds, pi, kernel)
+model = LayerChainModel(ds, kernel, pi.support)
+profile = model.contraction_profile(pi.probs, 2, ds.layers.q_max - 1)
 print(f"\ncontraction from layer {profile.window[1]} down to {profile.window[0]} "
       f"(initial tv {profile.initial_tv}):")
 for step in profile.steps[:10]:

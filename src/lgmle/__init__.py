@@ -39,7 +39,7 @@ from .errors import (
     SupportMismatch,
     TooLargeForBruteForce,
 )
-from .estimator import FitConfig, FitResult, em_step, fit_mle, profile_likelihood
+from .estimator import FitConfig, FitResult, fit_mle, profile_likelihood
 from .kernels import (
     EpsilonCertificate,
     Kernel,
@@ -56,14 +56,9 @@ from .likelihood import (
     BackwardMessages,
     ContractionProfile,
     LayerChainModel,
-    backward_contraction_profile,
-    backward_messages,
     brute_force_log_likelihood,
     brute_force_node_marginals,
-    conditional_log_prob,
     log_likelihood,
-    log_likelihood_profile,
-    posterior_node_marginals,
 )
 from .rr_graph import (
     LayerStructure,

@@ -72,7 +72,7 @@ def tv_log_distance(pi: DiscreteDistribution, pi_prime: DiscreteDistribution) ->
 
 def tv_log_of_tv(tv: float) -> float:
     if tv < 0:
-        raise ValueError("total variation cannot be negative")
+        raise InvalidValue("total variation cannot be negative")
     if tv == 0.0:
         return 0.0
     if tv <= math.exp(-1):
@@ -246,22 +246,27 @@ def excess_risks(
 # -- deviation-bound scale and entropy ----------------------------------------
 
 
-def risk_bound_rhs(n: int, epsilon: float, N: int, entropy_integral: float, t: float, c: float = 1.0) -> float:
+# The tail level t of the reported bound scale: e^(-t^2) = 1/2 matches a median.
+_MEDIAN_T = math.sqrt(math.log(2.0))
+# C of the simplex net bound N(simplex, tv, u) <= (C/u)^(s-1).
+_COVERING_CONSTANT = 10.0
+
+
+def risk_bound_rhs(n: int, epsilon: float, N: int, entropy_integral: float, t: float) -> float:
     """Reference scale of the excess-risk deviation bound.
 
-    c is unspecified by the theory and fixed to 1 for reporting; only shape
-    and monotonicity statements should ever be asserted against this value.
+    Its constant c is unspecified by the theory and fixed to 1 for reporting;
+    only shape and monotonicity statements should ever be asserted against
+    this value.
     """
-    return c * n * epsilon ** (-6 * n * n) / math.sqrt(N) * (entropy_integral + t)
+    return n * epsilon ** (-6 * n * n) / math.sqrt(N) * (entropy_integral + t)
 
 
-def simplex_entropy_integral(
-    s: int, resolution: int = 4096, covering_constant: float = 10.0
-) -> float:
+def simplex_entropy_integral(s: int, resolution: int = 4096) -> float:
     """Entropy integral of the (s-1)-simplex under the covering metric.
 
     Uses the textbook net bound N(simplex, tv, u) <= (C/u)^(s-1) (an external
-    input, not part of the model; C defaults to 10) together with the exact
+    input, not part of the model; C is 10) together with the exact
     substitution between tv-radius u and metric radius tv*log(1/tv): the
     integral becomes the tv-entropy integrand weighted by the derivative
     log(1/u) - 1 below 1/e.  Log-spaced trapezoid quadrature; ``resolution``
@@ -272,21 +277,12 @@ def simplex_entropy_integral(
     if s == 1:
         return 0.0
     u = np.geomspace(1e-15, 2.0, resolution)
-    log_cover = (s - 1) * np.maximum(0.0, np.log(covering_constant / u))
+    log_cover = (s - 1) * np.maximum(0.0, np.log(_COVERING_CONSTANT / u))
     dphi = np.where(u <= math.exp(-1), np.log(1.0 / u) - 1.0, 1.0)
     return float(trapezoid(np.sqrt(log_cover) * dphi, u))
 
 
 # -- forgetting / bounded-difference / increment checks -----------------------
-
-
-@dataclass(frozen=True)
-class ForgettingRow:
-    q: int
-    m: int
-    ell: int
-    gap: float
-    bound: float
 
 
 @dataclass(frozen=True)
@@ -410,23 +406,24 @@ def forgetting_profile(
     kernel: Kernel,
     q_values=None,
     max_ell: int | None = None,
-) -> list[ForgettingRow]:
+) -> Envelope:
     """Measured horizon-extension gaps of the conditional block likelihoods.
 
-    For every interior q and every horizon pair (m, m + ell) the row records
-    |log P(X_q | X_{q+1:m}) - log P(X_q | X_{q+1:m+ell})| next to its
-    geometric envelope.  One backward sweep for all horizons.  Every q in
-    ``q_values`` must lie in [2, q_max - 1].
+    For every interior q and every horizon pair (m, m + ell), window (q, m,
+    ell) holds |log P(X_q | X_{q+1:m}) - log P(X_q | X_{q+1:m+ell})| as its
+    value and its geometric envelope as its bound.  One backward sweep for
+    all horizons.  Every q in ``q_values`` must lie in [2, q_max - 1].
     """
     profiles = _interior_profiles(dataset, pi, kernel)
-    return [ForgettingRow(*row) for row in _forgetting_envelope(*profiles, q_values, max_ell).rows()]
+    return _forgetting_envelope(*profiles, q_values, max_ell)
 
 
 def conditional_magnitude_rows(
     dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel
-) -> list[tuple[int, int, float, float]]:
-    """(q, m, |log P(X_q | X_{q+1:m})|, |X_q| log(1/epsilon)) on the interior."""
-    return _magnitude_envelope(*_interior_profiles(dataset, pi, kernel)).rows()
+) -> Envelope:
+    """|log P(X_q | X_{q+1:m})| against |X_q| log(1/epsilon), windows (q, m)
+    over the interior."""
+    return _magnitude_envelope(*_interior_profiles(dataset, pi, kernel))
 
 
 def _diagnose(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -> Diagnosis:
@@ -448,36 +445,29 @@ def _diagnose(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -> Dia
     return Diagnosis(model.floor.epsilon, contraction, envelopes)
 
 
-@dataclass(frozen=True)
-class FlipRow:
-    q: int
-    flip_layer: int
-    edge: tuple[int, int]
-    new_outcome: object
-    gap: float
-    bound: float
-
-
 def single_flip_rows(
     dataset: Dataset,
     pi: DiscreteDistribution,
     kernel: Kernel,
-) -> list[FlipRow]:
+) -> Envelope:
     """Exhaustive single-outcome flips against their influence envelope.
 
-    Every edge of every interior block gets every alternative outcome; the
-    row compares the change of log P(X_q | X_{q+1:m}), m = q_max - 1, for
-    each interior q <= flip layer with nu_q^-1 * prod_{k=q+1}^{flip-1}(1 - nu_k).
+    Every edge (i, j) of every interior block gets every alternative outcome
+    (``outcome`` indexes ``kernel.outcomes``); window (q, flip_layer, i, j,
+    outcome) holds the change of log P(X_q | X_{q+1:m}), m = q_max - 1, for
+    each interior q <= flip layer, against nu_q^-1 *
+    prod_{k=q+1}^{flip-1}(1 - nu_k).
     """
     model = LayerChainModel(dataset, kernel, pi.support)
     m = dataset.layers.q_max - 1
     bounds = _forgetting_bounds(model)
     (base,) = model.conditional_profiles(pi.probs, [m])
-    rows: list[FlipRow] = []
+    windows: list[tuple[int, ...]] = []
+    gaps = [np.empty(0)]
     for flip_layer in range(2, m + 1):
         for edge in dataset.layers.block_edges(flip_layer):
             original = dataset.outcomes[edge]
-            for alt in kernel.outcomes:
+            for outcome, alt in enumerate(kernel.outcomes):
                 if alt == original:
                     continue
                 flipped = dict(dataset.outcomes)
@@ -487,18 +477,11 @@ def single_flip_rows(
                 )
                 flipped_model = LayerChainModel(flipped_ds, kernel, pi.support)
                 (prof,) = flipped_model.conditional_profiles(pi.probs, [m])
-                for q in range(2, flip_layer + 1):
-                    rows.append(
-                        FlipRow(
-                            q=q,
-                            flip_layer=flip_layer,
-                            edge=edge,
-                            new_outcome=alt,
-                            gap=abs(base[q] - prof[q]),
-                            bound=float(bounds[q, flip_layer]),
-                        )
-                    )
-    return rows
+                windows += [(q, flip_layer, *edge, outcome) for q in range(2, flip_layer + 1)]
+                gaps.append(np.abs(base[2 : flip_layer + 1] - prof[2 : flip_layer + 1]))
+    q, flip_layer, i, j, outcome = np.array(windows, dtype=int).reshape(-1, 5).T
+    columns = {"q": q, "flip_layer": flip_layer, "i": i, "j": j, "outcome": outcome}
+    return Envelope(columns, np.concatenate(gaps), bounds[q, flip_layer])
 
 
 def increment_envelope(nu: float, q: int, m: int, block_tv: float) -> float:
@@ -512,23 +495,18 @@ def increment_envelope(nu: float, q: int, m: int, block_tv: float) -> float:
     return 2.0 * block_tv * total / nu**3
 
 
-@dataclass(frozen=True)
-class IncrementRow:
-    q: int
-    m: int
-    gap: float
-    bound_product: float  # envelope via the product-TV inequality
-    bound_exact: float  # envelope via the exact block TV
-
-
 def increment_rows(
     dataset: Dataset,
     pi: DiscreteDistribution,
     pi_prime: DiscreteDistribution,
     kernel: Kernel,
-) -> list[IncrementRow]:
+) -> dict[str, Envelope]:
     """|log P_pi(X_q | X_{q+1:m}) - log P_pi'(X_q | X_{q+1:m})| vs envelopes,
-    for m = q_max - 1 and every interior q <= m."""
+    windows (q, m) for m = q_max - 1 and every interior q <= m.
+
+    "product" bounds the block total variation by the product-TV inequality,
+    "exact" computes it; the two share their window and value columns.
+    """
     if not pi.same_support(pi_prime):
         raise InvalidValue("increment comparison requires a common support")
     m = dataset.layers.q_max - 1
@@ -540,19 +518,13 @@ def increment_rows(
     tv_product_bound = width * tv
     tv_exact = product_tv_distance(pi, pi_prime, width)
     prof_a, prof_b = model.conditional_profiles([pi.probs, pi_prime.probs], m)
-    rows = []
-    for q in range(2, m + 1):
-        gap = abs(prof_a[q] - prof_b[q])
-        rows.append(
-            IncrementRow(
-                q=q,
-                m=m,
-                gap=gap,
-                bound_product=increment_envelope(nu, q, m, tv_product_bound),
-                bound_exact=increment_envelope(nu, q, m, tv_exact),
-            )
-        )
-    return rows
+    qs = range(2, m + 1)
+    windows = {"q": np.array(qs, dtype=int), "m": np.full(len(qs), m)}
+    gap = np.abs(prof_a[2 : m + 1] - prof_b[2 : m + 1])
+    return {
+        name: Envelope(windows, gap, np.array([increment_envelope(nu, q, m, tv) for q in qs]))
+        for name, tv in (("product", tv_product_bound), ("exact", tv_exact))
+    }
 
 
 # -- scaling experiment --------------------------------------------------------
@@ -587,8 +559,6 @@ def scaling_experiment(
     fit_config: FitConfig | None = None,
     eval_N: int = 4000,
     eval_replicates: int = 8,
-    t: float | None = None,
-    covering_constant: float = 10.0,
 ) -> ScalingTable:
     """Median excess risk of the fitted MLE per graph size, with the bound scale.
 
@@ -598,12 +568,10 @@ def scaling_experiment(
     (common random numbers).  For two-point supports the residual linear
     error of the plug-in difference at pi_star is removed with a
     central-difference slope correction, which keeps the medians of
-    near-optimal fits unbiased.  The reported rhs uses c = 1 and, by default,
-    t = sqrt(log 2) so that the tail level e^(-t^2) matches the median.
+    near-optimal fits unbiased.  The reported rhs uses c = 1 and t =
+    sqrt(log 2), so that the tail level e^(-t^2) matches the median.
     """
     _require_counts(seeds_per_n=seeds_per_n, eval_replicates=eval_replicates)
-    if t is None:
-        t = math.sqrt(math.log(2.0))
     if fit_config is None:
         fit_config = FitConfig(support=tuple(pi_star.support), mode="em", tol=1e-9, max_iters=500)
     if fit_config.mode == "grid":
@@ -618,7 +586,7 @@ def scaling_experiment(
                 f"{tuple(pi_star.support.tolist())}; excess risks are scored on pi_star's support"
             )
     epsilon = epsilon_floor(kernel, pi_star.support).epsilon
-    integral = simplex_entropy_integral(pi_star.size, covering_constant=covering_constant)
+    integral = simplex_entropy_integral(pi_star.size)
 
     fits = []
     for N in N_list:
@@ -655,14 +623,14 @@ def scaling_experiment(
                 N=N,
                 median_excess=float(q50),
                 iqr=float(q75 - q25),
-                rhs=risk_bound_rhs(n, epsilon, N, integral, t),
+                rhs=risk_bound_rhs(n, epsilon, N, integral, _MEDIAN_T),
             )
         )
     return ScalingTable(
         rows=tuple(rows),
         n=n,
         support=tuple(pi_star.support),
-        t=t,
+        t=_MEDIAN_T,
         entropy_integral=integral,
         epsilon=epsilon,
         seeds_per_n=seeds_per_n,
@@ -670,6 +638,9 @@ def scaling_experiment(
 
 
 # -- Z-process concentration ----------------------------------------------------
+
+# The tail levels t at which exceedances are measured.
+_Z_T_GRID = (1.0, 2.0, 3.0)
 
 
 @dataclass(frozen=True)
@@ -690,14 +661,14 @@ def z_process_concentration(
     n: int = 2,
     replicates: int = 200,
     base_seed: int = 99,
-    t_grid=(1.0, 2.0, 3.0),
 ) -> list[ZProcessSummary]:
     """Tail behaviour of the centered layer-averaged conditional log-likelihoods.
 
     Z is the across-layer average of log P_pi(X_q | X_{q+1:m}) centered at its
     across-replicate mean.  Exceedance frequencies are measured at
-    t * sqrt(2) * std(Z) (the subgaussian scale; a Gaussian tail then sits
-    below 2 e^(-t^2) at every t).  All candidates share the same datasets.
+    t * sqrt(2) * std(Z) for t in ``_Z_T_GRID`` (the subgaussian scale; a
+    Gaussian tail then sits below 2 e^(-t^2) at every t).  All candidates
+    share the same datasets.
     """
     _require_counts(replicates=replicates)
     seeds = np.random.SeedSequence([base_seed, 515151]).generate_state(replicates)
@@ -721,7 +692,7 @@ def z_process_concentration(
         degenerate = sigma <= 1e-12 * max(1.0, float(np.abs(sums).max()))
         exceedance = {}
         envelope = {}
-        for t in t_grid:
+        for t in _Z_T_GRID:
             threshold = t * math.sqrt(2.0) * sigma
             exceedance[t] = (
                 0.0 if degenerate else float(np.mean(np.abs(centered) > threshold))

@@ -245,7 +245,8 @@ def cmd_loglik(args) -> int:
     kernel = _kernel(config)
     ds = _dataset(config, args, kernel)
     pi = _distribution(config, "pi")
-    value, constants = likelihood.log_likelihood_profile(ds, pi, kernel)
+    model = likelihood.LayerChainModel(ds, kernel, pi.support)
+    value, constants = model.forward_constants(pi.probs)
     out = _out_dir(args)
     _write_json(
         os.path.join(out, "loglik.json"),

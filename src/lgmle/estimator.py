@@ -82,17 +82,6 @@ def _m_step(marginals: np.ndarray) -> tuple[np.ndarray, int]:
     return probs / probs.sum(), int(np.count_nonzero(mean < WEIGHT_FLOOR))
 
 
-def em_step(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -> DiscreteDistribution:
-    """One EM update: average the exact posterior node marginals.
-
-    Weights below the floor are clipped and renormalized (documented
-    deviation from the pure update; see WEIGHT_FLOOR).
-    """
-    model = LayerChainModel(dataset, kernel, pi.support)
-    probs, _ = _m_step(model.node_marginals(pi.probs))
-    return pi.with_probs(probs)
-
-
 def _em_lockstep(model: LayerChainModel, starts: list[np.ndarray], config: FitConfig):
     """EM from every start at once: one (probs, log-likelihood, trajectory,
     converged) per start, in order.

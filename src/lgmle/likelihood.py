@@ -456,10 +456,6 @@ class LayerChainModel:
             return totals[0], constants[:, 0]
         return totals, constants.T
 
-    def node_marginals(self, probs) -> np.ndarray:
-        """(N, s) posterior P(V_i = support[a] | outcomes); row i-1 is node i."""
-        return self.posterior_pass(probs)[0]
-
     def posterior_pass(self, probs) -> tuple:
         """(node marginals, log-likelihood) from one forward-backward sweep.
 
@@ -572,11 +568,6 @@ class LayerChainModel:
                 normalizers.append(log_z[0])
         return BackwardMessages((q, m), tuple(messages[::-1]), tuple(normalizers[::-1]))
 
-    def conditional_log_prob(self, probs, q: int, m: int) -> float:
-        """log P(X_q | X_{q+1:m}) on the interior window."""
-        msgs = self.backward_messages(probs, q, m)
-        return msgs.log_normalizers[0] - msgs.log_normalizers[1]
-
     def conditional_profiles(self, probs, horizons) -> np.ndarray:
         """(R, q_max): log P(X_q | X_{q+1:m_r}) at columns 2 <= q <= m_r, else NaN.
         Row r has horizon ``horizons[r]`` (or the one given) and ``probs`` or ``probs[r]``."""
@@ -620,32 +611,21 @@ class LayerChainModel:
             g = denom / denom.max()
         return kernels
 
-    def contraction_profile(
-        self,
-        probs,
-        q: int,
-        m: int,
-        mu1: np.ndarray | None = None,
-        mu2: np.ndarray | None = None,
-    ) -> ContractionProfile:
-        """Propagate two block distributions of layer m backward to layer q.
+    def contraction_profile(self, probs, q: int, m: int) -> ContractionProfile:
+        """Propagate two block distributions of layer m backward to layer q:
+        the point masses on its first and last block states.
 
         Records the total-variation distance (full-sum convention, range
         [0, 2]) after each realized kernel application, the per-step Doeblin
         factor 1 - nu_k (:meth:`block_nus`), and the cumulative envelope
-        initial_tv * prod(1 - nu_i).  Defaults: point masses on the first and
-        last block states of layer m.
+        initial_tv * prod(1 - nu_i).
         """
         self._check_window(q, m)
         size_m = self.s ** self.widths[m]
-        if mu1 is None:
-            mu1 = np.zeros(size_m)
-            mu1[0] = 1.0
-        if mu2 is None:
-            mu2 = np.zeros(size_m)
-            mu2[-1] = 1.0
-        mu1 = np.asarray(mu1, dtype=float)
-        mu2 = np.asarray(mu2, dtype=float)
+        mu1 = np.zeros(size_m)
+        mu1[0] = 1.0
+        mu2 = np.zeros(size_m)
+        mu2[-1] = 1.0
         kernels = self.backward_kernels(probs, q, m)
         nus = self.block_nus()
         initial_tv = float(np.abs(mu1 - mu2).sum())
@@ -699,13 +679,6 @@ def log_likelihood(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel) -
     return LayerChainModel(dataset, kernel, pi.support).log_likelihood(pi.probs)
 
 
-def log_likelihood_profile(
-    dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel
-) -> tuple[float, np.ndarray]:
-    """(log-likelihood, per-block log normalizers) for diagnostics dumps."""
-    return LayerChainModel(dataset, kernel, pi.support).forward_constants(pi.probs)
-
-
 def brute_force_log_likelihood(
     dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel
 ) -> float:
@@ -746,37 +719,3 @@ def _brute_force_assignment_logliks(dataset, pi, kernel) -> np.ndarray:
         xi = kernel.outcome_index(x)
         ll = ll + table[xi].ravel()[digits[:, i - 1] * s + digits[:, j - 1]]
     return ll
-
-
-def posterior_node_marginals(
-    dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel
-) -> np.ndarray:
-    """Exact posterior P(V_i = support[a] | outcomes) for every node, (N, s)."""
-    return LayerChainModel(dataset, kernel, pi.support).node_marginals(pi.probs)
-
-
-def conditional_log_prob(
-    dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel, q: int, m: int
-) -> float:
-    """log P(X_q | X_{q+1:m}) for an interior window 2 <= q <= m <= q_max-1."""
-    return LayerChainModel(dataset, kernel, pi.support).conditional_log_prob(pi.probs, q, m)
-
-
-def backward_messages(
-    dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel, q: int, m: int
-) -> BackwardMessages:
-    return LayerChainModel(dataset, kernel, pi.support).backward_messages(pi.probs, q, m)
-
-
-def backward_contraction_profile(
-    dataset: Dataset,
-    pi: DiscreteDistribution,
-    kernel: Kernel,
-    mu1: np.ndarray | None = None,
-    mu2: np.ndarray | None = None,
-) -> ContractionProfile:
-    """Measured total-variation contraction of the realized backward kernels
-    over the interior window, from layer q_max - 1 down to layer 2."""
-    model = LayerChainModel(dataset, kernel, pi.support)
-    return model.contraction_profile(pi.probs, 2, dataset.layers.q_max - 1, mu1=mu1, mu2=mu2)
-

@@ -19,7 +19,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DisconnectedGraph, InvalidDimensions
+from .errors import DisconnectedGraph, InvalidDimensions, InvalidValue, LayerOutOfRange
 
 Edge = tuple[int, int]
 
@@ -89,9 +89,12 @@ class LayerStructure:
         return out
 
     def block_edges(self, q: int) -> tuple[Edge, ...]:
-        """Edges of the q-th chain block: cross q<->q+1 plus within q+1."""
+        """Edges of the q-th chain block, 0 <= q <= q_max: cross q<->q+1 plus
+        within q+1."""
         if self.within_edges is None or self.cross_edges is None:
-            raise ValueError("edge layers are not available on a predicted structure")
+            raise InvalidValue("edge layers are not available on a predicted structure")
+        if not 0 <= q <= self.q_max:
+            raise LayerOutOfRange(f"chain block q={q} is outside [0, {self.q_max}]")
         return self.cross_edges[q] + self.within_edges[q + 1]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import namedtuple
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,6 @@ from lgmle import (
 )
 from lgmle import likelihood
 from lgmle.analysis import (
-    ForgettingRow,
     RiskReport,
     ScalingRow,
     ZProcessSummary,
@@ -346,6 +346,8 @@ def oracle_z_process(pi_list, kernel, pi_star, N, n, replicates, base_seed, t_gr
 
 # -- the diagnose rows as they were built before the column envelopes ---------
 # One row object per window, the forgetting bound re-multiplied per (q, m).
+
+ForgettingRow = namedtuple("ForgettingRow", "q m ell gap bound")
 
 
 def forgetting_gap_bound(nus, q: int, m: int) -> float:

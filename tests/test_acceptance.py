@@ -13,6 +13,7 @@ import numpy as np
 from lgmle import (
     DiscreteDistribution,
     FitConfig,
+    LayerChainModel,
     RiskParams,
     bradley_terry,
     brute_force_log_likelihood,
@@ -22,7 +23,6 @@ from lgmle import (
     excess_risk,
     fit_mle,
     log_likelihood,
-    posterior_node_marginals,
     simulate,
 )
 from lgmle.analysis import (
@@ -98,10 +98,10 @@ def test_criterion_3_forgetting_bounds():
         ds = simulate(pi, kernel, N, n, seed=seed)
         rows = forgetting_profile(ds, pi, kernel)
         gap_rows += len(rows)
-        violations += sum(1 for r in rows if r.gap > r.bound + 1e-12)
+        violations += rows.violations(1e-12)
         mags = conditional_magnitude_rows(ds, pi, kernel)
         mag_rows += len(mags)
-        violations += sum(1 for _, _, v, b in mags if v > b + 1e-12)
+        violations += mags.violations(1e-12)
     elapsed = time.time() - t0
     _check(
         3,
@@ -125,7 +125,7 @@ def test_criterion_4_bounded_differences():
         ds = simulate(pi, kernel, N, n, seed=seed)
         rows = single_flip_rows(ds, pi, kernel)
         total += len(rows)
-        violations += sum(1 for r in rows if r.gap > r.bound + 1e-12)
+        violations += rows.violations(1e-12)
     elapsed = time.time() - t0
     _check(
         4,
@@ -147,9 +147,9 @@ def test_criterion_5_increment_bound():
             a = DiscreteDistribution(pi.support, random_distribution(rng, pi.size).probs)
             b = DiscreteDistribution(pi.support, random_distribution(rng, pi.size).probs)
             pairs += 1
-            rows = increment_rows(ds, a, b, kernel)
+            rows = increment_rows(ds, a, b, kernel)["product"]
             rows_checked += len(rows)
-            violations += sum(1 for r in rows if r.gap > r.bound_product + 1e-12)
+            violations += rows.violations(1e-12)
     elapsed = time.time() - t0
     _check(
         5,
@@ -173,7 +173,7 @@ def test_criterion_6_em_monotonicity_and_posteriors():
             worst_drop = max(worst_drop, float(-d.min()))
     worst_marg = 0.0
     for ds, pi, kernel in small_instances(10, rng_seed=99, N_choices=(10, 12)):
-        exact = posterior_node_marginals(ds, pi, kernel)
+        exact, _ = LayerChainModel(ds, kernel, pi.support).posterior_pass(pi.probs)
         oracle = brute_force_node_marginals(ds, pi, kernel)
         worst_marg = max(worst_marg, float(np.max(np.abs(exact - oracle))))
     elapsed = time.time() - t0

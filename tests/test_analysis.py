@@ -218,9 +218,28 @@ def test_forgetting_and_magnitude_bounds_hold():
     k = bradley_terry()
     ds = simulate(pi, k, 30, 2, seed=11)
     rows = forgetting_profile(ds, pi, k)
-    assert rows and all(r.gap <= r.bound + 1e-12 for r in rows)
+    assert len(rows) and rows.violations(1e-12) == 0
     mags = conditional_magnitude_rows(ds, pi, k)
-    assert mags and all(value <= bound + 1e-12 for _, _, value, bound in mags)
+    assert len(mags) and mags.violations(1e-12) == 0
+
+
+@pytest.mark.parametrize("kernel", [bradley_terry(), bt_ties(2.0)], ids=["bt", "bt_ties"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_library_envelopes_equal_diagnose_envelopes(n, kernel):
+    # the library's bound checks and `lgmle diagnose` report the same columns
+    pi = DiscreteDistribution([1.0, 2.0, 3.0], [0.3, 0.4, 0.3])
+    ds = simulate(pi, kernel, 30, n, seed=17)
+    envelopes = analysis._diagnose(ds, pi, kernel).envelopes
+    for name, env in (
+        ("forgetting", forgetting_profile(ds, pi, kernel)),
+        ("magnitude", conditional_magnitude_rows(ds, pi, kernel)),
+    ):
+        expected = envelopes[name]
+        assert list(env.windows) == list(expected.windows), name
+        for key, column in env.windows.items():
+            assert np.array_equal(column, expected.windows[key]), (name, key)
+        assert np.array_equal(env.value, expected.value), name
+        assert np.array_equal(env.bound, expected.bound), name
 
 
 @given(
@@ -251,8 +270,9 @@ def test_forgetting_columns_equal_row_oracle(n, N, s, kernel_index, seed, data):
         ):
             rows = forgetting_profile(ds, pi, kernel, q_values=q_values, max_ell=max_ell)
         oracle = oracle_forgetting_rows(ds, pi, kernel, q_values, max_ell, nus)
+        columns = {**rows.windows, "gap": rows.value, "bound": rows.bound}
         for field in ("q", "m", "ell", "gap", "bound"):
-            assert [getattr(r, field) for r in rows] == [getattr(r, field) for r in oracle], field
+            assert columns[field].tolist() == [getattr(r, field) for r in oracle], field
 
 
 def test_forgetting_window_outside_interior_raises():
@@ -260,7 +280,7 @@ def test_forgetting_window_outside_interior_raises():
     k = bradley_terry()
     ds = simulate(pi, k, 30, 2, seed=11)
     top = ds.layers.q_max - 1
-    assert forgetting_profile(ds, pi, k, q_values=[top]) == []
+    assert len(forgetting_profile(ds, pi, k, q_values=[top])) == 0
     for q in (1, 0, -1, top + 1):
         with pytest.raises(LayerOutOfRange, match=f"q={q} "):
             forgetting_profile(ds, pi, k, q_values=[2, q])
@@ -295,7 +315,7 @@ def test_single_flip_bounds_hold():
     k = bradley_terry()
     ds = simulate(pi, k, 24, 2, seed=12)
     rows = single_flip_rows(ds, pi, k)
-    assert rows and all(r.gap <= r.bound + 1e-12 for r in rows)
+    assert len(rows) and rows.violations(1e-12) == 0
 
 
 @given(
@@ -318,9 +338,10 @@ def test_single_flip_bounds_equal_gap_bound_oracle(n, N, s, kernel_index, seed):
     for nus, block_nus in ((real, LayerChainModel.block_nus), (varied, lambda model: varied)):
         with mock.patch.object(LayerChainModel, "block_nus", block_nus):
             rows = single_flip_rows(ds, pi, kernel)
+        q, flip_layer = rows.windows["q"].tolist(), rows.windows["flip_layer"].tolist()
         # flips reach the last interior layer, the bound matrix's last column
-        assert max(r.flip_layer for r in rows) == ds.layers.q_max - 1
-        assert [r.bound for r in rows] == [forgetting_gap_bound(nus, r.q, r.flip_layer) for r in rows]
+        assert max(flip_layer) == ds.layers.q_max - 1
+        assert rows.bound.tolist() == [forgetting_gap_bound(nus, a, b) for a, b in zip(q, flip_layer)]
 
 
 @pytest.mark.parametrize("kernel_index", range(4))
@@ -334,19 +355,25 @@ def test_flip_and_increment_gaps_equal_single_vector_oracle(kernel_index):
     model = LayerChainModel(ds, kernel, pi.support)
     base = oracle_conditional_profile(model, pi.probs, m)
     moved = oracle_conditional_profile(model, other.probs, m)
-    rows = increment_rows(ds, pi, other, kernel)
-    assert [(r.q, r.gap) for r in rows] == [(q, abs(base[q] - moved[q])) for q in range(2, m + 1)]
+    for rows in increment_rows(ds, pi, other, kernel).values():
+        found = zip(rows.windows["q"].tolist(), rows.windows["m"].tolist(), rows.value.tolist())
+        assert list(found) == [(q, m, abs(base[q] - moved[q])) for q in range(2, m + 1)]
     expected = []
     for flip_layer in range(2, m + 1):
         for edge in ds.layers.block_edges(flip_layer):
-            for alt in kernel.outcomes:
+            for outcome, alt in enumerate(kernel.outcomes):
                 if alt != ds.outcomes[edge]:
                     flipped = dataclasses.replace(ds, outcomes={**ds.outcomes, edge: alt})
                     prof = oracle_conditional_profile(
                         LayerChainModel(flipped, kernel, pi.support), pi.probs, m
                     )
-                    expected += [abs(base[q] - prof[q]) for q in range(2, flip_layer + 1)]
-    assert [r.gap for r in single_flip_rows(ds, pi, kernel)] == expected
+                    expected += [
+                        (q, flip_layer, *edge, outcome, abs(base[q] - prof[q]))
+                        for q in range(2, flip_layer + 1)
+                    ]
+    rows = single_flip_rows(ds, pi, kernel)
+    assert list(zip(*(col.tolist() for col in rows.windows.values()), rows.value.tolist())) == expected
+    assert list(rows.windows) == ["q", "flip_layer", "i", "j", "outcome"]
 
 
 def test_increment_bounds_hold(rng):
@@ -356,8 +383,8 @@ def test_increment_bounds_hold(rng):
     for _ in range(10):
         other = DiscreteDistribution(pi.support, random_distribution(rng, 2).probs)
         rows = increment_rows(ds, pi, other, k)
-        assert rows and all(r.gap <= r.bound_exact + 1e-12 for r in rows)
-        assert all(r.bound_exact <= r.bound_product + 1e-12 for r in rows)
+        assert len(rows["exact"]) and rows["exact"].violations(1e-12) == 0
+        assert np.all(rows["exact"].bound <= rows["product"].bound + 1e-12)
 
 
 def test_scaling_singleton_family_zero_excess():

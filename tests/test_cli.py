@@ -719,7 +719,7 @@ def test_other_exceptions_exit_1(tmp_path, base_config, capsys, monkeypatch, exc
     def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(likelihood, "log_likelihood_profile", broken)
+    monkeypatch.setattr(likelihood.LayerChainModel, "forward_constants", broken)
     assert run(["loglik", "--config", base_config(), "--out", tmp_path / "ll"]) == 1
     assert capsys.readouterr().err == f"runtime error: {shown}\n"
 
@@ -731,7 +731,7 @@ def test_runtime_error_traceback_at_debug(tmp_path, base_config):
         "from lgmle import cli, likelihood\n"
         "def broken(*args):\n"
         "    raise KeyError('layer')\n"
-        "likelihood.log_likelihood_profile = broken\n"
+        "likelihood.LayerChainModel.forward_constants = broken\n"
         f"sys.exit(cli.main(['loglik', '--config', {str(base_config())!r}, '--out', {str(tmp_path)!r}]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src), LGMLE_LOG="DEBUG")

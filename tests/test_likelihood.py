@@ -14,20 +14,15 @@ from lgmle import (
     Kernel,
     LayerOutOfRange,
     TooLargeForBruteForce,
-    backward_contraction_profile,
-    backward_messages,
     bradley_terry,
     brute_force_log_likelihood,
     brute_force_node_marginals,
     bt_ties,
-    conditional_log_prob,
     custom_table,
     epsilon_floor,
     log_likelihood,
-    log_likelihood_profile,
     point_mass,
     point_mass_on,
-    posterior_node_marginals,
     simulate,
     uniform,
     uniform_kernel,
@@ -165,7 +160,7 @@ def test_per_layer_normalizers_sum_to_total():
     pi = uniform([1.0, 3.0])
     k = bradley_terry()
     ds = simulate(pi, k, 20, 3, seed=6)
-    total, constants = log_likelihood_profile(ds, pi, k)
+    total, constants = LayerChainModel(ds, k, pi.support).forward_constants(pi.probs)
     assert constants.size == ds.layers.q_max + 1
     assert total == pytest.approx(constants.sum(), rel=1e-14)
 
@@ -174,20 +169,22 @@ def test_conditional_uniform_kernel():
     k = uniform_kernel(2)
     pi = uniform([1.0, 3.0])
     ds = simulate(pi, k, 24, 2, seed=4)
+    model = LayerChainModel(ds, k, pi.support)
     for q, m in [(2, 2), (3, 7), (2, ds.layers.q_max - 1)]:
         expected = len(ds.layers.block_edges(q)) * math.log(0.5)
-        assert conditional_log_prob(ds, pi, k, q, m) == pytest.approx(expected, rel=1e-13)
+        assert model.conditional_profiles(pi.probs, m)[0, q] == pytest.approx(expected, rel=1e-13)
 
 
 def test_conditional_matches_enumeration():
     pi = DiscreteDistribution([1.0, 3.0], [0.4, 0.6])
     k = bradley_terry()
     ds = simulate(pi, k, 20, 2, seed=5)
+    model = LayerChainModel(ds, k, pi.support)
     for q, m in [(2, 2), (2, 3), (3, 4)]:
         direct = enumerate_window_logprob(ds, pi, k, q, m) - enumerate_window_logprob(
             ds, pi, k, q + 1, m
         )
-        assert conditional_log_prob(ds, pi, k, q, m) == pytest.approx(direct, abs=1e-11)
+        assert model.conditional_profiles(pi.probs, m)[0, q] == pytest.approx(direct, abs=1e-11)
 
 
 def test_conditional_window_validation():
@@ -195,32 +192,36 @@ def test_conditional_window_validation():
     k = bradley_terry()
     ds = simulate(pi, k, 20, 2, seed=5)
     top = ds.layers.q_max - 1
+    model = LayerChainModel(ds, k, pi.support)
     with pytest.raises(LayerOutOfRange):
-        conditional_log_prob(ds, pi, k, 1, 3)
+        model.backward_messages(pi.probs, 1, 3)
     with pytest.raises(LayerOutOfRange):
-        conditional_log_prob(ds, pi, k, 2, top + 1)
+        model.backward_messages(pi.probs, 2, top + 1)
     with pytest.raises(LayerOutOfRange):
-        conditional_log_prob(ds, pi, k, 5, 4)
+        model.backward_messages(pi.probs, 5, 4)
+    with pytest.raises(LayerOutOfRange):
+        model.conditional_profiles(pi.probs, top + 1)
 
 
 def test_backward_messages_normalized():
     pi = DiscreteDistribution([1.0, 3.0], [0.4, 0.6])
     k = bradley_terry()
     ds = simulate(pi, k, 24, 3, seed=8)
-    msgs = backward_messages(ds, pi, k, 2, ds.layers.q_max - 1)
+    model = LayerChainModel(ds, k, pi.support)
+    msgs = model.backward_messages(pi.probs, 2, ds.layers.q_max - 1)
     for log_msg in msgs.log_messages:
         assert abs(np.exp(log_msg).sum() - 1.0) < 1e-10
     assert msgs.log_normalizers[-1] == 0.0
     # normalizer differences are the conditional block log-probabilities
     cond = msgs.log_normalizers[0] - msgs.log_normalizers[1]
     assert cond == pytest.approx(
-        conditional_log_prob(ds, pi, k, 2, ds.layers.q_max - 1), rel=1e-13
+        model.conditional_profiles(pi.probs, ds.layers.q_max - 1)[0, 2], rel=1e-13
     )
 
 
 def test_posterior_marginals_match_brute_force():
     for ds, pi, kernel in small_instances(6, rng_seed=11):
-        exact = posterior_node_marginals(ds, pi, kernel)
+        exact, _ = LayerChainModel(ds, kernel, pi.support).posterior_pass(pi.probs)
         oracle = brute_force_node_marginals(ds, pi, kernel)
         assert np.max(np.abs(exact - oracle)) < 1e-10
         assert np.allclose(exact.sum(axis=1), 1.0, atol=1e-10)
@@ -230,7 +231,7 @@ def test_posterior_uniform_kernel_equals_prior():
     pi = DiscreteDistribution([1.0, 2.0], [0.3, 0.7])
     k = uniform_kernel(2)
     ds = simulate(pi, k, 20, 3, seed=2)
-    marg = posterior_node_marginals(ds, pi, k)
+    marg, _ = LayerChainModel(ds, k, pi.support).posterior_pass(pi.probs)
     assert np.max(np.abs(marg - pi.probs[None, :])) < 1e-12
 
 
@@ -238,7 +239,7 @@ def test_posterior_point_mass_prior():
     pi = point_mass_on([1.0, 3.0], 1)
     k = bradley_terry()
     ds = simulate(pi, k, 16, 3, seed=3)
-    marg = posterior_node_marginals(ds, pi, k)
+    marg, _ = LayerChainModel(ds, k, pi.support).posterior_pass(pi.probs)
     assert np.max(np.abs(marg - np.array([0.0, 1.0])[None, :])) < 1e-12
 
 
@@ -299,26 +300,16 @@ def test_posterior_invariant_under_support_relabeling():
     ds2 = simulate(pi, k, 12, 2, seed=6)  # same outcomes, graph, seed
     ds2 = type(ds)(ds.graph, ds.layers, ds.outcomes, None, ds.seed)
 
-    marg = posterior_node_marginals(ds, pi, k)
-    marg2 = posterior_node_marginals(ds2, pi2, k2)
+    marg, _ = LayerChainModel(ds, k, pi.support).posterior_pass(pi.probs)
+    marg2, _ = LayerChainModel(ds2, k2, pi2.support).posterior_pass(pi2.probs)
     assert np.max(np.abs(marg2 - marg[:, perm])) < 1e-12
-
-
-def test_contraction_identical_initials():
-    pi = uniform([1.0, 3.0])
-    k = bradley_terry()
-    ds = simulate(pi, k, 24, 2, seed=7)
-    size = pi.size ** len(ds.layers.node_layers[ds.layers.q_max - 1])
-    mu = np.full(size, 1.0 / size)
-    prof = backward_contraction_profile(ds, pi, k, mu1=mu, mu2=mu.copy())
-    assert all(step.tv < 1e-14 for step in prof.steps)
 
 
 def test_contraction_uniform_kernel_one_step():
     pi = DiscreteDistribution([1.0, 3.0], [0.4, 0.6])
     k = uniform_kernel(2)
     ds = simulate(pi, k, 24, 2, seed=7)
-    prof = backward_contraction_profile(ds, pi, k)
+    prof = LayerChainModel(ds, k, pi.support).contraction_profile(pi.probs, 2, ds.layers.q_max - 1)
     assert prof.initial_tv == pytest.approx(2.0)
     assert prof.steps[0].tv < 1e-14  # backward kernel ignores its source state
 
@@ -327,7 +318,7 @@ def test_contraction_envelope():
     pi = DiscreteDistribution([1.0, 3.0], [0.4, 0.6])
     k = bradley_terry()
     ds = simulate(pi, k, 30, 2, seed=10)
-    prof = backward_contraction_profile(ds, pi, k)
+    prof = LayerChainModel(ds, k, pi.support).contraction_profile(pi.probs, 2, ds.layers.q_max - 1)
     prev = prof.initial_tv
     for step in prof.steps:
         assert step.tv <= step.step_factor * prev + 1e-12
@@ -350,12 +341,12 @@ def test_wide_layers_match_enumeration(engine, N, n):
             bf = brute_force_log_likelihood(ds, pi, kernel)
             assert abs(model.log_likelihood(pi.probs) - bf) <= 1e-10 * abs(bf)
             oracle = brute_force_node_marginals(ds, pi, kernel)
-            assert np.max(np.abs(model.node_marginals(pi.probs) - oracle)) < 1e-10
+            assert np.max(np.abs(model.posterior_pass(pi.probs)[0] - oracle)) < 1e-10
             q = m = 2
             direct = enumerate_window_logprob(ds, pi, kernel, q, m) - enumerate_window_logprob(
                 ds, pi, kernel, q + 1, m
             )
-            assert model.conditional_log_prob(pi.probs, q, m) == pytest.approx(direct, abs=1e-11)
+            assert model.conditional_profiles(pi.probs, m)[0, q] == pytest.approx(direct, abs=1e-11)
 
 
 @given(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lgmle import (
     DisconnectedGraph,
     InvalidDimensions,
+    LayerOutOfRange,
     build_schedule,
     build_schedule_unchecked,
     compare_layer_structures,
@@ -87,6 +88,23 @@ def test_interior_cardinalities_N20_n3():
         assert len(ls.block_edges(q)) == 6  # n(n-1)
         assert len(ls.cross_edges[q]) == cross
     assert within + cross == 6
+
+
+def test_block_edges_cover_every_edge_once():
+    g = build_schedule(20, 3)
+    ls = layer_decomposition(g)
+    blocks = [e for q in range(ls.q_max + 1) for e in ls.block_edges(q)]
+    assert ls.within_edges[0] == ()
+    assert sorted(blocks) == sorted(g.edge_pairs())
+
+
+@pytest.mark.parametrize("offset", [-1, -2, 1, 2])
+def test_block_edges_outside_chain_raise(offset):
+    # a negative q used to index from the end, and q_max + 1 hit a bare IndexError
+    ls = layer_decomposition(build_schedule(20, 3))
+    q = offset if offset < 0 else ls.q_max + offset
+    with pytest.raises(LayerOutOfRange, match=f"^chain block q={q} is outside \\[0, {ls.q_max}\\]$"):
+        ls.block_edges(q)
 
 
 def test_two_rounds_gives_width_two_layers():

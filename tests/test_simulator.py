@@ -207,8 +207,13 @@ def test_replicates_equal_per_seed_simulate(N, n):
         lambda: simulate(uniform([1.0, 3.0]), bradley_terry(), 16, 3, seed=-1),
         lambda: sample_outcomes(build_schedule(16, 3), bradley_terry(), np.ones(10), seed=0),
         lambda: dataset_from_json_dict({"N": 16, "n": 3, "outcomes": []}),
+        lambda: tv_log_of_tv(-0.5),
+        lambda: predicted_layers(16, 3).block_edges(0),
     ],
-    ids=["probs", "tol", "theta", "num-outcomes", "variant", "support-size", "seed", "weights", "dataset-key"],
+    ids=[
+        "probs", "tol", "theta", "num-outcomes", "variant", "support-size", "seed", "weights", "dataset-key",
+        "negative-tv", "predicted-edges",
+    ],
 )
 def test_caller_input_errors_are_package_errors(call):
     # a package error, so the CLI exits 2, and a ValueError as before
@@ -237,17 +242,6 @@ def test_distribution_rejects_non_finite_values(support, probs, message):
     # let these through before
     with pytest.raises(InvalidValue, match=f"^{message}$"):
         DiscreteDistribution(support, probs)
-
-
-@pytest.mark.parametrize(
-    "call",
-    [lambda: tv_log_of_tv(-0.5), lambda: predicted_layers(16, 3).block_edges(0)],
-    ids=["negative-tv", "predicted-edges"],
-)
-def test_internal_invariants_stay_plain_value_errors(call):
-    with pytest.raises(ValueError) as info:
-        call()
-    assert not isinstance(info.value, LgmleError)
 
 
 def test_dataset_missing_key_named():
