@@ -46,20 +46,15 @@ def _setup_logging() -> None:
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
+    """json's ``default`` hook: numpy arrays and scalars as Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path, doc) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(doc), fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True, default=_jsonable)
         fh.write("\n")
 
 
@@ -308,7 +303,7 @@ def cmd_risk(args) -> int:
     rows = [
         (
             idx,
-            json.dumps(_jsonable(r.pi.probs)),
+            json.dumps(r.pi.probs.tolist()),
             r.excess_risk,
             r.excess_stderr,
             r.L_hat_star,

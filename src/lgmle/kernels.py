@@ -45,7 +45,6 @@ class Kernel:
     outcomes: tuple
     log_fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     theta: float | None = None
-    table_support: np.ndarray | None = None
 
     def outcome_index(self, x) -> int:
         try:
@@ -55,16 +54,6 @@ class Kernel:
                 f"outcome {x!r} not in outcome space {self.outcomes}"
             ) from None
 
-    def validate_support(self, support: np.ndarray) -> None:
-        if self.table_support is not None and not (
-            self.table_support.shape == np.shape(support)
-            and np.allclose(self.table_support, support, rtol=0, atol=0)
-        ):
-            raise SupportMismatch(
-                f"kernel table is defined on support {self.table_support.tolist()}, "
-                f"got {np.asarray(support).tolist()}"
-            )
-
     def log_prob(self, x, v, w) -> float:
         """log k(x, v, w) for scalar weights."""
         xi = self.outcome_index(x)
@@ -72,29 +61,16 @@ class Kernel:
         w = float(w)
         if v <= 0 or w <= 0:
             raise NonPositiveWeight(f"weights must be positive, got v={v}, w={w}")
-        if self.table_support is not None:
-            self._grid_index(v)
-            self._grid_index(w)
         return float(self.log_fn(xi, np.asarray(v), np.asarray(w)))
 
     def prob(self, x, v, w) -> float:
         return float(np.exp(self.log_prob(x, v, w)))
-
-    def _grid_index(self, value: float) -> int:
-        hits = np.nonzero(self.table_support == value)[0]
-        if hits.size == 0:
-            raise SupportMismatch(
-                f"weight {value} is not on the kernel's table support "
-                f"{self.table_support.tolist()}"
-            )
-        return int(hits[0])
 
     def log_table(self, support) -> np.ndarray:
         """(|X|, s, s) array of log k(x, support[a], support[b])."""
         support = np.asarray(support, dtype=float)
         if np.any(support <= 0):
             raise NonPositiveWeight("support values must be strictly positive")
-        self.validate_support(support)
         va = support[:, None]
         wb = support[None, :]
         with np.errstate(divide="ignore"):
@@ -190,7 +166,9 @@ def custom_table(outcomes, support, table) -> Kernel:
 
     The table must normalize over outcomes for every weight pair; zero
     entries are allowed at construction (they surface as H1 violations when
-    a floor is requested).
+    a floor is requested).  The kernel is defined on the grid points only:
+    any support whose points lie on the grid works, and a weight off the
+    grid raises ``SupportMismatch``.
     """
     outcomes = tuple(outcomes)
     try:
@@ -210,20 +188,30 @@ def custom_table(outcomes, support, table) -> Kernel:
         raise InvalidValue(
             f"table must normalize over outcomes within {PROB_NORMALIZATION_TOL}"
         )
+    with np.errstate(divide="ignore"):
+        log_table = np.log(table)
     support.setflags(write=False)
-    table.setflags(write=False)
+    log_table.setflags(write=False)
+
+    def grid_index(values):
+        """The index of each weight on the grid (its first match)."""
+        values = np.asarray(values)
+        hits = values[..., None] == support
+        found = hits.any(axis=-1)
+        if not found.all():
+            value = float(values[~found][0])
+            raise SupportMismatch(
+                f"weight {value} is not on the kernel's table support {support.tolist()}"
+            )
+        return hits.argmax(axis=-1)
 
     def log_fn(xi, v, w):
-        ai = np.searchsorted(support, v)
-        bi = np.searchsorted(support, w)
-        with np.errstate(divide="ignore"):
-            return np.log(table[xi])[ai, bi]
+        return log_table[xi][grid_index(v), grid_index(w)]
 
     return Kernel(
         name="custom_table",
         outcomes=outcomes,
         log_fn=log_fn,
-        table_support=support,
     )
 
 

@@ -43,6 +43,7 @@ from scipy.special import logsumexp
 from .distributions import DiscreteDistribution
 from .errors import (
     H1Violated,
+    InvalidValue,
     LayerOutOfRange,
     TooLargeForBruteForce,
 )
@@ -175,13 +176,14 @@ class ContractionProfile:
 class LayerChainModel:
     """Chain representation of one (dataset, kernel, support) triple.
 
-    Each chain block is described once, by its block type ``(w_q, w_{q+1},
-    cross factors, within factors)``: one factor ``(axis of i, axis of j,
-    outcome index)`` per edge (i, j), i < j, in edge order.  Axes 0..w_q-1
-    are the positions of layer q and w_q.. those of layer q+1.  The
-    round-robin schedule is periodic, so few types recur along the chain (6
-    of 1500 blocks at N=3000, n=2); each distinct type is built once and
-    every block of that type shares it.
+    Each chain block q is described once, by its block type ``(w_q, w_{q+1},
+    factors)``: one factor ``(axis of i, axis of j, outcome index)`` per edge
+    (i, j), i < j, of ``layers.block_edges(q)``, in that order (cross edges,
+    then the within edges of layer q+1).  Axes 0..w_q-1 are the positions of
+    layer q and w_q.. those of layer q+1.  The round-robin schedule is
+    periodic, so few types recur along the chain (6 of 1500 blocks at N=3000,
+    n=2); each distinct type is built once and every block of that type
+    shares it.
 
     Blocks depend on the kernel and the support grid but not on the simplex
     weights, so a model can be reused across candidate distributions (EM
@@ -219,10 +221,6 @@ class LayerChainModel:
         self.floor: EpsilonCertificate = _table_floor(kernel, self.support, self.log_table)
 
         self.widths = [len(layer) for layer in layers.node_layers]
-        layer_of = layers.layer_of()
-        pos_of = {
-            v: p for layer in layers.node_layers for p, v in enumerate(layer)
-        }
         outcome_index = kernel.outcome_index
         outcomes = dataset.outcomes
         # Per block: the index of its type in self._types.
@@ -230,21 +228,16 @@ class LayerChainModel:
         self._block_type: list[int] = []
         self.block_sizes: list[int] = []
         for q in range(self.num_blocks):
-            wq = self.widths[q]
-            # A cross edge joins layers q and q+1; either endpoint may be i.
-            cross = tuple(
-                (pos_of[i], wq + pos_of[j], outcome_index(outcomes[(i, j)]))
-                if layer_of[i] == q
-                else (wq + pos_of[i], pos_of[j], outcome_index(outcomes[(i, j)]))
-                for i, j in layers.cross_edges[q]
+            wq, wq1 = self.widths[q], self.widths[q + 1]
+            # The node at position p of layer q is axis p, of layer q+1 axis wq + p.
+            axis = dict(zip(layers.node_layers[q] + layers.node_layers[q + 1], range(wq + wq1)))
+            factors = tuple(
+                (axis[i], axis[j], outcome_index(outcomes[(i, j)]))
+                for i, j in layers.block_edges(q)
             )
-            within = tuple(
-                (wq + pos_of[i], wq + pos_of[j], outcome_index(outcomes[(i, j)]))
-                for i, j in layers.within_edges[q + 1]
-            )
-            key = (wq, self.widths[q + 1], cross, within)
+            key = (wq, wq1, factors)
             self._block_type.append(types.setdefault(key, len(types)))
-            self.block_sizes.append(len(cross) + len(within))
+            self.block_sizes.append(len(factors))
         self._types = list(types)
 
         total_entries = sum(
@@ -293,18 +286,19 @@ class LayerChainModel:
         """log M of one block type, (s**w_q, s**w_{q+1}).
 
         The cross factors' log tables are added in edge order; the within
-        factors are summed into an upper-layer vector first, then added.
+        factors, both of whose axes lie in layer q+1, are summed into an
+        upper-layer vector first, then added.
         """
-        wq, wq1, cross, within = block_type
+        wq, wq1, factors = block_type
         s = self.s
         log_m = np.zeros((s,) * (wq + wq1))
-        for a, b, xi in cross:
-            log_m += _placed(self.log_table[xi], a, b, wq + wq1)
-        if within:
-            vec = np.zeros((s,) * wq1)
-            for a, b, xi in within:
+        vec = np.zeros((s,) * wq1)
+        for a, b, xi in factors:
+            if min(a, b) < wq:
+                log_m += _placed(self.log_table[xi], a, b, wq + wq1)
+            else:
                 vec += _placed(self.log_table[xi], a - wq, b - wq, wq1)
-            log_m += vec
+        log_m += vec
         return log_m.reshape(s**wq, s**wq1)
 
     def _block_log_matrix(self, q: int) -> np.ndarray:
@@ -328,9 +322,9 @@ class LayerChainModel:
         """
         plans: dict[tuple, tuple[_ContractionPlan, _ContractionPlan]] = {}
         built: list[tuple[tuple, float]] = []
-        for wq, wq1, cross, within in self._types:
+        for wq, wq1, edges in self._types:
             factors: dict[str, np.ndarray] = {}
-            for a, b, xi in cross + within:
+            for a, b, xi in edges:
                 factors[_SUBSCRIPTS[1 + a] + _SUBSCRIPTS[1 + b]] = self.log_table[xi]
             for c in _SUBSCRIPTS[1 : 1 + wq]:
                 if not any(c in sub for sub in factors):
@@ -381,6 +375,18 @@ class LayerChainModel:
         if width == 1:
             return probs
         return probs[..., self._width_digits[width]].prod(axis=-1)
+
+    def _simplex(self, probs, rows: bool = True) -> np.ndarray:
+        """``probs`` as floats of shape (s,), or (K, s) where ``rows``; any
+        other shape raises ``InvalidValue``."""
+        probs = np.asarray(probs, dtype=float)
+        if probs.ndim not in ((1, 2) if rows else (1,)) or probs.shape[-1] != self.s:
+            need = f"({self.s},) or (K, {self.s})" if rows else f"({self.s},)"
+            raise InvalidValue(
+                f"simplex weights of shape {probs.shape} do not fit the "
+                f"{self.s}-point support; need shape {need}"
+            )
+        return probs
 
     @staticmethod
     def _rows(probs: np.ndarray) -> np.ndarray:
@@ -449,7 +455,7 @@ class LayerChainModel:
         bit-identical to a sweep of that row alone.  The log-likelihood sums
         the normalizers sequentially in block order.
         """
-        probs = np.asarray(probs, dtype=float)
+        probs = self._simplex(probs)
         _, constants = self._forward_rows(self._priors(self._rows(probs)))
         totals = np.cumsum(constants, axis=0)[-1]
         if probs.ndim == 1:
@@ -473,7 +479,7 @@ class LayerChainModel:
         (forward blocks upward, backward blocks downward, then layers) where
         any row fails, with the message that row's own sweep gives.
         """
-        probs = np.asarray(probs, dtype=float)
+        probs = self._simplex(probs)
         priors = self._priors(self._rows(probs))
         alphas, constants = self._forward_rows(priors)
         pulls = self._pulls
@@ -560,7 +566,7 @@ class LayerChainModel:
     def backward_messages(self, probs, q: int, m: int) -> BackwardMessages:
         """Messages P(V_k | X_{k:m}) and log P(X_{k:m}) for k = q..m+1."""
         self._check_window(q, m)
-        probs = np.asarray(probs, dtype=float)
+        probs = self._simplex(probs, rows=False)
         with np.errstate(divide="ignore"):
             messages, normalizers = [np.log(self._prior(probs, m + 1))], [0.0]
             for _, _, x, log_z in self._conditional_sweep(probs, np.array([m]), q):
@@ -571,7 +577,7 @@ class LayerChainModel:
     def conditional_profiles(self, probs, horizons) -> np.ndarray:
         """(R, q_max): log P(X_q | X_{q+1:m_r}) at columns 2 <= q <= m_r, else NaN.
         Row r has horizon ``horizons[r]`` (or the one given) and ``probs`` or ``probs[r]``."""
-        probs = np.asarray(probs, dtype=float)
+        probs = self._simplex(probs)
         horizons = np.zeros(probs.shape[:-1], dtype=int) + np.array(horizons, dtype=int, ndmin=1)
         for m in np.unique(horizons).tolist():
             self._check_window(2, m)
@@ -598,7 +604,7 @@ class LayerChainModel:
         conditioning window starting at q.
         """
         self._check_window(q, m)
-        priors = self._priors(np.asarray(probs, dtype=float))
+        priors = self._priors(self._simplex(probs, rows=False))
         kernels = []
         g = np.ones(self.s ** self.widths[q])  # P(X_{q:k-1} | V_k), scaled
         for k in range(q, m):

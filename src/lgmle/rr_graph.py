@@ -80,14 +80,6 @@ class LayerStructure:
     def num_layers(self) -> int:
         return len(self.node_layers)
 
-    def layer_of(self) -> dict[int, int]:
-        """Map node id -> layer index."""
-        out: dict[int, int] = {}
-        for q, layer in enumerate(self.node_layers):
-            for v in layer:
-                out[v] = q
-        return out
-
     def block_edges(self, q: int) -> tuple[Edge, ...]:
         """Edges of the q-th chain block, 0 <= q <= q_max: cross q<->q+1 plus
         within q+1."""
@@ -293,7 +285,7 @@ def compare_layer_structures(observed: LayerStructure, predicted: LayerStructure
                 issues.append(
                     f"|cross {q}| = {len(observed.cross_edges[q])} != {cross_count}"
                 )
-            block = len(observed.cross_edges[q]) + len(observed.within_edges[q + 1])
+            block = len(observed.block_edges(q))
             if block != n * (n - 1):
                 issues.append(f"block {q} has {block} edges != n(n-1)")
     return issues

@@ -13,12 +13,13 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import DiscreteDistribution
-from .errors import InvalidValue
+from .errors import InvalidValue, NonPositiveWeight
 from .kernels import Kernel
 from .rr_graph import (
     LayerStructure,
@@ -105,6 +106,12 @@ def sample_outcomes(
     weights = np.asarray(weights, dtype=float)
     if weights.size != graph.N:
         raise InvalidValue(f"need {graph.N} weights, got {weights.size}")
+    bad = ~((weights > 0) & np.isfinite(weights))
+    if bad.any():
+        node = int(np.argmax(bad)) + 1
+        raise NonPositiveWeight(
+            f"weights must be positive and finite, got {weights[node - 1]} at node {node}"
+        )
     return Dataset(
         graph=graph,
         layers=layer_decomposition(graph),
@@ -190,11 +197,19 @@ def dataset_from_json_dict(doc: dict) -> Dataset:
         outcomes = {(i, j): x for i, j, x in doc["outcomes"]}
     except (TypeError, ValueError) as exc:
         raise InvalidValue(f"dataset outcomes must be [i, j, x] triples: {exc}") from exc
+    if len(outcomes) < len(doc["outcomes"]):
+        counts = Counter((i, j) for i, j, _ in doc["outcomes"])
+        twice = [e for e, count in counts.items() if count > 1]
+        raise InvalidValue(f"outcomes listed more than once for edges {twice[:5]}")
     weights = doc.get("weights")
     try:
         weights = None if weights is None else np.asarray(weights, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidValue(f"dataset weights must be numbers: {exc}") from exc
+    if weights is not None and weights.shape != (graph.N,):
+        raise InvalidValue(
+            f"dataset weights must be {graph.N} numbers, one per node, got shape {weights.shape}"
+        )
     edges = graph.edge_pairs()
     missing = [e for e in edges if e not in outcomes]
     if missing:

@@ -774,3 +774,78 @@ def test_readme_key_table_mirrors_the_checker():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `([\w.]+)` \| ([\w /]+) \|", readme, re.M)
     assert rows == list(_dotted_kinds(_CONFIG))
+
+
+_TABLE_KERNEL = {
+    "variant": "custom_table",
+    "outcomes": [0, 1],
+    "support": [1.0, 2.0, 4.0],
+    "table": [
+        [[0.5, 0.25, 0.5], [0.75, 0.5, 0.25], [0.5, 0.75, 0.5]],
+        [[0.5, 0.75, 0.5], [0.25, 0.5, 0.75], [0.5, 0.25, 0.5]],
+    ],
+}
+_TABLE_RISK = {"analysis": {"N": 40, "replicates": 2, "min_q_max": 5}}
+
+
+@pytest.mark.parametrize("command", ["simulate", "loglik", "fit", "risk", "diagnose"])
+@pytest.mark.parametrize("support, off", [([1.0, 3.0], "3.0"), ([1.0, 1.5], "1.5")])
+def test_support_off_the_table_grid_exit_2(tmp_path, base_config, capsys, command, support, off):
+    # every command, simulate included, must name the weight rather than index
+    # past the table or read a neighbouring row
+    kernel = {**_TABLE_KERNEL, "support": [1.0, 2.0], "table": [[[0.5, 0.25], [0.75, 0.5]], [[0.5, 0.75], [0.25, 0.5]]]}
+    model = {"kernel": kernel, "support": support, "pi_star": [0.4, 0.6], "pi": [0.5, 0.5]}
+    cfg = base_config(model=model, candidates=[[0.5, 0.5]], **_TABLE_RISK)
+    assert run([command, "--config", cfg, "--out", tmp_path / command]) == 2
+    assert capsys.readouterr().err == f"error: weight {off} is not on the kernel's table support [1.0, 2.0]\n"
+
+
+@pytest.mark.parametrize("command", ["loglik", "fit", "diagnose"])
+def test_loaded_dataset_with_support_off_the_table_grid_exit_2(tmp_path, base_config, capsys, command):
+    ds = simulate(DiscreteDistribution([1.0, 3.0], [0.4, 0.6]), bradley_terry(), 20, 2, seed=5)
+    simulator.dataset_to_json(ds, tmp_path / "dataset.json")
+    model = {"kernel": _TABLE_KERNEL, "support": [1.0, 3.0], "pi_star": [0.4, 0.6], "pi": [0.5, 0.5]}
+    cfg = base_config(model=model, dataset=str(tmp_path / "dataset.json"))
+    assert run([command, "--config", cfg, "--out", tmp_path / command]) == 2
+    assert capsys.readouterr().err == "error: weight 3.0 is not on the kernel's table support [1.0, 2.0, 4.0]\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "loglik", "fit", "risk", "diagnose"])
+@pytest.mark.parametrize("support", [[2.0], [1.0, 4.0]])
+def test_support_on_part_of_the_table_grid(tmp_path, base_config, command, support):
+    # a support on part of the grid is as valid for loglik as for simulate
+    uniform_probs = [1.0 / len(support)] * len(support)
+    model = {"kernel": _TABLE_KERNEL, "support": support, "pi_star": uniform_probs, "pi": uniform_probs}
+    cfg = base_config(model=model, candidates=[uniform_probs], **_TABLE_RISK)
+    assert run([command, "--config", cfg, "--out", tmp_path / command]) == 0
+
+
+def test_dataset_with_an_edge_listed_twice_exit_2(tmp_path, base_config, capsys):
+    doc, cfg = _saved_dataset(tmp_path, base_config)
+    i, j, x = doc["outcomes"][0]
+    doc["outcomes"].append([i, j, x])
+    (tmp_path / "ds.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["loglik", "--config", cfg, "--out", tmp_path / "ll"]) == 2
+    assert capsys.readouterr().err == f"error: outcomes listed more than once for edges [({i}, {j})]\n"
+
+
+def test_dataset_with_too_few_weights_exit_2(tmp_path, base_config, capsys):
+    # a short list would load and be written back out by simulate
+    doc, cfg = _saved_dataset(tmp_path, base_config)
+    doc["weights"] = [1.0]
+    (tmp_path / "ds.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["loglik", "--config", cfg, "--out", tmp_path / "ll"]) == 2
+    assert capsys.readouterr().err == "error: dataset weights must be 60 numbers, one per node, got shape (1,)\n"
+
+
+def test_json_outputs_write_numpy_values_as_python_ones(tmp_path):
+    from lgmle.cli import _write_json
+
+    doc = {"f": np.float64(0.1), "i": np.int64(3), "b": np.bool_(True), "a": np.array([[1.5, 2.0]]), "t": (np.float32(0.5),)}
+    _write_json(tmp_path / "out.json", doc)
+    plain = {"f": 0.1, "i": 3, "b": True, "a": [[1.5, 2.0]], "t": [0.5]}
+    assert (tmp_path / "out.json").read_text() == json.dumps(plain, indent=1, sort_keys=True) + "\n"
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        _write_json(tmp_path / "bad.json", {"s": {1}})

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lgmle import (
+    DiscreteDistribution,
     H1Violated,
     InconsistentBlockShapes,
     InvalidValue,
@@ -20,6 +21,7 @@ from lgmle import (
     degree_model,
     epsilon_floor,
     kernel_from_config,
+    simulate,
     uniform_kernel,
 )
 from lgmle.kernels import custom_table_from_json
@@ -110,6 +112,38 @@ def test_custom_table_support_mismatch():
         k.log_table(np.array([1.0, 3.0]))
     with pytest.raises(SupportMismatch):
         k.log_prob(0, 1.5, 2.0)
+
+
+_HALF = [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]
+
+
+@pytest.mark.parametrize(
+    "call, off",
+    [
+        (lambda k: k.log_prob(0, 1.0, 1.5), "1.5"),
+        (lambda k: k.log_table([1.0, 3.0]), "3.0"),
+        (lambda k: k.log_table([1.5, 3.0]), "1.5"),
+        (lambda k: epsilon_floor(k, [1.0, 1.5]), "1.5"),
+        (lambda k: simulate(DiscreteDistribution([1.0, 3.0], [0.4, 0.6]), k, 20, 2, seed=5), "3.0"),
+    ],
+    ids=["log_prob", "log_table", "log_table-first", "epsilon_floor", "simulate"],
+)
+def test_weight_off_the_table_grid_named(call, off):
+    # every path reaches the table through log_fn, simulate included
+    k = custom_table((0, 1), [1.0, 2.0], _HALF)
+    with pytest.raises(SupportMismatch) as info:
+        call(k)
+    assert str(info.value) == f"weight {off} is not on the kernel's table support [1.0, 2.0]"
+
+
+def test_table_accepts_supports_on_its_grid():
+    loss = np.array([[0.4, 0.3, 0.2], [0.5, 0.6, 0.7], [0.1, 0.9, 0.8]])
+    k = custom_table((0, 1), [1.0, 2.0, 4.0], np.stack([loss, 1.0 - loss]))
+    full = k.log_table([1.0, 2.0, 4.0])
+    assert np.array_equal(k.log_table([4.0, 1.0]), full[:, [2, 0]][:, :, [2, 0]])
+    assert np.array_equal(k.log_table([2.0]), full[:, 1:2, 1:2])
+    assert k.prob(1, 4.0, 2.0) == pytest.approx(0.1)
+    assert epsilon_floor(k, [2.0]).epsilon == pytest.approx(0.4)
 
 
 def test_custom_table_json_roundtrip(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lgmle import (
     DiscreteDistribution,
     H1Violated,
+    InvalidValue,
     Kernel,
     LayerOutOfRange,
     TooLargeForBruteForce,
@@ -110,6 +111,49 @@ def test_h1_violated_on_zero_table():
 
 _TABLE = [[[0.3, 0.6, 0.1], [0.5, 0.2, 0.9], [0.05, 0.7, 0.4]]]
 _TABLE.append([[1.0 - p for p in row] for row in _TABLE[0]])
+
+
+@pytest.mark.parametrize("engine", ["dense", "factored"])
+@pytest.mark.parametrize("support", [[0.5, 2.0], [1.0, 2.0], [1.0]])
+def test_table_kernel_on_part_of_its_grid_matches_brute_force(engine, support):
+    kernel = custom_table((0, 1), [0.5, 1.0, 2.0], _TABLE)
+    pi = uniform(support)
+    ds = simulate(pi, kernel, 16, 3, seed=4)
+    value = _model(ds, pi, kernel, engine).log_likelihood(pi.probs)
+    oracle = brute_force_log_likelihood(ds, pi, kernel)
+    assert abs(value - oracle) <= 1e-10 * abs(oracle)
+
+
+_PROBS_METHODS = {
+    "log_likelihood": lambda model, probs: model.log_likelihood(probs),
+    "forward_constants": lambda model, probs: model.forward_constants(probs),
+    "posterior_pass": lambda model, probs: model.posterior_pass(probs),
+    "conditional_profiles": lambda model, probs: model.conditional_profiles(probs, 3),
+    "backward_messages": lambda model, probs: model.backward_messages(probs, 2, 3),
+    "backward_kernels": lambda model, probs: model.backward_kernels(probs, 2, 3),
+    "contraction_profile": lambda model, probs: model.contraction_profile(probs, 2, 3),
+}
+_ONE_ROW = ("backward_messages", "backward_kernels", "contraction_profile")
+
+
+@pytest.mark.parametrize("method", list(_PROBS_METHODS))
+@pytest.mark.parametrize("probs", [[0.2, 0.3, 0.5], [1.0], [[0.5, 0.5, 0.0]], [[[0.5, 0.5]]], 0.5])
+def test_simplex_weights_of_the_wrong_shape_raise(method, probs):
+    # a third weight on a two-point support must not be dropped silently
+    pi = DiscreteDistribution([1.0, 2.0], [0.5, 0.5])
+    model = LayerChainModel(simulate(pi, bradley_terry(), 24, 2, seed=3), bradley_terry(), pi.support)
+    shape = np.shape(probs)
+    need = "(2,)" if method in _ONE_ROW else "(2,) or (K, 2)"
+    with pytest.raises(InvalidValue) as info:
+        _PROBS_METHODS[method](model, probs)
+    assert str(info.value) == (
+        f"simplex weights of shape {shape} do not fit the 2-point support; need shape {need}"
+    )
+    if method not in _ONE_ROW:
+        _PROBS_METHODS[method](model, np.tile(pi.probs, (2, 1)))
+    else:
+        with pytest.raises(InvalidValue):
+            _PROBS_METHODS[method](model, np.tile(pi.probs, (2, 1)))
 
 
 @pytest.mark.parametrize(
@@ -423,7 +467,7 @@ def _oracle_block_ops(model, q):
     """Block q's (outcome, gather key) per cross edge and (outcome, position,
     position) per within edge, as the per-block builders described it."""
     layers, ds, kernel = model.layers, model.dataset, model.kernel
-    layer_of = layers.layer_of()
+    layer_of = {v: k for k, layer in enumerate(layers.node_layers) for v in layer}
     pos_of = {v: p for layer in layers.node_layers for p, v in enumerate(layer)}
     wq, wq1 = model.widths[q], model.widths[q + 1]
     cross = [

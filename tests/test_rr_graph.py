@@ -161,7 +161,7 @@ def test_edge_layers_partition_and_adjacency(N, n):
     ls = layer_decomposition(g)
     assert [v for layer in ls.node_layers for v in layer] != []
     assert sorted(v for layer in ls.node_layers for v in layer) == list(range(1, N + 1))
-    layer_of = ls.layer_of()
+    layer_of = {v: k for k, layer in enumerate(ls.node_layers) for v in layer}
     grouped = sum(len(e) for e in ls.within_edges) + sum(len(e) for e in ls.cross_edges)
     assert grouped == len(g.edges)
     for i, j, _ in g.edges:

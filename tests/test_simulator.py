@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from lgmle import (
     FitConfig,
     InvalidValue,
     LgmleError,
+    NonPositiveWeight,
     bradley_terry,
     bt_ties,
     build_schedule,
@@ -256,3 +259,32 @@ def test_dataset_file_errors_name_the_path(tmp_path):
     path = tmp_path / "absent.json"
     with pytest.raises(InvalidValue, match=f"^cannot read dataset {path}: "):
         dataset_from_json(path)
+
+
+@pytest.mark.parametrize(
+    "bad, shown", [(0.0, "0.0"), (-1.0, "-1.0"), (float("nan"), "nan"), (float("inf"), "inf")]
+)
+def test_sample_outcomes_rejects_bad_weights(bad, shown):
+    # such weights give NaN outcome probabilities
+    weights = np.ones(16)
+    weights[[4, 9]] = bad
+    with pytest.raises(NonPositiveWeight, match=f"^weights must be positive and finite, got {shown} at node 5$"):
+        sample_outcomes(build_schedule(16, 3), bradley_terry(), weights, seed=0)
+
+
+def test_dataset_with_an_edge_listed_twice_raises():
+    # a second outcome would silently replace the first
+    doc = dataset_to_json_dict(simulate(uniform([1.0, 3.0]), bradley_terry(), 16, 3, seed=7))
+    i, j, x = doc["outcomes"][3]
+    doc["outcomes"].append([i, j, 1 - x])
+    with pytest.raises(InvalidValue, match=re.escape(f"outcomes listed more than once for edges [({i}, {j})]")):
+        dataset_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("weights", [[1.0], [1.0] * 17, [[1.0] * 16]])
+def test_dataset_weights_need_one_number_per_node(weights):
+    doc = dataset_to_json_dict(simulate(uniform([1.0, 3.0]), bradley_terry(), 16, 3, seed=7))
+    doc["weights"] = weights
+    shape = np.shape(weights)
+    with pytest.raises(InvalidValue, match=re.escape(f"dataset weights must be 16 numbers, one per node, got shape {shape}")):
+        dataset_from_json_dict(doc)
