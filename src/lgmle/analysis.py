@@ -114,10 +114,7 @@ class RiskParams:
     min_q_max: int = 30
 
     def seeds(self) -> list[int]:
-        if self.base_seed < 0:
-            raise InvalidValue(f"base_seed must be non-negative, got {self.base_seed}")
-        state = np.random.SeedSequence(self.base_seed).generate_state(self.replicates)
-        return [int(x) for x in state]
+        return _seeds(self.base_seed, self.replicates)
 
 
 @dataclass(frozen=True)
@@ -138,6 +135,14 @@ def _stderr(values: np.ndarray) -> float:
     if values.size < 2:
         return 0.0
     return float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+def _seeds(base_seed: int, count: int, *keys: int) -> list[int]:
+    """``count`` replicate seeds from ``SeedSequence([base_seed, *keys])``;
+    a negative ``base_seed`` raises ``InvalidValue``."""
+    if base_seed < 0:
+        raise InvalidValue(f"base_seed must be non-negative, got {base_seed}")
+    return [int(x) for x in np.random.SeedSequence([base_seed, *keys]).generate_state(count)]
 
 
 def _require_counts(**counts: int) -> None:
@@ -308,14 +313,23 @@ class Envelope:
         return int(np.count_nonzero(self.value > self.bound + tol))
 
     def slack_summary(self) -> str:
-        """Row count, smallest slack (bound - value) and the window where it
-        occurs, for logs."""
+        """Row count, smallest slack (bound - value) and the tightest row
+        (largest value / bound over rows with a positive bound), each with
+        its window, for logs."""
         if not len(self):
             return "rows=0"
         slack = self.bound - self.value
         row = int(np.argmin(slack))
-        where = " ".join(f"{key}={int(col[row])}" for key, col in self.windows.items())
-        return f"rows={len(self)} min_slack={float(slack[row])!r} at {where}"
+        summary = f"rows={len(self)} min_slack={float(slack[row])!r} at {self._where(row)}"
+        bounded = np.flatnonzero(self.bound > 0)
+        if bounded.size:
+            ratio = self.value[bounded] / self.bound[bounded]
+            k = int(np.argmax(ratio))
+            summary += f" tightest={float(ratio[k])!r} at {self._where(int(bounded[k]))}"
+        return summary
+
+    def _where(self, row: int) -> str:
+        return " ".join(f"{key}={int(col[row])}" for key, col in self.windows.items())
 
 
 @dataclass(frozen=True)
@@ -358,6 +372,8 @@ def _interior_profiles(dataset: Dataset, pi: DiscreteDistribution, kernel: Kerne
 def _forgetting_envelope(model, profiles, q_values=None, max_ell=None) -> Envelope:
     """Gaps |log P(X_q | X_{q+1:m}) - log P(X_q | X_{q+1:m+ell})| against
     :func:`_forgetting_bounds`, ordered by q (as given), m, then ell."""
+    if max_ell is not None and max_ell < 1:
+        raise InvalidValue(f"max_ell must be at least 1, got {max_ell}")
     top = model.layers.q_max - 1
     if top < 2:
         raise LayerOutOfRange("graph too small: no interior window")
@@ -590,8 +606,7 @@ def scaling_experiment(
 
     fits = []
     for N in N_list:
-        seeds = np.random.SeedSequence([base_seed, N]).generate_state(seeds_per_n)
-        for ds in _simulate_replicates(pi_star, kernel, N, n, [int(s) for s in seeds]):
+        for ds in _simulate_replicates(pi_star, kernel, N, n, _seeds(base_seed, seeds_per_n, N)):
             fits.append(fit_mle(ds, kernel, fit_config).pi_hat)
 
     # pi_star, then for two-point supports the slope probes hi and lo.
@@ -601,8 +616,8 @@ def scaling_experiment(
         p = pi_star.probs[0]
         lo, hi = max(p - delta, 1e-6), min(p + delta, 1 - 1e-6)
         arms += [pi_star.with_probs([hi, 1.0 - hi]), pi_star.with_probs([lo, 1.0 - lo])]
-    eval_seeds = np.random.SeedSequence([base_seed, 424243]).generate_state(eval_replicates)
-    datasets = _simulate_replicates(pi_star, kernel, eval_N, n, [int(s) for s in eval_seeds])
+    eval_seeds = _seeds(base_seed, eval_replicates, 424243)
+    datasets = _simulate_replicates(pi_star, kernel, eval_N, n, eval_seeds)
     vals = _replicate_scores(datasets, kernel, arms + fits)
     gaps = [float((vals[0] - v).mean()) for v in vals]
     slope = 0.0
@@ -671,8 +686,7 @@ def z_process_concentration(
     share the same datasets.
     """
     _require_counts(replicates=replicates)
-    seeds = np.random.SeedSequence([base_seed, 515151]).generate_state(replicates)
-    datasets = _simulate_replicates(pi_star, kernel, N, n, [int(s) for s in seeds])
+    datasets = _simulate_replicates(pi_star, kernel, N, n, _seeds(base_seed, replicates, 515151))
     m = datasets[0].layers.q_max - 1
     if m < 2:
         raise LayerOutOfRange("graph too small: no interior window")

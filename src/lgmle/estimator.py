@@ -51,8 +51,8 @@ class FitConfig:
     candidates: list[DiscreteDistribution] | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise InvalidValue("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise InvalidValue(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise InvalidValue("max_iters must be at least 1")
         if self.restarts < 1:

@@ -9,14 +9,13 @@ A block is fully described by its block type: the two layer widths and, per
 edge in edge order, the block axes of its endpoints and its outcome index.
 The round-robin schedule is periodic, so a long chain has few distinct
 types; each is built once and shared by its blocks.  A block acts on state
-vectors of s^|V_q| entries through one of two engines:
+vectors x of s^|V_q| entries as ``x @ block``, stored by one of two engines:
 
-* dense: the type's s^|V_q| x s^|V_q+1| transition matrix is built once, by
-  broadcast-adding its edge log tables, and applied as a matrix product.
-  Used when the chain's blocks hold at most ``_BLOCK_CACHE_BUDGET`` entries
-  in total.
-* factored: the type stays a product of pairwise edge factors, contracted
-  with the state vector one factor at a time in an order compiled once per
+* dense: the type's s^|V_q| x s^|V_q+1| transition matrix, built once by
+  broadcast-adding its edge log tables.  Used when the chain's blocks hold
+  at most ``_BLOCK_CACHE_BUDGET`` entries in total.
+* factored: a ``_FactoredBlock`` of pairwise edge factors, contracted with
+  the state vector one factor at a time in an order compiled once per
   positional plan (variable elimination, Koller & Friedman 2009, ch. 9).  A
   step costs about s^(max(|V_q|, |V_q+1|)+1) per edge factor, so chains whose
   dense blocks would not fit in memory (n=4 and n=5 at small s) stay cheap.
@@ -95,10 +94,23 @@ class _ContractionPlan:
             operands.append(np.einsum(sub, operands[a], operands[b]))
         return tuple(operands[k] for _, k in self.steps)
 
-    def run(self, x: np.ndarray, operands: tuple[np.ndarray, ...]) -> np.ndarray:
-        for (sub, _), operand in zip(self.steps, operands):
-            x = np.einsum(sub, x, operand)
-        return x
+
+@dataclass(frozen=True)
+class _FactoredBlock:
+    """Edge factors that act as their block matrix: ``x @ block`` runs the
+    plan's steps on (..., S) state vectors x viewed as (..., *shape) tensors."""
+
+    plan: _ContractionPlan
+    operands: tuple[np.ndarray, ...]
+    shape: tuple[int, ...]
+
+    __array_ufunc__ = None  # numpy then hands ``x @ block`` to __rmatmul__
+
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
+        out = x.reshape((-1,) + self.shape)
+        for (sub, _), operand in zip(self.plan.steps, self.operands):
+            out = np.einsum(sub, out, operand)
+        return out.reshape(x.shape[:-1] + (-1,))
 
 
 def _compile_plan(
@@ -188,11 +200,13 @@ class LayerChainModel:
     Blocks depend on the kernel and the support grid but not on the simplex
     weights, so a model can be reused across candidate distributions (EM
     iterations, grid scans) on a fixed support.  ``engine`` says how blocks
-    are applied: "dense" builds each type's transition matrix when the
+    are stored: "dense" builds each type's transition matrix when the
     chain's blocks hold at most ``_BLOCK_CACHE_BUDGET`` entries in total;
     "factored" keeps each type as its edge factors and contracts them with
-    the state vectors in an order compiled once per positional plan.  Both
-    engines give the same per-block log normalizers up to float64 roundoff.
+    the state vectors in an order compiled once per positional plan.  Only
+    the constructor asks which: sweeps push with ``x @ _mats[q]`` and pull
+    with ``x @ _pulls[q]``, the transposed block.  Both engines give the
+    same per-block log normalizers up to float64 roundoff.
 
     ``floor`` is the kernel's H1 floor epsilon on the support grid (a model
     without one raises ``H1Violated``), and :meth:`block_nus` gives each
@@ -243,20 +257,15 @@ class LayerChainModel:
         total_entries = sum(
             self.s ** (self.widths[q] + self.widths[q + 1]) for q in range(self.num_blocks)
         )
-        self._mats: list[np.ndarray] | None = None
-        self._pulls: list[np.ndarray] | None = None
-        self._factored: list[tuple] | None = None
         if total_entries <= _BLOCK_CACHE_BUDGET:
             self.engine = "dense"
             built = [self._build_dense(block_type) for block_type in self._types]
-            self._mats = [built[k][0] for k in self._block_type]
-            # Row by row, x @ M.T is the product M @ x of _pull, bit for bit.
-            transposed = [mat.T for mat, _ in built]
-            self._pulls = [transposed[k] for k in self._block_type]
         else:
             self.engine = "factored"
             built = self._compile_factored()
-            self._factored = [built[k][0] for k in self._block_type]
+        self._mats = [built[k][0][0] for k in self._block_type]
+        # A dense pull is an M.T view: row by row, x @ M.T is M @ x, bit for bit.
+        self._pulls = [built[k][0][1] for k in self._block_type]
         self._shifts = np.array([built[k][1] for k in self._block_type])
         # Per distinct layer width: its layers and their node rows (node id
         # - 1, one column per position), for the marginals of posterior_pass,
@@ -304,14 +313,15 @@ class LayerChainModel:
     def _block_log_matrix(self, q: int) -> np.ndarray:
         return self._log_matrix(self._types[self._block_type[q]])
 
-    def _build_dense(self, block_type: tuple) -> tuple[np.ndarray, float]:
+    def _build_dense(self, block_type: tuple) -> tuple[tuple, float]:
+        """((M, M.T), log shift) of one block type."""
         log_m = self._log_matrix(block_type)
         shift = float(log_m.max())
-        return np.exp(log_m - shift), shift
+        mat = np.exp(log_m - shift)
+        return (mat, mat.T), shift
 
     def _compile_factored(self) -> list[tuple[tuple, float]]:
-        """Per block type: ((push plan, its operands, pull plan, its
-        operands), log shift).
+        """Per block type: ((push block, pull block), log shift).
 
         Einsum subscript 0 is the batch axis and subscript 1 + a the block
         axis a.  A layer-q node without a cross edge gets a unit factor, so
@@ -342,30 +352,20 @@ class LayerChainModel:
             tables = [factors[sub] for sub in subs]
             maxima = [float(t.max()) for t in tables]
             scaled = [np.exp(t - m) for t, m in zip(tables, maxima)]
-            built.append(((push, push.prepare(scaled), pull, pull.prepare(scaled)), sum(maxima)))
+            blocks = (
+                _FactoredBlock(push, push.prepare(scaled), (self.s,) * wq),
+                _FactoredBlock(pull, pull.prepare(scaled), (self.s,) * wq1),
+            )
+            built.append((blocks, sum(maxima)))
         return built
 
     def _push(self, q: int, x: np.ndarray) -> np.ndarray:
         """x @ M_q for layer-q state vectors x, shape (..., s**w_q)."""
-        if self._mats is not None:
-            return x @ self._mats[q]
-        plan, operands, _, _ = self._factored[q]
-        out = plan.run(x.reshape((-1,) + (self.s,) * self.widths[q]), operands)
-        return out.reshape(x.shape[:-1] + (-1,))
-
-    def _matrix(self, q: int) -> np.ndarray:
-        """M_q, scaled by its shift; the factored engine pushes the identity."""
-        if self._mats is not None:
-            return self._mats[q]
-        return self._push(q, np.eye(self.s ** self.widths[q]))
+        return x @ self._mats[q]
 
     def _pull(self, q: int, x: np.ndarray) -> np.ndarray:
         """M_q @ x for layer-(q+1) state vectors x, (..., s**w_{q+1}), row by row."""
-        if self._mats is not None:
-            return (self._mats[q] @ x[..., None])[..., 0]
-        _, _, plan, operands = self._factored[q]
-        out = plan.run(x.reshape((-1,) + (self.s,) * self.widths[q + 1]), operands)
-        return out.reshape(x.shape[:-1] + (-1,))
+        return (x[..., None, :] @ self._pulls[q])[..., 0, :]
 
     # -- priors ---------------------------------------------------------------
 
@@ -435,7 +435,7 @@ class LayerChainModel:
         # NaN; the check after the loop reports where it happened.
         with np.errstate(divide="ignore", invalid="ignore"):
             for q in range(self.num_blocks):
-                w = (w @ mats[q] if mats is not None else self._push(q, w)) * priors[q + 1]
+                w = (w @ mats[q]) * priors[q + 1]
                 c = total(w, -1, keepdims=rows)
                 w /= c
                 cs.append(c)
@@ -492,7 +492,7 @@ class LayerChainModel:
         with np.errstate(divide="ignore", invalid="ignore"):
             for q in range(self.num_blocks, 0, -1):
                 x = priors[q] * beta
-                beta = x @ pulls[q - 1] if pulls is not None else self._pull(q - 1, x)
+                beta = x @ pulls[q - 1]
                 beta /= peak_of(beta, -1, keepdims=rows)
                 betas.append(beta)
         betas.reverse()
@@ -608,7 +608,7 @@ class LayerChainModel:
         kernels = []
         g = np.ones(self.s ** self.widths[q])  # P(X_{q:k-1} | V_k), scaled
         for k in range(q, m):
-            mat = self._matrix(k)
+            mat = np.eye(self.s ** self.widths[k]) @ self._mats[k]
             weighted = priors[k][:, None] * g[:, None] * mat
             denom = weighted.sum(axis=0)
             if np.any(denom <= 0.0):

@@ -133,8 +133,11 @@ def simulate(
     """Schedule, draw weights from pi_star, then draw outcomes.
 
     ``strict=False`` uses the relaxed scheduler (no n < N/4 bound) for
-    exploratory runs; layer-formula oracles will refuse such graphs.
+    exploratory runs; layer-formula oracles will refuse such graphs.  The
+    kernel must be defined on all of pi_star's support, drawn or not (a table
+    kernel raises ``SupportMismatch`` otherwise).
     """
+    kernel.log_table(pi_star.support)
     graph = build_schedule(N, n) if strict else build_schedule_unchecked(N, n)
     weights = sample_weights(pi_star, N, seed)
     ds = sample_outcomes(graph, kernel, weights, seed)
@@ -147,6 +150,7 @@ def _simulate_replicates(
     """One dataset per seed, each equal to ``simulate(pi_star, kernel, N, n,
     seed)``.  The schedule and its layers depend only on (N, n), so they are
     built once and every dataset shares the same ``graph`` and ``layers``."""
+    kernel.log_table(pi_star.support)
     graph = build_schedule(N, n)
     layers = layer_decomposition(graph)
     datasets = []

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lgmle import (
     DiscreteDistribution,
     FitConfig,
+    InvalidValue,
     LayerChainModel,
     LayerOutOfRange,
     RiskParams,
@@ -304,10 +305,47 @@ def test_diagnose_logs_tightest_envelopes(caplog):
         slacks = [float(bound - value) for _, value, bound in rows]
         tight = slacks.index(min(slacks))
         where = " ".join(f"{key}={v}" for key, v in zip(keys, rows[tight][0]))
-        parts.append(f"{name} rows={len(rows)} min_slack={slacks[tight]!r} at {where}")
+        part = f"{name} rows={len(rows)} min_slack={slacks[tight]!r} at {where}"
+        ratios = [(float(value / bound), window) for window, value, bound in rows if bound > 0]
+        ratio, window = max(ratios, key=lambda r: r[0])
+        where = " ".join(f"{key}={v}" for key, v in zip(keys, window))
+        parts.append(f"{part} tightest={ratio!r} at {where}")
     assert [r.getMessage() for r in caplog.records if r.name == "lgmle.analysis"] == [
         "diagnose envelopes: " + "; ".join(parts)
     ]
+
+
+def test_slack_summary_names_smallest_slack_and_tightest_row_apart():
+    # row 0 has the smaller slack (0.1 against 1), row 1 the larger value/bound (0.9 against 0.5)
+    env = analysis.Envelope({"q": np.array([2, 3]), "m": np.array([4, 5])}, np.array([0.1, 9.0]), np.array([0.2, 10.0]))
+    assert env.slack_summary() == "rows=2 min_slack=0.1 at q=2 m=4 tightest=0.9 at q=3 m=5"
+    zero = analysis.Envelope({"layer": np.array([1])}, np.array([0.0]), np.array([0.0]))
+    assert zero.slack_summary() == "rows=1 min_slack=0.0 at layer=1"
+
+
+@pytest.mark.parametrize("max_ell", [0, -1])
+def test_forgetting_profile_rejects_empty_horizon(max_ell):
+    # max_ell < 1 keeps no window, so the check would pass with 0 rows
+    pi = DiscreteDistribution([1.0, 3.0], [0.4, 0.6])
+    k = bradley_terry()
+    ds = simulate(pi, k, 40, 2, seed=11)
+    with pytest.raises(InvalidValue, match=f"^max_ell must be at least 1, got {max_ell}$"):
+        forgetting_profile(ds, pi, k, max_ell=max_ell)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pi, k: scaling_experiment(pi, k, [60], seeds_per_n=1, base_seed=-1),
+        lambda pi, k: z_process_concentration([pi], k, pi, N=40, replicates=2, base_seed=-1),
+        lambda pi, k: RiskParams(base_seed=-1).seeds(),
+    ],
+    ids=["scaling_experiment", "z_process_concentration", "RiskParams"],
+)
+def test_negative_base_seed_raises_invalid_value(call):
+    pi = DiscreteDistribution([1.0, 3.0], [0.4, 0.6])
+    with pytest.raises(InvalidValue, match="^base_seed must be non-negative, got -1$"):
+        call(pi, bradley_terry())
 
 
 def test_single_flip_bounds_hold():

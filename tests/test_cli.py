@@ -593,6 +593,14 @@ def test_config_checked_before_any_command_exit_2(tmp_path, base_config, capsys,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+def test_fit_tol_not_finite_exit_2(tmp_path, base_config, capsys, tol):
+    # JSON configs may spell Infinity and NaN; neither is a tolerance
+    assert run(["fit", "--config", base_config(**_with_fit(tol=tol)), "--out", tmp_path / "fit"]) == 2
+    assert capsys.readouterr().err == f"error: tol must be positive and finite, got {tol}\n"
+    assert not (tmp_path / "fit" / "fit.json").exists()
+
+
 _RISK = {"candidates": [[0.5, 0.5]], "analysis": {"N": 300, "replicates": 2, "min_q_max": 20}}
 
 
@@ -798,6 +806,16 @@ def test_support_off_the_table_grid_exit_2(tmp_path, base_config, capsys, comman
     cfg = base_config(model=model, candidates=[[0.5, 0.5]], **_TABLE_RISK)
     assert run([command, "--config", cfg, "--out", tmp_path / command]) == 2
     assert capsys.readouterr().err == f"error: weight {off} is not on the kernel's table support [1.0, 2.0]\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "loglik"])
+def test_support_point_never_drawn_off_the_table_grid_exit_2(tmp_path, base_config, capsys, command):
+    # pi_star puts no mass on 3.0, so no node draws it; the support is still off the grid
+    kernel = {**_TABLE_KERNEL, "support": [1.0, 2.0], "table": [[[0.5, 0.25], [0.75, 0.5]], [[0.5, 0.75], [0.25, 0.5]]]}
+    model = {"kernel": kernel, "support": [1.0, 3.0], "pi_star": [1.0, 0.0], "pi": [0.5, 0.5]}
+    assert run([command, "--config", base_config(model=model), "--out", tmp_path / command]) == 2
+    assert capsys.readouterr().err == "error: weight 3.0 is not on the kernel's table support [1.0, 2.0]\n"
+    assert not (tmp_path / command / "dataset.json").exists()
 
 
 @pytest.mark.parametrize("command", ["loglik", "fit", "diagnose"])

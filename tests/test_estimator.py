@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lgmle import (
     DiscreteDistribution,
     FitConfig,
+    InvalidValue,
     LayerChainModel,
     NoCandidates,
     bradley_terry,
@@ -138,6 +139,13 @@ def test_fit_config_validation():
         FitConfig(support=(1.0,), mode="gradient")
     with pytest.raises(ValueError):
         FitConfig(support=(1.0,), init="warm")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("inf"), float("nan")])
+def test_fit_config_needs_positive_finite_tol(tol):
+    # an infinite tol stops EM after one step, a NaN one never stops it
+    with pytest.raises(InvalidValue, match=f"^tol must be positive and finite, got {tol}$"):
+        FitConfig(support=(1.0,), tol=tol)
 
 
 def test_profile_likelihood_single_candidate():

@@ -585,11 +585,11 @@ def test_block_types_match_per_block_builders_exactly(n, s, extra, kernel_index,
             assert model._shifts[q] == shift
         return
     blocks, shifts = _oracle_compile_factored(model)
-    assert len(model._factored) == len(blocks)
-    for (push, push_ops, pull, pull_ops), oracle in zip(model._factored, blocks):
-        assert (push.folds, push.steps) == (oracle[0].folds, oracle[0].steps)
-        assert (pull.folds, pull.steps) == (oracle[2].folds, oracle[2].steps)
-        for ops, oracle_ops in ((push_ops, oracle[1]), (pull_ops, oracle[3])):
+    assert len(model._mats) == len(model._pulls) == len(blocks)
+    for push, pull, oracle in zip(model._mats, model._pulls, blocks):
+        assert (push.plan.folds, push.plan.steps) == (oracle[0].folds, oracle[0].steps)
+        assert (pull.plan.folds, pull.plan.steps) == (oracle[2].folds, oracle[2].steps)
+        for ops, oracle_ops in ((push.operands, oracle[1]), (pull.operands, oracle[3])):
             assert len(ops) == len(oracle_ops)
             assert all(np.array_equal(a, b) for a, b in zip(ops, oracle_ops))
     assert np.array_equal(model._shifts, np.array(shifts))
@@ -973,7 +973,7 @@ def _assert_conditional_sweep_matches_oracle(model, rng, K):
         pulled = model._pull(q, rows)
         for r in range(K):
             assert np.array_equal(pulled[r], model._pull(q, rows[r]))
-            if model._mats is not None:
+            if model.engine == "dense":
                 assert np.array_equal(pulled[r], model._mats[q] @ rows[r])
     top = model.layers.q_max - 1
     if top < 2:

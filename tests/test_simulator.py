@@ -9,7 +9,9 @@ from lgmle import (
     InvalidValue,
     LgmleError,
     NonPositiveWeight,
+    SupportMismatch,
     bradley_terry,
+    custom_table,
     bt_ties,
     build_schedule,
     build_schedule_unchecked,
@@ -288,3 +290,19 @@ def test_dataset_weights_need_one_number_per_node(weights):
     shape = np.shape(weights)
     with pytest.raises(InvalidValue, match=re.escape(f"dataset weights must be 16 numbers, one per node, got shape {shape}")):
         dataset_from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda pi, k: simulate(pi, k, 20, 2, seed=5),
+        lambda pi, k: _simulate_replicates(pi, k, 20, 2, [5, 6]),
+    ],
+    ids=["simulate", "replicates"],
+)
+def test_support_point_never_drawn_is_still_checked(draw):
+    # no node draws 3.0, yet the model of this support would reject it
+    k = custom_table((0, 1), [1.0, 2.0], [[[0.5, 0.25], [0.75, 0.5]], [[0.5, 0.75], [0.25, 0.5]]])
+    pi = DiscreteDistribution([1.0, 3.0], [1.0, 0.0])
+    with pytest.raises(SupportMismatch, match=re.escape("weight 3.0 is not on the kernel's table support [1.0, 2.0]")):
+        draw(pi, k)
