@@ -84,6 +84,8 @@ def product_tv_distance(
     pi: DiscreteDistribution, pi_prime: DiscreteDistribution, m: int
 ) -> float:
     """Exact total variation between the m-fold product measures."""
+    if m < 0:
+        raise InvalidValue(f"product order m must be non-negative, got {m}")
     if not pi.same_support(pi_prime):
         raise InvalidValue("product TV requires a common support")
     digits = _digits(pi.size, m)
@@ -157,7 +159,8 @@ def _replicate_scores(datasets: list[Dataset], kernel: Kernel, arms) -> np.ndarr
     forward sweep per dataset and distinct support."""
     vals = np.empty((len(arms), len(datasets)))
     for r, ds in enumerate(datasets):
-        vals[:, r] = _log_likelihoods(ds, kernel, arms) / ds.layers.q_max
+        vals[:, r] = _log_likelihoods(ds, kernel, arms, LayerChainModel.log_likelihood)
+        vals[:, r] /= ds.layers.q_max
     log.debug(
         "scored: arms=%d replicates=%d supports=%d",
         len(arms),
@@ -275,10 +278,12 @@ def simplex_entropy_integral(s: int, resolution: int = 4096) -> float:
     substitution between tv-radius u and metric radius tv*log(1/tv): the
     integral becomes the tv-entropy integrand weighted by the derivative
     log(1/u) - 1 below 1/e.  Log-spaced trapezoid quadrature; ``resolution``
-    is the number of grid points.
+    is the number of grid points, at least 2.
     """
     if s < 1:
         raise InvalidValue("support size must be at least 1")
+    if resolution < 2:
+        raise InvalidValue(f"resolution must be at least 2 grid points, got {resolution}")
     if s == 1:
         return 0.0
     u = np.geomspace(1e-15, 2.0, resolution)
@@ -563,6 +568,7 @@ class ScalingTable:
     entropy_integral: float
     epsilon: float
     seeds_per_n: int
+    fits: tuple[DiscreteDistribution, ...]  # pi_hat per dataset, in N_list x seed order
 
 
 def scaling_experiment(
@@ -585,7 +591,8 @@ def scaling_experiment(
     error of the plug-in difference at pi_star is removed with a
     central-difference slope correction, which keeps the medians of
     near-optimal fits unbiased.  The reported rhs uses c = 1 and t =
-    sqrt(log 2), so that the tail level e^(-t^2) matches the median.
+    sqrt(log 2), so that the tail level e^(-t^2) matches the median.  The
+    table's ``fits`` hold every fitted pi_hat, N by N and seed by seed.
     """
     _require_counts(seeds_per_n=seeds_per_n, eval_replicates=eval_replicates)
     if fit_config is None:
@@ -649,6 +656,7 @@ def scaling_experiment(
         entropy_integral=integral,
         epsilon=epsilon,
         seeds_per_n=seeds_per_n,
+        fits=tuple(fits),
     )
 
 
@@ -692,13 +700,13 @@ def z_process_concentration(
         raise LayerOutOfRange("graph too small: no interior window")
     num_layers = m - 1
     pi_list = list(pi_list)
-    groups = _support_groups(pi_list)
+
+    def layer_mean(model: LayerChainModel, rows: np.ndarray) -> np.ndarray:
+        return np.mean(model.conditional_profiles(rows, m)[:, 2:], axis=1)
+
     all_sums = np.empty((len(pi_list), replicates))
     for r, ds in enumerate(datasets):
-        for indices in groups:
-            model = LayerChainModel(ds, kernel, pi_list[indices[0]].support)
-            profiles = model.conditional_profiles([pi_list[k].probs for k in indices], m)
-            all_sums[indices, r] = np.mean(profiles[:, 2:], axis=1)
+        all_sums[:, r] = _log_likelihoods(ds, kernel, pi_list, layer_mean)
     out = []
     for pi, sums in zip(pi_list, all_sums):
         centered = sums - sums.mean()

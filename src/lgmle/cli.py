@@ -273,22 +273,8 @@ def cmd_fit(args) -> int:
     fc = estimator.FitConfig(support=tuple(support), **fit_cfg)
     result = estimator.fit_mle(ds, kernel, fc)
     out = _out_dir(args)
-    _write_json(
-        os.path.join(out, "fit.json"),
-        {
-            "pi_hat": {
-                "support": result.pi_hat.support,
-                "probs": result.pi_hat.probs,
-            },
-            "final_log_lik": result.final_log_lik,
-            "trajectory": result.trajectory,
-            "converged": result.converged,
-            "restart_index": result.restart_index,
-            "restart_final_logliks": result.restart_final_logliks,
-            "config": doc,
-            "seed": ds.seed,
-        },
-    )
+    fit_doc = dataclasses.asdict(result)
+    _write_json(os.path.join(out, "fit.json"), {**fit_doc, "config": doc, "seed": ds.seed})
     return EXIT_OK
 
 
@@ -316,27 +302,12 @@ def cmd_risk(args) -> int:
         ["candidate", "probs", "excess_risk", "excess_stderr", "L_hat_star", "L_hat_pi"],
         rows,
     )
+    report_docs = [dataclasses.asdict(r) for r in reports]
+    for report_doc in report_docs:
+        report_doc["probs"] = report_doc.pop("pi")["probs"]
     _write_json(
         os.path.join(out, "risk.json"),
-        {
-            "reports": [
-                {
-                    "probs": r.pi.probs,
-                    "excess_risk": r.excess_risk,
-                    "excess_stderr": r.excess_stderr,
-                    "L_hat_star": r.L_hat_star,
-                    "L_hat_star_stderr": r.L_hat_star_stderr,
-                    "L_hat_pi": r.L_hat_pi,
-                    "L_hat_pi_stderr": r.L_hat_pi_stderr,
-                    "N_used": r.N_used,
-                    "replicates": r.replicates,
-                    "window": r.window,
-                }
-                for r in reports
-            ],
-            "config": doc,
-            "seeds": params.seeds(),
-        },
+        {"reports": report_docs, "config": doc, "seeds": params.seeds()},
     )
     return EXIT_OK
 
@@ -358,8 +329,8 @@ def cmd_diagnose(args) -> int:
     steps = diagnosis.contraction.steps
     _write_csv(
         os.path.join(out, "contraction.csv"),
-        ["layer", "tv", "step_factor", "cumulative_bound"],
-        [(s.layer, s.tv, s.step_factor, s.cumulative_bound) for s in steps],
+        [f.name for f in dataclasses.fields(likelihood.ContractionStep)],
+        [dataclasses.astuple(step) for step in steps],
     )
     _write_json(
         os.path.join(out, "diagnose_config.json"),

@@ -89,25 +89,18 @@ def _em_lockstep(model: LayerChainModel, starts: list[np.ndarray], config: FitCo
     The rows of one ``posterior_pass`` are the restarts still running; each
     is bit-identical to its own sweep, so every restart takes the steps it
     would take alone.  A row runs its own M-step and stop test and leaves
-    the batch when it stops; a lone row sweeps as a plain vector.
+    the batch when it stops.
     """
     probs = np.array(starts, dtype=float)
-
-    def sweep(rows: list[int]):
-        if len(rows) == 1:
-            marginals, ll = model.posterior_pass(probs[rows[0]])
-            return marginals[None], [ll]
-        return model.posterior_pass(probs[rows])
-
     active = list(range(len(starts)))
-    marginals, lls = sweep(active)
+    marginals, lls = model.posterior_pass(probs)
     trajectories = [[ll] for ll in lls]
     converged = [False] * len(starts)
     clipped = [0] * len(starts)
     for _ in range(config.max_iters):
         for row, r in enumerate(active):
             probs[r], clipped[r] = _m_step(marginals[row])
-        marginals, lls = sweep(active)
+        marginals, lls = model.posterior_pass(probs[active])
         running = []
         for row, (r, ll_new) in enumerate(zip(active, lls)):
             ll = trajectories[r][-1]
@@ -166,7 +159,9 @@ def fit_mle(dataset: Dataset, kernel: Kernel, config: FitConfig) -> FitResult:
     if config.mode == "grid":
         if not config.candidates:
             raise NoCandidates("grid mode needs a non-empty candidate list")
-        values = list(_log_likelihoods(dataset, kernel, config.candidates))
+        values = list(
+            _log_likelihoods(dataset, kernel, config.candidates, LayerChainModel.log_likelihood)
+        )
         best = 0
         for idx, value in enumerate(values):
             if value > values[best]:
@@ -204,5 +199,5 @@ def profile_likelihood(
 ) -> list[tuple[DiscreteDistribution, float]]:
     """Per-candidate log-likelihood normalized by the layer count q_max."""
     q_max = dataset.layers.q_max
-    values = _log_likelihoods(dataset, kernel, candidates) / q_max
+    values = _log_likelihoods(dataset, kernel, candidates, LayerChainModel.log_likelihood) / q_max
     return list(zip(candidates, values))

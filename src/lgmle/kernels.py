@@ -59,8 +59,8 @@ class Kernel:
         xi = self.outcome_index(x)
         v = float(v)
         w = float(w)
-        if v <= 0 or w <= 0:
-            raise NonPositiveWeight(f"weights must be positive, got v={v}, w={w}")
+        if not (0 < v < np.inf and 0 < w < np.inf):
+            raise NonPositiveWeight(f"weights must be positive and finite, got v={v}, w={w}")
         return float(self.log_fn(xi, np.asarray(v), np.asarray(w)))
 
     def prob(self, x, v, w) -> float:
@@ -164,13 +164,16 @@ def uniform_kernel(num_outcomes: int = 2) -> Kernel:
 def custom_table(outcomes, support, table) -> Kernel:
     """Kernel given by an explicit (|X|, s, s) probability table on a grid.
 
-    The table must normalize over outcomes for every weight pair; zero
-    entries are allowed at construction (they surface as H1 violations when
-    a floor is requested).  The kernel is defined on the grid points only:
-    any support whose points lie on the grid works, and a weight off the
-    grid raises ``SupportMismatch``.
+    The outcome labels must be distinct.  The table must normalize over
+    outcomes for every weight pair; zero entries are allowed at construction
+    (they surface as H1 violations when a floor is requested).  The kernel
+    is defined on the grid points only: any support whose points lie on the
+    grid works, and a weight off the grid raises ``SupportMismatch``.
     """
     outcomes = tuple(outcomes)
+    for k, x in enumerate(outcomes):
+        if x in outcomes[:k]:
+            raise InvalidValue(f"outcome label {x!r} is listed more than once in {list(outcomes)}")
     try:
         support = np.asarray(support, dtype=float)
         table = np.asarray(table, dtype=float)

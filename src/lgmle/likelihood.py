@@ -216,9 +216,11 @@ class LayerChainModel:
     weights in one recursion (``_forward_rows`` forward), each row pushed and
     pulled as its own vector-matrix product against the shared block
     matrices, so every row's result is bit-identical to a sweep of that row
-    alone; one row sweeps as a plain vector.  The per-block loops do the
-    recursion alone; logs, shifts, gammas and node marginals follow for all
-    blocks at once, in the floating-point order of a per-block computation.
+    alone.  The model picks the sweep shape from the row count: a batch of
+    one row, (s,) or (1, s), sweeps as a plain vector, and outputs keep the
+    shape of the input.  The per-block loops do the recursion alone; logs,
+    shifts, gammas and node marginals follow for all blocks at once, in the
+    floating-point order of a per-block computation.
     All methods are pure; instances are safe for concurrent reads.
     """
 
@@ -390,8 +392,9 @@ class LayerChainModel:
 
     @staticmethod
     def _rows(probs: np.ndarray) -> np.ndarray:
-        """Simplex rows (K, s) as (K, 1, s), the shape of a batched sweep; one (s,) stays."""
-        return probs[:, None, :] if probs.ndim > 1 else probs
+        """Simplex rows as a sweep takes them: K > 1 rows (K, s) as (K, 1, s),
+        one row, (s,) or (1, s), as a plain (s,) vector."""
+        return probs[:, None, :] if probs.ndim > 1 and len(probs) != 1 else probs.reshape(-1)
 
     def _priors(self, probs: np.ndarray) -> list[np.ndarray]:
         """``_prior(probs, q)`` for every layer q, built once per distinct width.
@@ -484,7 +487,7 @@ class LayerChainModel:
         alphas, constants = self._forward_rows(priors)
         pulls = self._pulls
         peak_of = np.maximum.reduce
-        rows = probs.ndim > 1
+        rows = priors[0].ndim > 1
         beta = np.ones(priors[-1].shape)
         betas = [beta]
         # A row without mass turns to NaN in the division and stays NaN below
@@ -500,12 +503,13 @@ class LayerChainModel:
             block = max(k for k in range(self.num_blocks) if np.isnan(betas[k]).any())
             raise H1Violated(f"zero posterior mass at block {block}")
         totals = np.cumsum(constants, axis=0)[-1]
-        return self._marginals(alphas, betas, probs.shape[:-1]), totals if rows else totals[0]
+        marginals = self._marginals(alphas, betas, probs.shape[:-1])
+        return marginals, totals if probs.ndim > 1 else totals[0]
 
     def _marginals(self, alphas: list, betas: list, lead: tuple) -> np.ndarray:
         """``lead`` + (N, s) node marginals from every layer's forward and
-        backward messages, each ``lead`` + (S,) (a row (R, 1, S) for ``lead``
-        (R,)); the lists are emptied as it goes.
+        backward messages, each (R, 1, S) rows or one (S,) vector; the lists
+        are emptied as it goes.
 
         Per distinct layer width, each row's gammas alpha_q * beta_q of that
         width are stacked and row-normalized, and one ``bincount`` per
@@ -516,7 +520,7 @@ class LayerChainModel:
         s, N = self.s, self.dataset.graph.N
         out = np.empty(lead + (N, s))
         # Rows (R, 1, S) join along their middle axis, one row (S,) along its only one.
-        axis = -2 if lead else -1
+        axis = -2 if alphas[0].ndim > 1 else -1
         for width, qs, nodes in self._width_groups:
             shape = (-1, len(qs), s**width)
             gammas = np.concatenate([alphas[q] for q in qs], axis=axis).reshape(shape)
@@ -665,18 +669,18 @@ def _support_groups(dists) -> list[list[int]]:
     return list(groups.values())
 
 
-def _log_likelihoods(dataset: Dataset, kernel: Kernel, dists) -> np.ndarray:
-    """Log-likelihood of every distribution in ``dists``, in order.
+def _log_likelihoods(dataset: Dataset, kernel: Kernel, dists, score) -> np.ndarray:
+    """``score(model, rows)`` of every distribution in ``dists``, in order:
+    one value per row, such as ``LayerChainModel.log_likelihood``.
 
-    Distributions on a common support are scored on one model in one batched
-    forward sweep.  Each model is dropped before the next is built, so at
-    most one is alive.
+    Distributions on a common support are scored together, as the (K, s)
+    rows of one model of ``dataset`` on that support.  Each model is dropped
+    before the next is built, so at most one is alive.
     """
     out = np.empty(len(dists))
     for indices in _support_groups(dists):
         rows = np.array([dists[k].probs for k in indices])
-        support = dists[indices[0]].support
-        out[indices] = LayerChainModel(dataset, kernel, support).log_likelihood(rows)
+        out[indices] = score(LayerChainModel(dataset, kernel, dists[indices[0]].support), rows)
     return out
 
 

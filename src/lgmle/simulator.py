@@ -130,28 +130,28 @@ def simulate(
     blind: bool = False,
     strict: bool = True,
 ) -> Dataset:
-    """Schedule, draw weights from pi_star, then draw outcomes.
+    """Schedule, draw weights from pi_star, then draw outcomes: the replicate
+    set of one seed, without its true weights if ``blind``.
 
     ``strict=False`` uses the relaxed scheduler (no n < N/4 bound) for
     exploratory runs; layer-formula oracles will refuse such graphs.  The
     kernel must be defined on all of pi_star's support, drawn or not (a table
     kernel raises ``SupportMismatch`` otherwise).
     """
-    kernel.log_table(pi_star.support)
-    graph = build_schedule(N, n) if strict else build_schedule_unchecked(N, n)
-    weights = sample_weights(pi_star, N, seed)
-    ds = sample_outcomes(graph, kernel, weights, seed)
+    ds = _simulate_replicates(pi_star, kernel, N, n, [seed], strict)[0]
     return ds.strip_weights() if blind else ds
 
 
 def _simulate_replicates(
-    pi_star: DiscreteDistribution, kernel: Kernel, N: int, n: int, seeds
+    pi_star: DiscreteDistribution, kernel: Kernel, N: int, n: int, seeds, strict: bool = True
 ) -> list[Dataset]:
-    """One dataset per seed, each equal to ``simulate(pi_star, kernel, N, n,
-    seed)``.  The schedule and its layers depend only on (N, n), so they are
-    built once and every dataset shares the same ``graph`` and ``layers``."""
+    """One dataset per seed, each drawn as :func:`sample_outcomes` draws it
+    from ``sample_weights(pi_star, N, seed)``.  The schedule and its layers
+    depend only on (N, n), so they are built once and every dataset shares
+    the same ``graph`` and ``layers``; ``strict`` picks the scheduler as in
+    :func:`simulate`."""
     kernel.log_table(pi_star.support)
-    graph = build_schedule(N, n)
+    graph = build_schedule(N, n) if strict else build_schedule_unchecked(N, n)
     layers = layer_decomposition(graph)
     datasets = []
     for seed in seeds:

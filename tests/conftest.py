@@ -284,9 +284,11 @@ def oracle_scaling_experiment(
     integral = simplex_entropy_integral(pi_star.size)
     evaluator = OracleRiskEvaluator(pi_star, kernel, eval_N, n, eval_replicates, base_seed)
     rows = []
+    pi_hats = []
     for N in N_list:
         seeds = np.random.SeedSequence([base_seed, N]).generate_state(seeds_per_n)
         fits = [fit_mle(simulate(pi_star, kernel, N, n, int(s)), kernel, fit_config) for s in seeds]
+        pi_hats += [fit.pi_hat for fit in fits]
         arr = np.array([evaluator.excess(fit.pi_hat) for fit in fits])
         q25, q50, q75 = np.percentile(arr, [25, 50, 75])
         rows.append(
@@ -305,6 +307,7 @@ def oracle_scaling_experiment(
         entropy_integral=integral,
         epsilon=epsilon,
         seeds_per_n=seeds_per_n,
+        fits=tuple(pi_hats),
     )
 
 

@@ -99,6 +99,12 @@ def test_product_tv_bound(rng):
             assert product_tv_distance(a, b, m) <= m * tv_distance(a, b) + 1e-12
 
 
+def test_product_tv_rejects_negative_order():
+    pi = uniform([1.0, 2.0])
+    with pytest.raises(InvalidValue, match=r"^product order m must be non-negative, got -1$"):
+        product_tv_distance(pi, pi.with_probs([0.3, 0.7]), -1)
+
+
 def test_rhs_monotone_in_t():
     values = [risk_bound_rhs(2, 0.3, 1000, 1.0, t) for t in (0.5, 1.0, 2.0, 4.0)]
     assert all(x < y for x, y in zip(values, values[1:]))
@@ -123,6 +129,13 @@ def test_entropy_integral_properties():
     coarse = simplex_entropy_integral(3, resolution=2048)
     fine = simplex_entropy_integral(3, resolution=20480)
     assert abs(coarse - fine) <= 0.01 * abs(fine)
+
+
+@pytest.mark.parametrize("resolution", [0, 1])
+def test_entropy_integral_needs_two_grid_points(resolution):
+    # one grid point or none integrates to 0.0, which drops the entropy term
+    with pytest.raises(InvalidValue, match=f"^resolution must be at least 2 grid points, got {resolution}$"):
+        simplex_entropy_integral(3, resolution)
 
 
 def test_limit_likelihood_uniform_kernel_exact():
@@ -565,25 +578,30 @@ def test_scaling_experiment_equals_per_replicate_oracle(k, pi_star, candidates, 
 
 def test_scaling_experiment_fits_each_dataset_in_its_own_call(monkeypatch):
     # A benchmark recorder wraps analysis.fit_mle and reads one fit per call,
-    # in call order: the seeds of one N must not be fitted in one call.
+    # in call order: the seeds of one N must not be fitted in one call.  The
+    # table's fits are those results, in the same order.
     calls = []
+    pi_hats = []
     fit_mle = analysis.fit_mle
 
     def recording_fit_mle(dataset, kernel, config):
         calls.append((dataset.graph.N, dataset.seed))
-        return fit_mle(dataset, kernel, config)
+        result = fit_mle(dataset, kernel, config)
+        pi_hats.append(result.pi_hat)
+        return result
 
     monkeypatch.setattr(analysis, "fit_mle", recording_fit_mle)
     pi_star = DiscreteDistribution([0.5, 2.0], [0.3, 0.7])
     fit_config = FitConfig(support=(0.5, 2.0), max_iters=2, restarts=2)
     kwargs = dict(seeds_per_n=3, base_seed=23, fit_config=fit_config, eval_N=48, eval_replicates=2)
     N_list = [32, 40]
-    scaling_experiment(pi_star, degree_model(), N_list, **kwargs)
+    table = scaling_experiment(pi_star, degree_model(), N_list, **kwargs)
     assert calls == [
         (N, int(seed))
         for N in N_list
         for seed in np.random.SeedSequence([23, N]).generate_state(3)
     ]
+    assert table.fits == tuple(pi_hats)
 
 
 @pytest.mark.parametrize(

@@ -818,6 +818,16 @@ def test_support_point_never_drawn_off_the_table_grid_exit_2(tmp_path, base_conf
     assert not (tmp_path / command / "dataset.json").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "loglik", "fit", "risk", "diagnose"])
+def test_table_kernel_with_a_repeated_outcome_label_exit_2(tmp_path, base_config, capsys, command):
+    kernel = {**_TABLE_KERNEL, "outcomes": [1, 1]}
+    model = {"kernel": kernel, "support": [1.0, 2.0], "pi_star": [0.4, 0.6], "pi": [0.5, 0.5]}
+    cfg = base_config(model=model, candidates=[[0.5, 0.5]], **_TABLE_RISK)
+    assert run([command, "--config", cfg, "--out", tmp_path / command]) == 2
+    assert capsys.readouterr().err == "error: outcome label 1 is listed more than once in [1, 1]\n"
+    assert not (tmp_path / command).exists()
+
+
 @pytest.mark.parametrize("command", ["loglik", "fit", "diagnose"])
 def test_loaded_dataset_with_support_off_the_table_grid_exit_2(tmp_path, base_config, capsys, command):
     ds = simulate(DiscreteDistribution([1.0, 3.0], [0.4, 0.6]), bradley_terry(), 20, 2, seed=5)

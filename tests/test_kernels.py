@@ -83,6 +83,15 @@ def test_non_positive_weight():
         degree_model().prob(1, 1.0, -2.0)
 
 
+@pytest.mark.parametrize("v, w", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 2.0)])
+@pytest.mark.parametrize("method", ["log_prob", "prob"])
+def test_weight_not_finite_raises(method, v, w):
+    # NaN passes the sign test, and would come back as a NaN probability
+    with pytest.raises(NonPositiveWeight) as info:
+        getattr(bradley_terry(), method)(1, v, w)
+    assert str(info.value) == f"weights must be positive and finite, got v={v}, w={w}"
+
+
 def test_epsilon_floor_bt():
     cert = epsilon_floor(bradley_terry(), [1.0, 3.0])
     assert cert.epsilon == pytest.approx(0.25, abs=1e-15)
@@ -112,6 +121,14 @@ def test_custom_table_support_mismatch():
         k.log_table(np.array([1.0, 3.0]))
     with pytest.raises(SupportMismatch):
         k.log_prob(0, 1.5, 2.0)
+
+
+def test_custom_table_rejects_repeated_outcome_labels():
+    # outcome_index would map both labels to row 0 of a table whose rows differ
+    table = [[[0.5, 0.25], [0.75, 0.5]], [[0.5, 0.75], [0.25, 0.5]]]
+    with pytest.raises(InvalidValue) as info:
+        custom_table([1, 1.0], [1.0, 2.0], table)
+    assert str(info.value) == "outcome label 1.0 is listed more than once in [1, 1.0]"
 
 
 _HALF = [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]

@@ -181,23 +181,28 @@ def test_outcomes_csv(tmp_path):
     assert len(lines) - 1 == len(ds.graph.edges)
 
 
-@pytest.mark.parametrize("N, n", [(200, 2), (60, 3), (120, 4), (800, 2)])
+@pytest.mark.parametrize("N, n", [(200, 2), (60, 3), (120, 4), (800, 2), (12, 4), (18, 5)])
 def test_replicates_equal_per_seed_simulate(N, n):
+    # Both drawing paths against the public building blocks; n >= N/4 takes
+    # the relaxed scheduler.
     pi = DiscreteDistribution([0.5, 1.0, 2.0], [0.2, 0.5, 0.3])
     k = bt_ties(2.0) if n % 2 else degree_model()
+    strict = 4 * n < N
+    graph = (build_schedule if strict else build_schedule_unchecked)(N, n)
     seeds = [3, 917, 2**31 + 5]
-    replicates = _simulate_replicates(pi, k, N, n, seeds)
+    replicates = _simulate_replicates(pi, k, N, n, seeds, strict)
     assert len(replicates) == len(seeds)
     for ds, seed in zip(replicates, seeds):
-        ref = simulate(pi, k, N, n, seed)
+        ref = sample_outcomes(graph, k, sample_weights(pi, N, seed), seed)
         assert ds.graph is replicates[0].graph and ds.layers is replicates[0].layers
-        assert (ds.graph, ds.layers, ds.outcomes, ds.seed) == (
-            ref.graph,
-            ref.layers,
-            ref.outcomes,
-            ref.seed,
-        )
-        assert np.array_equal(ds.true_weights, ref.true_weights)
+        for got in (ds, simulate(pi, k, N, n, seed, strict=strict)):
+            assert (got.graph, got.layers, got.outcomes, got.seed) == (
+                ref.graph,
+                ref.layers,
+                ref.outcomes,
+                ref.seed,
+            )
+            assert np.array_equal(got.true_weights, ref.true_weights)
 
 
 @pytest.mark.parametrize(
