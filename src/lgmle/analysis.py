@@ -153,14 +153,13 @@ def _require_counts(**counts: int) -> None:
             raise InvalidValue(f"{name} must be at least 1, got {count}")
 
 
-def _replicate_scores(datasets: list[Dataset], kernel: Kernel, arms) -> np.ndarray:
-    """(arms x replicates) array of q_max-normalized log-likelihoods: every
-    arm is scored on every dataset (common random numbers), in one batched
-    forward sweep per dataset and distinct support."""
+def _replicate_scores(datasets: list[Dataset], kernel: Kernel, arms, score) -> np.ndarray:
+    """(arms x replicates) array of ``score(model, rows)`` values: every arm
+    is scored on every dataset (common random numbers), as the rows of one
+    model per dataset and distinct support."""
     vals = np.empty((len(arms), len(datasets)))
     for r, ds in enumerate(datasets):
-        vals[:, r] = _log_likelihoods(ds, kernel, arms, LayerChainModel.log_likelihood)
-        vals[:, r] /= ds.layers.q_max
+        vals[:, r] = _log_likelihoods(ds, kernel, arms, score)
     log.debug(
         "scored: arms=%d replicates=%d supports=%d",
         len(arms),
@@ -181,7 +180,7 @@ def _risk_scores(arms, kernel: Kernel, pi_star: DiscreteDistribution, params: Ri
             f"q_max = {q_max} is below the configured minimum {params.min_q_max}; "
             "the boundary bias of the normalized likelihood is O(1/q_max)"
         )
-    return _replicate_scores(datasets, kernel, arms), q_max
+    return _replicate_scores(datasets, kernel, arms, LayerChainModel.log_likelihood) / q_max, q_max
 
 
 def estimate_limit_likelihood(
@@ -265,8 +264,11 @@ def risk_bound_rhs(n: int, epsilon: float, N: int, entropy_integral: float, t: f
 
     Its constant c is unspecified by the theory and fixed to 1 for reporting;
     only shape and monotonicity statements should ever be asserted against
-    this value.
+    this value.  ``epsilon`` must lie in (0, 1] and ``N`` be at least 1.
     """
+    if not 0 < epsilon <= 1:
+        raise InvalidValue(f"epsilon must lie in (0, 1], got {epsilon}")
+    _require_counts(N=N)
     return n * epsilon ** (-6 * n * n) / math.sqrt(N) * (entropy_integral + t)
 
 
@@ -363,12 +365,21 @@ def _forgetting_bounds(model: LayerChainModel) -> np.ndarray:
     return bounds
 
 
+def _interior_top(layers) -> int:
+    """q_max - 1, the last layer of an interior window 2 <= q <= m <= q_max - 1;
+    a graph with no such window (q_max <= 2) raises ``LayerOutOfRange``."""
+    top = layers.q_max - 1
+    if top < 2:
+        raise LayerOutOfRange("graph too small: no interior window")
+    return top
+
+
 def _interior_profiles(dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel):
     """(model, profiles): ``profiles[m, q]`` is log P(X_q | X_{q+1:m}) for
     every interior window 2 <= q <= m <= q_max - 1 (NaN elsewhere), from one
     backward sweep over all horizons m."""
+    top = _interior_top(dataset.layers)
     model = LayerChainModel(dataset, kernel, pi.support)
-    top = dataset.layers.q_max - 1
     profiles = np.full((top + 1, top + 1), np.nan)
     profiles[2:] = model.conditional_profiles(pi.probs, range(2, top + 1))
     return model, profiles
@@ -379,9 +390,7 @@ def _forgetting_envelope(model, profiles, q_values=None, max_ell=None) -> Envelo
     :func:`_forgetting_bounds`, ordered by q (as given), m, then ell."""
     if max_ell is not None and max_ell < 1:
         raise InvalidValue(f"max_ell must be at least 1, got {max_ell}")
-    top = model.layers.q_max - 1
-    if top < 2:
-        raise LayerOutOfRange("graph too small: no interior window")
+    top = _interior_top(model.layers)
     q_values = range(2, top + 1) if q_values is None else list(q_values)
     for q in q_values:
         if not 2 <= q <= top:
@@ -479,8 +488,8 @@ def single_flip_rows(
     each interior q <= flip layer, against nu_q^-1 *
     prod_{k=q+1}^{flip-1}(1 - nu_k).
     """
+    m = _interior_top(dataset.layers)
     model = LayerChainModel(dataset, kernel, pi.support)
-    m = dataset.layers.q_max - 1
     bounds = _forgetting_bounds(model)
     (base,) = model.conditional_profiles(pi.probs, [m])
     windows: list[tuple[int, ...]] = []
@@ -530,7 +539,7 @@ def increment_rows(
     """
     if not pi.same_support(pi_prime):
         raise InvalidValue("increment comparison requires a common support")
-    m = dataset.layers.q_max - 1
+    m = _interior_top(dataset.layers)
     model = LayerChainModel(dataset, kernel, pi.support)
     n = dataset.graph.n
     nu = model.floor.nu(n * (n - 1))
@@ -625,7 +634,8 @@ def scaling_experiment(
         arms += [pi_star.with_probs([hi, 1.0 - hi]), pi_star.with_probs([lo, 1.0 - lo])]
     eval_seeds = _seeds(base_seed, eval_replicates, 424243)
     datasets = _simulate_replicates(pi_star, kernel, eval_N, n, eval_seeds)
-    vals = _replicate_scores(datasets, kernel, arms + fits)
+    vals = _replicate_scores(datasets, kernel, arms + fits, LayerChainModel.log_likelihood)
+    vals /= datasets[0].layers.q_max
     gaps = [float((vals[0] - v).mean()) for v in vals]
     slope = 0.0
     if pi_star.size == 2:
@@ -695,20 +705,15 @@ def z_process_concentration(
     """
     _require_counts(replicates=replicates)
     datasets = _simulate_replicates(pi_star, kernel, N, n, _seeds(base_seed, replicates, 515151))
-    m = datasets[0].layers.q_max - 1
-    if m < 2:
-        raise LayerOutOfRange("graph too small: no interior window")
+    m = _interior_top(datasets[0].layers)
     num_layers = m - 1
     pi_list = list(pi_list)
 
     def layer_mean(model: LayerChainModel, rows: np.ndarray) -> np.ndarray:
         return np.mean(model.conditional_profiles(rows, m)[:, 2:], axis=1)
 
-    all_sums = np.empty((len(pi_list), replicates))
-    for r, ds in enumerate(datasets):
-        all_sums[:, r] = _log_likelihoods(ds, kernel, pi_list, layer_mean)
     out = []
-    for pi, sums in zip(pi_list, all_sums):
+    for pi, sums in zip(pi_list, _replicate_scores(datasets, kernel, pi_list, layer_mean)):
         centered = sums - sums.mean()
         sigma = centered.std(ddof=1) if replicates > 1 else 0.0
         degenerate = sigma <= 1e-12 * max(1.0, float(np.abs(sums).max()))

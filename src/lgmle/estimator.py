@@ -73,13 +73,14 @@ class FitResult:
     restart_final_logliks: list[float] = field(default_factory=list)
 
 
-def _m_step(marginals: np.ndarray) -> tuple[np.ndarray, int]:
-    """The EM update from (N, s) node marginals: their average, with weights
-    below ``WEIGHT_FLOOR`` clipped to it and renormalized (a documented
-    deviation from the pure update).  Also returns how many were clipped."""
-    mean = marginals.mean(axis=0)
+def _m_step(marginals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The EM update from (..., N, s) node marginals: their average over the
+    nodes, with weights below ``WEIGHT_FLOOR`` clipped to it and renormalized
+    (a documented deviation from the pure update).  Also returns how many
+    were clipped, per row."""
+    mean = marginals.mean(axis=-2)
     probs = np.maximum(mean, WEIGHT_FLOOR)
-    return probs / probs.sum(), int(np.count_nonzero(mean < WEIGHT_FLOOR))
+    return probs / probs.sum(axis=-1, keepdims=True), np.count_nonzero(mean < WEIGHT_FLOOR, axis=-1)
 
 
 def _em_lockstep(model: LayerChainModel, starts: list[np.ndarray], config: FitConfig):
@@ -88,30 +89,25 @@ def _em_lockstep(model: LayerChainModel, starts: list[np.ndarray], config: FitCo
 
     The rows of one ``posterior_pass`` are the restarts still running; each
     is bit-identical to its own sweep, so every restart takes the steps it
-    would take alone.  A row runs its own M-step and stop test and leaves
-    the batch when it stops.
+    would take alone.  The M-step and the stop test run on all of them at
+    once, and a row leaves the batch when it stops.
     """
     probs = np.array(starts, dtype=float)
-    active = list(range(len(starts)))
+    active = np.arange(len(starts))
     marginals, lls = model.posterior_pass(probs)
     trajectories = [[ll] for ll in lls]
-    converged = [False] * len(starts)
-    clipped = [0] * len(starts)
+    converged = np.zeros(len(starts), dtype=bool)
+    clipped = np.zeros(len(starts), dtype=int)
     for _ in range(config.max_iters):
-        for row, r in enumerate(active):
-            probs[r], clipped[r] = _m_step(marginals[row])
-        marginals, lls = model.posterior_pass(probs[active])
-        running = []
-        for row, (r, ll_new) in enumerate(zip(active, lls)):
-            ll = trajectories[r][-1]
+        probs[active], clipped[active] = _m_step(marginals)
+        marginals, lls_new = model.posterior_pass(probs[active])
+        for r, ll_new in zip(active, lls_new):
             trajectories[r].append(ll_new)
-            converged[r] = bool(ll_new - ll < config.tol * max(1.0, abs(ll)))
-            if not converged[r]:
-                running.append(row)
-        if not running:
+        stop = lls_new - lls < config.tol * np.maximum(1.0, np.abs(lls))
+        converged[active] = stop
+        if stop.all():
             break
-        marginals = marginals[running]
-        active = [active[row] for row in running]
+        active, marginals, lls = active[~stop], marginals[~stop], lls_new[~stop]
     for trajectory, stop, count in zip(trajectories, converged, clipped):
         log.debug(
             "em restart: sweeps=%d stop=%s clipped=%d",
@@ -120,7 +116,7 @@ def _em_lockstep(model: LayerChainModel, starts: list[np.ndarray], config: FitCo
             count,
         )
     return [
-        (row_probs, trajectory[-1], trajectory, stop)
+        (row_probs, trajectory[-1], trajectory, bool(stop))
         for row_probs, trajectory, stop in zip(probs, trajectories, converged)
     ]
 
@@ -151,45 +147,33 @@ def _em_starts(config: FitConfig) -> list[np.ndarray]:
 def fit_mle(dataset: Dataset, kernel: Kernel, config: FitConfig) -> FitResult:
     """Best fit across restarts (EM) or candidates (grid).
 
-    Grid mode returns the exhaustive argmax over ``config.candidates`` with
-    ties broken by the lowest candidate index.  EM mode runs
-    ``config.restarts`` starts and keeps the highest final log-likelihood
-    (ties: lowest restart index); every restart's final value is reported.
+    Both modes keep the run with the highest final log-likelihood, ties going
+    to the lowest index.  Grid mode scores every one of ``config.candidates``;
+    EM mode runs ``config.restarts`` starts.  Every run's final value is
+    reported.
     """
     if config.mode == "grid":
         if not config.candidates:
             raise NoCandidates("grid mode needs a non-empty candidate list")
-        values = list(
-            _log_likelihoods(dataset, kernel, config.candidates, LayerChainModel.log_likelihood)
-        )
-        best = 0
-        for idx, value in enumerate(values):
-            if value > values[best]:
-                best = idx
-        return FitResult(
-            pi_hat=config.candidates[best],
-            final_log_lik=values[best],
-            trajectory=[values[best]],
-            converged=True,
-            restart_index=best,
-            restart_final_logliks=values,
-        )
-
-    support = np.asarray(config.support, dtype=float)
-    model = LayerChainModel(dataset, kernel, support)
-    runs = _em_lockstep(model, _em_starts(config), config)
+        values = _log_likelihoods(dataset, kernel, config.candidates, LayerChainModel.log_likelihood)
+        runs = [(pi.probs, ll, [ll], True) for pi, ll in zip(config.candidates, values)]
+    else:
+        support = np.asarray(config.support, dtype=float)
+        model = LayerChainModel(dataset, kernel, support)
+        runs = _em_lockstep(model, _em_starts(config), config)
     finals = [ll for _, ll, _, _ in runs]
-    best_index = 0
-    for r, ll in enumerate(finals):
-        if ll > finals[best_index]:
-            best_index = r
-    probs, ll, trajectory, converged = runs[best_index]
+    best = int(np.argmax(finals))
+    probs, ll, trajectory, converged = runs[best]
+    if config.mode == "grid":
+        pi_hat = config.candidates[best]
+    else:
+        pi_hat = DiscreteDistribution(support, probs)
     return FitResult(
-        pi_hat=DiscreteDistribution(support, probs),
+        pi_hat=pi_hat,
         final_log_lik=ll,
         trajectory=trajectory,
         converged=converged,
-        restart_index=best_index,
+        restart_index=best,
         restart_final_logliks=finals,
     )
 

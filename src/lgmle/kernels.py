@@ -69,8 +69,11 @@ class Kernel:
     def log_table(self, support) -> np.ndarray:
         """(|X|, s, s) array of log k(x, support[a], support[b])."""
         support = np.asarray(support, dtype=float)
-        if np.any(support <= 0):
-            raise NonPositiveWeight("support values must be strictly positive")
+        bad = support[~((support > 0) & (support < np.inf))]
+        if bad.size:
+            raise NonPositiveWeight(
+                f"support values must be positive and finite, got {float(bad[0])}"
+            )
         va = support[:, None]
         wb = support[None, :]
         with np.errstate(divide="ignore"):

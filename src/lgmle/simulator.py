@@ -71,6 +71,8 @@ class Dataset:
 
 def sample_weights(pi: DiscreteDistribution, N: int, seed: int) -> np.ndarray:
     """N i.i.d. draws from pi, reproducible from the weight stream of ``seed``."""
+    if N < 0:
+        raise InvalidValue(f"N must be non-negative, got {N}")
     rng = _stream(seed, _WEIGHTS_STREAM)
     idx = _inverse_cdf(pi.probs, rng.random(N))
     return pi.support[idx]

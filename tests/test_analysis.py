@@ -121,6 +121,22 @@ def test_rhs_arithmetic():
     assert value == pytest.approx(2 * 0.3 ** (-24) * 2 / 100, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "epsilon, N, message",
+    [
+        (0.0, 1000, "epsilon must lie in (0, 1], got 0.0"),
+        (math.nan, 1000, "epsilon must lie in (0, 1], got nan"),
+        (1.5, 1000, "epsilon must lie in (0, 1], got 1.5"),
+        (0.3, 0, "N must be at least 1, got 0"),
+        (0.3, -4, "N must be at least 1, got -4"),
+    ],
+)
+def test_rhs_rejects_epsilon_outside_unit_interval_and_empty_graph(epsilon, N, message):
+    with pytest.raises(InvalidValue) as info:
+        risk_bound_rhs(2, epsilon, N, 1.0, 1.0)
+    assert str(info.value) == message
+
+
 def test_entropy_integral_properties():
     assert simplex_entropy_integral(1) == 0.0
     i2 = simplex_entropy_integral(2)
@@ -647,6 +663,44 @@ def test_replicate_set_logs_one_debug_line(caplog):
     assert [r.getMessage() for r in caplog.records if r.name == "lgmle.simulator"] == [
         "replicates: N=60 n=2 count=3 q_max=29",
         "replicates: N=40 n=3 count=2 q_max=9",
+    ]
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda ds, pi, k: forgetting_profile(ds, pi, k),
+        lambda ds, pi, k: conditional_magnitude_rows(ds, pi, k),
+        lambda ds, pi, k: single_flip_rows(ds, pi, k),
+        lambda ds, pi, k: increment_rows(ds, pi, pi.with_probs([0.4, 0.6]), k),
+        lambda ds, pi, k: z_process_concentration([pi], k, pi, N=22, n=5, replicates=2),
+    ],
+    ids=[
+        "forgetting_profile",
+        "conditional_magnitude_rows",
+        "single_flip_rows",
+        "increment_rows",
+        "z_process_concentration",
+    ],
+)
+def test_interior_checks_without_interior_window_raise_one_error(check):
+    # N=22, n=5 on the strict schedule has q_max = 2: no window 2 <= q <= q_max - 1
+    pi = uniform([1.0, 2.0])
+    k = bradley_terry()
+    ds = simulate(pi, k, 22, 5, seed=1)
+    assert ds.layers.q_max == 2
+    with pytest.raises(LayerOutOfRange) as info:
+        check(ds, pi, k)
+    assert str(info.value) == "graph too small: no interior window"
+
+
+def test_z_process_logs_one_scored_line(caplog):
+    pi = DiscreteDistribution([0.5, 2.0], [0.3, 0.7])
+    arms = [pi, pi.with_probs([0.5, 0.5]), uniform([0.8, 1.5, 3.0])]
+    with caplog.at_level(logging.DEBUG, logger="lgmle.analysis"):
+        z_process_concentration(arms, degree_model(), pi, N=40, n=3, replicates=2)
+    assert [r.getMessage() for r in caplog.records if r.name == "lgmle.analysis"] == [
+        "scored: arms=3 replicates=2 supports=2",
     ]
 
 

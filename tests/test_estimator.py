@@ -93,6 +93,19 @@ def test_grid_mode_tie_breaks_low_index():
     assert result.pi_hat == cands[0]
 
 
+def test_em_mode_tie_breaks_low_index():
+    pi = DiscreteDistribution([1.0, 3.0], [0.3, 0.7])
+    k = bradley_terry()
+    ds = simulate(pi, k, 16, 3, seed=4)
+    config = FitConfig(
+        support=(1.0, 3.0), init="explicit", init_list=[pi, pi, pi], restarts=3, max_iters=5
+    )
+    result = fit_mle(ds, k, config)
+    assert result.restart_index == 0
+    finals = result.restart_final_logliks
+    assert len(finals) == 3 and finals[0] == finals[1] == finals[2]
+
+
 def test_grid_mode_empty_candidates():
     ds = simulate(uniform([1.0, 3.0]), bradley_terry(), 16, 3, seed=4)
     with pytest.raises(NoCandidates):

@@ -11,6 +11,7 @@ from lgmle import (
     H1Violated,
     InconsistentBlockShapes,
     InvalidValue,
+    LayerChainModel,
     NonPositiveWeight,
     OutcomeNotInSpace,
     SupportMismatch,
@@ -22,6 +23,7 @@ from lgmle import (
     epsilon_floor,
     kernel_from_config,
     simulate,
+    uniform,
     uniform_kernel,
 )
 from lgmle.kernels import custom_table_from_json
@@ -90,6 +92,25 @@ def test_weight_not_finite_raises(method, v, w):
     with pytest.raises(NonPositiveWeight) as info:
         getattr(bradley_terry(), method)(1, v, w)
     assert str(info.value) == f"weights must be positive and finite, got v={v}, w={w}"
+
+
+@pytest.mark.parametrize("point", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda k, support: k.log_table(support),
+        lambda k, support: epsilon_floor(k, support),
+        lambda k, support: LayerChainModel(
+            simulate(uniform([1.0, 2.0]), k, 16, 3, seed=1), k, support
+        ),
+    ],
+    ids=["log_table", "epsilon_floor", "LayerChainModel"],
+)
+def test_support_point_not_positive_and_finite_raises(build, point):
+    # NaN and inf pass a sign test alone, and would come back as a NaN table
+    with pytest.raises(NonPositiveWeight) as info:
+        build(bradley_terry(), np.array([1.0, point]))
+    assert str(info.value) == f"support values must be positive and finite, got {point}"
 
 
 def test_epsilon_floor_bt():

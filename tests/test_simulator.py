@@ -42,6 +42,14 @@ def test_point_mass_weights():
     assert np.array_equal(w, np.full(5, 2.0))
 
 
+def test_sample_weights_negative_N_raises():
+    pi = uniform([1.0, 3.0])
+    with pytest.raises(InvalidValue) as info:
+        sample_weights(pi, -1, seed=0)
+    assert str(info.value) == "N must be non-negative, got -1"
+    assert sample_weights(pi, 0, seed=0).shape == (0,)
+
+
 def test_law_of_large_numbers():
     pi = uniform([1.0, 3.0])
     w = sample_weights(pi, 100_000, seed=42)
