@@ -14,10 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import logging
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -65,26 +67,40 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_forgetting_csv(path, forgetting) -> None:
-    """The forgetting envelope as ``csv.writer`` writes its rows (floats as
-    repr, CRLF line ends), from the columns.  Each float is formatted once:
-    the "q,m," head and the ",bound" tail once per (q, m), whose rows share
-    one bound."""
-    q, m, ell = (forgetting.windows[key] for key in ("q", "m", "ell"))
-    first = np.ones(q.size, dtype=bool)
-    first[1:] = (q[1:] != q[:-1]) | (m[1:] != m[:-1])
-    starts = np.flatnonzero(first)
-    # q <= m, so the labels up to max(m, ell) cover all three columns
-    labels = [str(k) for k in range(max(m.max(initial=0), ell.max(initial=0)) + 1)]
-    heads = [f"{labels[i]},{labels[j]}," for i, j in zip(q[starts].tolist(), m[starts].tolist())]
-    tails = [f",{bound!r}\r\n" for bound in forgetting.bound[starts].tolist()]
-    starts = starts.tolist()
-    ell = ell.tolist()
+_CHUNK_ROWS = 1 << 14
+
+
+def _write_table(path, header, columns) -> None:
+    """Numeric column arrays as the CSV ``csv.writer`` writes from their
+    ``.tolist()`` rows: each cell the ``repr`` of a Python int or float, no
+    quoting, CRLF line ends.
+
+    Rows go out ``_CHUNK_ROWS`` at a time, and each distinct cell of a chunk
+    is formatted once: a float column's values are told apart by bit pattern
+    (so -0.0 is not 0.0), an int column's by a label table over its range.
+    """
+    start = time.perf_counter()
+    rows = len(columns[0])
+    ends = [","] * (len(columns) - 1) + ["\r\n"]
+    formatted = 0
     with open(path, "w", newline="") as fh:
-        fh.write("q,m,ell,gap,bound\r\n")
-        for head, tail, a, b in zip(heads, tails, starts, starts[1:] + [len(ell)]):
-            gaps = forgetting.value[a:b].tolist()
-            fh.write("".join([f"{head}{labels[e]},{g!r}{tail}" for e, g in zip(ell[a:b], gaps)]))
+        fh.write(",".join(header) + "\r\n")
+        for a in range(0, rows, _CHUNK_ROWS):
+            cells = []
+            for col, end in zip(columns, ends):
+                chunk = col[a:a + _CHUNK_ROWS]
+                if chunk.dtype.kind == "f":
+                    values, index = np.unique(chunk.view(np.int64), return_inverse=True)
+                    values = values.view(chunk.dtype).tolist()
+                else:
+                    low = int(chunk.min())
+                    values, index = range(low, int(chunk.max()) + 1), chunk - low
+                labels = np.array([f"{v!r}{end}" for v in values], dtype=object)
+                formatted += labels.size
+                cells.append(labels[index].tolist())
+            fh.write("".join(itertools.chain.from_iterable(zip(*cells))))
+    log.debug("wrote %s: rows=%d distinct_cells=%d seconds=%.4f",
+              os.path.basename(path), rows, formatted, time.perf_counter() - start)
 
 
 # Every section and key a config may hold, with its JSON kind: int (an
@@ -197,8 +213,17 @@ def _dataset(config: _Section, args, kernel) -> simulator.Dataset:
 
 
 def _out_dir(args) -> str:
-    out = getattr(args, "out", None) or "."
-    os.makedirs(out, exist_ok=True)
+    """The ``--out`` directory (default: the working directory), checked
+    before any work: it, or its nearest existing ancestor, must be a
+    directory.  A command makes it only once it has something to write."""
+    out = args.out or "."
+    blocker = out
+    while blocker and not os.path.exists(blocker):
+        blocker = os.path.dirname(blocker)
+    if blocker and not os.path.isdir(blocker):
+        if blocker == out:
+            raise ConfigError(f"--out {out} exists and is not a directory")
+        raise ConfigError(f"--out {out} lies under {blocker}, which is not a directory")
     return out
 
 
@@ -227,8 +252,9 @@ def cmd_schedule(args) -> int:
 
 def cmd_simulate(args) -> int:
     doc, config = _load_config(args)
-    ds = _dataset(config, args, _kernel(config))
     out = _out_dir(args)
+    ds = _dataset(config, args, _kernel(config))
+    os.makedirs(out, exist_ok=True)
     simulator.dataset_to_json(ds, os.path.join(out, "dataset.json"))
     simulator.outcomes_to_csv(ds, os.path.join(out, "outcomes.csv"))
     _write_json(os.path.join(out, "simulate_config.json"), {"config": doc, "seed": ds.seed})
@@ -237,12 +263,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_loglik(args) -> int:
     doc, config = _load_config(args)
+    out = _out_dir(args)
     kernel = _kernel(config)
     ds = _dataset(config, args, kernel)
     pi = _distribution(config, "pi")
     model = likelihood.LayerChainModel(ds, kernel, pi.support)
     value, constants = model.forward_constants(pi.probs)
-    out = _out_dir(args)
+    os.makedirs(out, exist_ok=True)
     _write_json(
         os.path.join(out, "loglik.json"),
         {
@@ -254,16 +281,13 @@ def cmd_loglik(args) -> int:
         },
     )
     if args.normalizers_out:
-        _write_csv(
-            args.normalizers_out,
-            ["layer", "log_norm"],
-            list(enumerate(constants.tolist())),
-        )
+        _write_table(args.normalizers_out, ["layer", "log_norm"], [np.arange(constants.size), constants])
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
     doc, config = _load_config(args)
+    out = _out_dir(args)
     fit_cfg = dict(config.get("fit", {}))
     kernel = _kernel(config)
     ds = _dataset(config, args, kernel)
@@ -272,7 +296,7 @@ def cmd_fit(args) -> int:
         fit_cfg["candidates"] = [DiscreteDistribution(support, p) for p in fit_cfg["candidates"]]
     fc = estimator.FitConfig(support=tuple(support), **fit_cfg)
     result = estimator.fit_mle(ds, kernel, fc)
-    out = _out_dir(args)
+    os.makedirs(out, exist_ok=True)
     fit_doc = dataclasses.asdict(result)
     _write_json(os.path.join(out, "fit.json"), {**fit_doc, "config": doc, "seed": ds.seed})
     return EXIT_OK
@@ -280,12 +304,13 @@ def cmd_fit(args) -> int:
 
 def cmd_risk(args) -> int:
     doc, config = _load_config(args)
+    out = _out_dir(args)
     kernel = _kernel(config)
     pi_star = _distribution(config, "pi_star")
     candidates = [pi_star.with_probs(p) for p in config["candidates"]]
     params = analysis.RiskParams(**_seeded(config, "analysis", "base_seed", args))
     reports = analysis.excess_risks(candidates, kernel, pi_star, params)
-    out = _out_dir(args)
+    os.makedirs(out, exist_ok=True)
     rows = [
         (
             idx,
@@ -314,23 +339,25 @@ def cmd_risk(args) -> int:
 
 def cmd_diagnose(args) -> int:
     doc, config = _load_config(args)
+    out = _out_dir(args)
     kernel = _kernel(config)
     ds = _dataset(config, args, kernel)
     pi = _distribution(config, "pi" if "pi" in config["model"] else "pi_star")
-    out = _out_dir(args)
     diagnosis = analysis._diagnose(ds, pi, kernel)
     envelopes = diagnosis.envelopes
-    _write_forgetting_csv(os.path.join(out, "forgetting.csv"), envelopes["forgetting"])
-    _write_csv(
-        os.path.join(out, "conditional_magnitude.csv"),
-        ["q", "m", "abs_log_prob", "bound"],
-        envelopes["magnitude"].rows(),
-    )
+    os.makedirs(out, exist_ok=True)
+    for name, key, header in (
+        ("forgetting.csv", "forgetting", ["q", "m", "ell", "gap", "bound"]),
+        ("conditional_magnitude.csv", "magnitude", ["q", "m", "abs_log_prob", "bound"]),
+    ):
+        env = envelopes[key]
+        _write_table(os.path.join(out, name), header, [*env.windows.values(), env.value, env.bound])
     steps = diagnosis.contraction.steps
-    _write_csv(
+    fields = [f.name for f in dataclasses.fields(likelihood.ContractionStep)]
+    _write_table(
         os.path.join(out, "contraction.csv"),
-        [f.name for f in dataclasses.fields(likelihood.ContractionStep)],
-        [dataclasses.astuple(step) for step in steps],
+        fields,
+        [np.array([getattr(step, name) for step in steps]) for name in fields],
     )
     _write_json(
         os.path.join(out, "diagnose_config.json"),

@@ -1,6 +1,9 @@
 import csv
+import dataclasses
 import io
 import json
+import logging
+import math
 import os
 import re
 import subprocess
@@ -9,8 +12,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from lgmle import DiscreteDistribution, RiskParams, bradley_terry, kernels, likelihood, simulate, simulator
+from lgmle import (
+    DiscreteDistribution,
+    RiskParams,
+    analysis,
+    bradley_terry,
+    cli,
+    kernels,
+    likelihood,
+    simulate,
+    simulator,
+)
 from lgmle.cli import _CONFIG, _check, main
 from lgmle.likelihood import LayerChainModel
 
@@ -266,14 +281,116 @@ def _base_dataset():
     return ds, DiscreteDistribution([1.0, 3.0], [0.5, 0.5]), kernel
 
 
+def _csv_bytes(header, rows) -> bytes:
+    """What ``csv.writer`` writes for ``header`` and ``rows``."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return expected.getvalue().encode()
+
+
 def test_diagnose_forgetting_csv_equals_row_oracle(tmp_path, base_config):
     out = tmp_path / "diag"
     assert run(["diagnose", "--config", base_config(), "--out", out]) == 0
-    expected = io.StringIO(newline="")
-    writer = csv.writer(expected)
-    writer.writerow(["q", "m", "ell", "gap", "bound"])
-    writer.writerows((r.q, r.m, r.ell, r.gap, r.bound) for r in oracle_forgetting_rows(*_base_dataset()))
-    assert (out / "forgetting.csv").read_bytes() == expected.getvalue().encode()
+    rows = ((r.q, r.m, r.ell, r.gap, r.bound) for r in oracle_forgetting_rows(*_base_dataset()))
+    assert (out / "forgetting.csv").read_bytes() == _csv_bytes(["q", "m", "ell", "gap", "bound"], rows)
+
+
+def test_diagnose_magnitude_csv_equals_csv_writer(tmp_path, base_config):
+    out = tmp_path / "diag"
+    assert run(["diagnose", "--config", base_config(), "--out", out]) == 0
+    rows = analysis.conditional_magnitude_rows(*_base_dataset()).rows()
+    expected = _csv_bytes(["q", "m", "abs_log_prob", "bound"], rows)
+    assert (out / "conditional_magnitude.csv").read_bytes() == expected
+
+
+def test_diagnose_contraction_csv_equals_csv_writer(tmp_path, base_config):
+    out = tmp_path / "diag"
+    assert run(["diagnose", "--config", base_config(), "--out", out]) == 0
+    ds, pi, kernel = _base_dataset()
+    profile = LayerChainModel(ds, kernel, pi.support).contraction_profile(pi.probs, 2, ds.layers.q_max - 1)
+    header = [f.name for f in dataclasses.fields(likelihood.ContractionStep)]
+    expected = _csv_bytes(header, [dataclasses.astuple(step) for step in profile.steps])
+    assert (out / "contraction.csv").read_bytes() == expected
+
+
+def test_loglik_normalizers_csv_equals_csv_writer(tmp_path, base_config):
+    norms = tmp_path / "norms.csv"
+    assert run(["loglik", "--config", base_config(), "--out", tmp_path / "ll", "--normalizers-out", norms]) == 0
+    ds, pi, kernel = _base_dataset()
+    _, constants = LayerChainModel(ds, kernel, pi.support).forward_constants(pi.probs)
+    assert norms.read_bytes() == _csv_bytes(["layer", "log_norm"], enumerate(constants.tolist()))
+
+
+# Floats whose text or bits are easy to get wrong: signed zeros (equal as
+# values, different cells), nan, infinities, the smallest subnormal, and the
+# switches between positional and scientific notation.
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 9999999999999998.0, 1e-4]
+
+
+@st.composite
+def _tables(draw):
+    """Int and float columns of one length, 0 to 14 rows, built from runs of
+    repeated values."""
+    rows = draw(st.integers(0, 14))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from([int, float]), min_size=1, max_size=4)):
+        if kind is int:
+            values = st.integers(-20, 20)
+        else:
+            values = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+        runs = draw(st.lists(st.tuples(values, st.integers(1, 6)), min_size=rows, max_size=rows))
+        cells = [value for value, length in runs for _ in range(length)][:rows]
+        columns.append(np.array(cells, dtype=kind))
+    return columns
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(columns=_tables())
+@example(columns=[np.array([0.0, -0.0, 0.0, -0.0]), np.array([1, 1, 2, 2])])
+@example(columns=[np.array([], dtype=int), np.array([])])
+def test_write_table_equals_csv_writer(tmp_path, monkeypatch, columns):
+    # chunks of 3 rows put chunk boundaries inside runs and between signed zeros
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+    header = [f"c{k}" for k in range(len(columns))]
+    path = tmp_path / "table.csv"
+    cli._write_table(path, header, columns)
+    assert path.read_bytes() == _csv_bytes(header, zip(*(col.tolist() for col in columns)))
+
+
+def test_write_table_logs_one_line_per_table(tmp_path, base_config, caplog):
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert run(["diagnose", "--config", base_config(), "--out", quiet]) == 0
+    with caplog.at_level(logging.DEBUG, logger="lgmle"):
+        assert run(["diagnose", "--config", base_config(), "--out", loud]) == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "lgmle"]
+    names = ["forgetting.csv", "conditional_magnitude.csv", "contraction.csv"]
+    assert [line.split(":")[0] for line in lines] == [f"wrote {name}" for name in names]
+    for name, line in zip(names, lines):
+        text = (loud / name).read_bytes()
+        assert text == (quiet / name).read_bytes()
+        header, *rows = text.decode().split("\r\n")[:-1]
+        found = re.fullmatch(rf"wrote {name}: rows=(\d+) distinct_cells=(\d+) seconds=\d+\.\d+", line)
+        assert found and int(found[1]) == len(rows)
+        assert 0 < int(found[2]) <= len(rows) * len(header.split(","))
+
+
+@pytest.mark.parametrize("command", ["simulate", "loglik", "fit", "risk", "diagnose"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+def test_out_naming_a_file_exit_2_before_any_work(tmp_path, base_config, capsys, monkeypatch, command, below):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    for owner, name in [(simulator, "simulate"), (analysis, "excess_risks"), (LayerChainModel, "__init__")]:
+        monkeypatch.setattr(owner, name, computed)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sub" if below else taken
+    cfg = base_config(candidates=[[0.4, 0.6]])
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    shown = f"lies under {taken}, which is not a directory" if below else "exists and is not a directory"
+    assert capsys.readouterr().err == f"error: --out {out} {shown}\n"
 
 
 def test_diagnose_counts_violations(tmp_path, base_config, monkeypatch, capsys):
