@@ -212,22 +212,38 @@ def _dataset(config: _Section, args, kernel) -> simulator.Dataset:
     return simulator.simulate(pi_star, kernel, graph["N"], graph["n"], **sim)
 
 
-def _out_dir(args) -> str:
-    """The ``--out`` directory (default: the working directory), checked
-    before any work: it, or its nearest existing ancestor, must be a
-    directory.  A command makes it only once it has something to write."""
-    out = args.out or "."
-    blocker = out
+def _checked_path(flag: str, path: str, *, directory: bool) -> str:
+    """``path``, given for ``flag``, checked before any work.  A directory
+    output, or the nearest existing ancestor of one that does not exist yet,
+    must be a directory; a command makes it only once it has something to
+    write.  A file output must not be a directory, and its parent directory
+    must exist."""
+    if os.path.exists(path):
+        if directory and not os.path.isdir(path):
+            raise ConfigError(f"{flag} {path} exists and is not a directory")
+        if not directory and os.path.isdir(path):
+            raise ConfigError(f"{flag} {path} is a directory")
+        return path
+    blocker = os.path.dirname(path)
     while blocker and not os.path.exists(blocker):
         blocker = os.path.dirname(blocker)
     if blocker and not os.path.isdir(blocker):
-        if blocker == out:
-            raise ConfigError(f"--out {out} exists and is not a directory")
-        raise ConfigError(f"--out {out} lies under {blocker}, which is not a directory")
-    return out
+        raise ConfigError(f"{flag} {path} lies under {blocker}, which is not a directory")
+    parent = os.path.dirname(path)
+    if not directory and parent != blocker:
+        raise ConfigError(f"{flag} {path}: directory {parent} does not exist")
+    return path
+
+
+def _out_dir(args) -> str:
+    """The ``--out`` directory (default: the working directory), checked."""
+    return _checked_path("--out", args.out or ".", directory=True)
 
 
 def cmd_schedule(args) -> int:
+    for flag, path in (("--out", args.out), ("--layers", args.layers)):
+        if path:
+            _checked_path(flag, path, directory=False)
     graph = (
         rr_graph.build_schedule_unchecked(args.N, args.n)
         if args.unchecked
@@ -264,6 +280,8 @@ def cmd_simulate(args) -> int:
 def cmd_loglik(args) -> int:
     doc, config = _load_config(args)
     out = _out_dir(args)
+    if args.normalizers_out:
+        _checked_path("--normalizers-out", args.normalizers_out, directory=False)
     kernel = _kernel(config)
     ds = _dataset(config, args, kernel)
     pi = _distribution(config, "pi")

@@ -37,7 +37,6 @@ import string
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import DiscreteDistribution
 from .errors import (
@@ -583,7 +582,8 @@ class LayerChainModel:
         Row r has horizon ``horizons[r]`` (or the one given) and ``probs`` or ``probs[r]``."""
         probs = self._simplex(probs)
         horizons = np.zeros(probs.shape[:-1], dtype=int) + np.array(horizons, dtype=int, ndmin=1)
-        for m in np.unique(horizons).tolist():
+        # a set, not np.unique: numpy >= 2 imports numpy.ma on that call
+        for m in sorted(set(horizons.ravel().tolist())):
             self._check_window(2, m)
         z = np.full((horizons.size, self.layers.q_max + 1), np.nan)
         z[np.arange(horizons.size), horizons + 1] = 0.0
@@ -693,8 +693,22 @@ def brute_force_log_likelihood(
     dataset: Dataset, pi: DiscreteDistribution, kernel: Kernel
 ) -> float:
     """Enumeration oracle: direct sum over all support**N assignments."""
-    ll = _brute_force_assignment_logliks(dataset, pi, kernel)
-    return float(logsumexp(ll))
+    return _log_sum_exp(_brute_force_assignment_logliks(dataset, pi, kernel))
+
+
+def _log_sum_exp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a non-empty 1-D array, shifted by its maximum m
+    (Blanchard, Higham & Higham 2021): the terms equal to m are counted, not
+    summed, and the result is log1p(rest / count) + log(count) + m, added in
+    that order, with rest the sum of exp(a - m) over the other terms.  A
+    non-finite m is returned as is (all terms -inf gives -inf, not NaN)."""
+    top = a.max()
+    if not np.isfinite(top):
+        return float(top)
+    at_top = a == top
+    count = np.count_nonzero(at_top)
+    rest = np.exp(np.where(at_top, -np.inf, a) - top).sum() / count
+    return float(np.log1p(rest) + np.log(count) + top)
 
 
 def brute_force_node_marginals(

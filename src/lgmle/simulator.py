@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 from .distributions import DiscreteDistribution
 from .errors import InvalidValue, NonPositiveWeight
@@ -35,10 +36,10 @@ _WEIGHTS_STREAM = 0
 _OUTCOMES_STREAM = 1
 
 
-def _stream(seed: int, stream: int) -> np.random.Generator:
+def _stream(seed: int, stream: int) -> Generator:
     if seed < 0:
         raise InvalidValue(f"seed must be non-negative, got {seed}")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), stream])))
+    return Generator(Philox(SeedSequence([int(seed), stream])))
 
 
 def _inverse_cdf(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -147,6 +147,19 @@ def test_entropy_integral_properties():
     assert abs(coarse - fine) <= 0.01 * abs(fine)
 
 
+def test_entropy_integral_values_are_pinned():
+    # the inline trapezoid rule reproduces these bits, which scaling.json and
+    # the risk bound print
+    assert [simplex_entropy_integral(s) for s in range(1, 7)] == [
+        0.0,
+        3.2624218131114975,
+        4.613761174284103,
+        5.6506803360300895,
+        6.524843626222995,
+        7.294996945395424,
+    ]
+
+
 @pytest.mark.parametrize("resolution", [0, 1])
 def test_entropy_integral_needs_two_grid_points(resolution):
     # one grid point or none integrates to 0.0, which drops the entropy term

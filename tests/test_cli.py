@@ -23,6 +23,7 @@ from lgmle import (
     cli,
     kernels,
     likelihood,
+    rr_graph,
     simulate,
     simulator,
 )
@@ -391,6 +392,45 @@ def test_out_naming_a_file_exit_2_before_any_work(tmp_path, base_config, capsys,
     assert run([command, "--config", cfg, "--out", out]) == 2
     shown = f"lies under {taken}, which is not a directory" if below else "exists and is not a directory"
     assert capsys.readouterr().err == f"error: --out {out} {shown}\n"
+
+
+@pytest.mark.parametrize("command, flag", [("loglik", "--normalizers-out"), ("schedule", "--out"), ("schedule", "--layers")])
+@pytest.mark.parametrize("case", ["directory", "under-file", "missing-parent"])
+def test_file_output_checked_before_any_work(tmp_path, base_config, capsys, monkeypatch, command, flag, case):
+    def computed(*args, **kwargs):
+        raise AssertionError(f"computed before {flag} was checked")
+
+    for owner, name in [(simulator, "simulate"), (LayerChainModel, "__init__"), (rr_graph, "build_schedule")]:
+        monkeypatch.setattr(owner, name, computed)
+    cfg = base_config()
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path, shown = {
+        "directory": (tmp_path, f"{tmp_path} is a directory"),
+        "under-file": (taken / "x.csv", f"{taken / 'x.csv'} lies under {taken}, which is not a directory"),
+        "missing-parent": (tmp_path / "a" / "x.csv", f"{tmp_path / 'a' / 'x.csv'}: directory {tmp_path / 'a'} does not exist"),
+    }[case]
+    before = sorted(tmp_path.iterdir())
+    args = ["--config", cfg, "--out", tmp_path / "ll"] if command == "loglik" else ["--N", 20, "--n", 3]
+    assert run([command, *args, flag, path]) == 2
+    assert capsys.readouterr().err == f"error: {flag} {shown}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_import_loads_only_stdlib_numpy_and_lgmle():
+    # start-up time is import time; a heavy dependency must not creep back in
+    code = (
+        "import sys; before = set(sys.modules); import lgmle, lgmle.cli; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.split()
+    assert "lgmle" in loaded and "numpy" in loaded
+    # numpy.random's compiled extensions register Cython's shared runtime modules
+    allowed = {"numpy", "lgmle", "cython_runtime"} | {m for m in loaded if m.startswith("_cython_")}
+    assert [m for m in loaded if m not in sys.stdlib_module_names and m not in allowed] == []
 
 
 def test_diagnose_counts_violations(tmp_path, base_config, monkeypatch, capsys):

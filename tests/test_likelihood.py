@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgmle import (
@@ -90,6 +90,28 @@ def test_two_node_toy_instance():
     ds2 = Dataset(g, layer_decomposition(g), {(1, 2): x}, None, 0)
     assert brute_force_log_likelihood(ds2, pi, k) == pytest.approx(direct, rel=1e-14)
     assert log_likelihood(ds2, pi, k) == pytest.approx(direct, rel=1e-14)
+
+
+_LSE_TERMS = st.one_of(
+    st.sampled_from([-math.inf, 0.0, -1.0, 2.5]),
+    st.floats(min_value=-800.0, max_value=800.0),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_LSE_TERMS, min_size=1, max_size=40))
+@example([3.0])
+@example([-math.inf])
+@example([-math.inf] * 5)
+@example([0.0, 0.0, -1.0])
+def test_oracle_reduction_equals_logsumexp(terms):
+    # ties at the maximum are common in the oracle's assignment sums
+    special = pytest.importorskip("scipy.special")
+    a = np.array(terms)
+    value = likelihood._log_sum_exp(a)
+    assert value == float(special.logsumexp(a))
+    if max(terms) == -math.inf:
+        assert value == -math.inf
 
 
 def test_brute_force_cap():
