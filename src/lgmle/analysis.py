@@ -155,10 +155,8 @@ def _require_counts(**counts: int) -> None:
 def _replicate_scores(datasets: list[Dataset], kernel: Kernel, arms, score) -> np.ndarray:
     """(arms x replicates) array of ``score(model, rows)`` values: every arm
     is scored on every dataset (common random numbers), as the rows of one
-    model per dataset and distinct support."""
-    vals = np.empty((len(arms), len(datasets)))
-    for r, ds in enumerate(datasets):
-        vals[:, r] = _log_likelihoods(ds, kernel, arms, score)
+    model per dataset and distinct support, on one structure per support."""
+    vals = _log_likelihoods(datasets, kernel, arms, score)
     log.debug(
         "scored: arms=%d replicates=%d supports=%d",
         len(arms),
@@ -354,14 +352,16 @@ def _forgetting_bounds(model: LayerChainModel) -> np.ndarray:
     the change of log P(X_q | X_{q+1:m}) under a change at layer m or beyond.
 
     Row q is a running product over m, multiplied in the order of the
-    product's factors, then divided by nu_q.
+    product's factors, then divided by nu_q.  A nu_q that underflows to 0
+    (an epsilon near 1e-300) makes row q inf: the bound is vacuous there.
     """
     nus = np.array(model.block_nus())
     top = model.layers.q_max - 1
     bounds = np.ones((top + 1, top + 1))
     for q in range(2, top + 1):
         bounds[q, q + 2 :] = np.cumprod(1.0 - nus[q + 1 : top])
-        bounds[q] /= nus[q]
+        with np.errstate(divide="ignore"):
+            bounds[q] /= nus[q]
     return bounds
 
 
@@ -495,18 +495,13 @@ def single_flip_rows(
     windows: list[tuple[int, ...]] = []
     gaps = [np.empty(0)]
     for flip_layer in range(2, m + 1):
-        for edge in dataset.layers.block_edges(flip_layer):
-            original = dataset.outcomes[edge]
-            for outcome, alt in enumerate(kernel.outcomes):
-                if alt == original:
+        for e, edge in enumerate(dataset.layers.block_edges(flip_layer)):
+            original = kernel.outcome_index(dataset.outcomes[edge])
+            for outcome in range(len(kernel.outcomes)):
+                if outcome == original:
                     continue
-                flipped = dict(dataset.outcomes)
-                flipped[edge] = alt
-                flipped_ds = Dataset(
-                    dataset.graph, dataset.layers, flipped, None, dataset.seed
-                )
-                flipped_model = LayerChainModel(flipped_ds, kernel, pi.support)
-                (prof,) = flipped_model.conditional_profiles(pi.probs, [m])
+                flipped = model._flipped(flip_layer, e, outcome)
+                (prof,) = flipped.conditional_profiles(pi.probs, [m])
                 windows += [(q, flip_layer, *edge, outcome) for q in range(2, flip_layer + 1)]
                 gaps.append(np.abs(base[2 : flip_layer + 1] - prof[2 : flip_layer + 1]))
     q, flip_layer, i, j, outcome = np.array(windows, dtype=int).reshape(-1, 5).T

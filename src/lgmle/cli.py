@@ -382,11 +382,13 @@ def cmd_diagnose(args) -> int:
         {"config": doc, "seed": ds.seed, "epsilon": diagnosis.epsilon},
     )
     violations = sum(env.violations(1e-9) for env in envelopes.values())
+    vacuous = sum(int(np.count_nonzero(np.isinf(env.bound))) for env in envelopes.values())
+    note = f"; {vacuous} rows have a vacuous (infinite) bound" if vacuous else ""
     if violations:
-        print(f"{violations} bound violations; see CSVs in {out}", file=sys.stderr)
+        print(f"{violations} bound violations{note}; see CSVs in {out}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"diagnostics clean: {len(envelopes['forgetting'])} forgetting rows, "
-          f"{len(envelopes['magnitude'])} magnitude rows, {len(steps)} contraction steps")
+          f"{len(envelopes['magnitude'])} magnitude rows, {len(steps)} contraction steps{note}")
     return EXIT_OK
 
 

@@ -103,7 +103,10 @@ def _em_lockstep(model: LayerChainModel, starts: list[np.ndarray], config: FitCo
         marginals, lls_new = model.posterior_pass(probs[active])
         for r, ll_new in zip(active, lls_new):
             trajectories[r].append(ll_new)
-        stop = lls_new - lls < config.tol * np.maximum(1.0, np.abs(lls))
+        # A threshold that overflows to inf means "stop", which is what so
+        # large a tol asks for.
+        with np.errstate(over="ignore"):
+            stop = lls_new - lls < config.tol * np.maximum(1.0, np.abs(lls))
         converged[active] = stop
         if stop.all():
             break
@@ -155,7 +158,7 @@ def fit_mle(dataset: Dataset, kernel: Kernel, config: FitConfig) -> FitResult:
     if config.mode == "grid":
         if not config.candidates:
             raise NoCandidates("grid mode needs a non-empty candidate list")
-        values = _log_likelihoods(dataset, kernel, config.candidates, LayerChainModel.log_likelihood)
+        values = _log_likelihoods([dataset], kernel, config.candidates, LayerChainModel.log_likelihood)[:, 0]
         runs = [(pi.probs, ll, [ll], True) for pi, ll in zip(config.candidates, values)]
     else:
         support = np.asarray(config.support, dtype=float)
@@ -183,5 +186,5 @@ def profile_likelihood(
 ) -> list[tuple[DiscreteDistribution, float]]:
     """Per-candidate log-likelihood normalized by the layer count q_max."""
     q_max = dataset.layers.q_max
-    values = _log_likelihoods(dataset, kernel, candidates, LayerChainModel.log_likelihood) / q_max
+    values = _log_likelihoods([dataset], kernel, candidates, LayerChainModel.log_likelihood)[:, 0] / q_max
     return list(zip(candidates, values))

@@ -7,9 +7,13 @@ layer blocks in order gives the exact marginal likelihood.
 
 A block is fully described by its block type: the two layer widths and, per
 edge in edge order, the block axes of its endpoints and its outcome index.
-The round-robin schedule is periodic, so a long chain has few distinct
-types; each is built once and shared by its blocks.  A block acts on state
-vectors x of s^|V_q| entries as ``x @ block``, stored by one of two engines:
+The round-robin schedule is periodic, so a long chain has few distinct types
+(6 of 1500 blocks at N=3000, n=2), and datasets on one layer structure share
+most of them.  Each type is built once, in the type table of the chain
+structure that every model of a (layers, kernel, support) can share, and a
+model is that structure plus the type id of each of its blocks.  A block acts
+on state vectors x of s^|V_q| entries as ``x @ block``, stored by one of two
+engines, picked from the layer widths:
 
 * dense: the type's s^|V_q| x s^|V_q+1| transition matrix, built once by
   broadcast-adding its edge log tables.  Used when the chain's blocks hold
@@ -32,6 +36,7 @@ messages rely on this order.
 
 from __future__ import annotations
 
+import copy
 import logging
 import string
 from dataclasses import dataclass
@@ -46,6 +51,7 @@ from .errors import (
     TooLargeForBruteForce,
 )
 from .kernels import EpsilonCertificate, Kernel, _table_floor
+from .rr_graph import LayerStructure
 from .simulator import Dataset
 
 log = logging.getLogger(__name__)
@@ -184,90 +190,53 @@ class ContractionProfile:
     steps: tuple[ContractionStep, ...]
 
 
-class LayerChainModel:
-    """Chain representation of one (dataset, kernel, support) triple.
+class _ChainStructure:
+    """What the chain models of one (layers, kernel, support) share: all that
+    the outcomes do not decide, and the table of block types built so far.
 
-    Each chain block q is described once, by its block type ``(w_q, w_{q+1},
-    factors)``: one factor ``(axis of i, axis of j, outcome index)`` per edge
-    (i, j), i < j, of ``layers.block_edges(q)``, in that order (cross edges,
-    then the within edges of layer q+1).  Axes 0..w_q-1 are the positions of
-    layer q and w_q.. those of layer q+1.  The round-robin schedule is
-    periodic, so few types recur along the chain (6 of 1500 blocks at N=3000,
-    n=2); each distinct type is built once and every block of that type
-    shares it.
-
-    Blocks depend on the kernel and the support grid but not on the simplex
-    weights, so a model can be reused across candidate distributions (EM
-    iterations, grid scans) on a fixed support.  ``engine`` says how blocks
-    are stored: "dense" builds each type's transition matrix when the
-    chain's blocks hold at most ``_BLOCK_CACHE_BUDGET`` entries in total;
-    "factored" keeps each type as its edge factors and contracts them with
-    the state vectors in an order compiled once per positional plan.  Only
-    the constructor asks which: sweeps push with ``x @ _mats[q]`` and pull
-    with ``x @ _pulls[q]``, the transposed block.  Both engines give the
-    same per-block log normalizers up to float64 roundoff.
-
-    ``floor`` is the kernel's H1 floor epsilon on the support grid (a model
-    without one raises ``H1Violated``), and :meth:`block_nus` gives each
-    block's Doeblin coefficient from it, for the mixing envelopes.
-
-    ``forward_constants`` and ``posterior_pass`` sweep K rows of simplex
-    weights in one recursion (``_forward_rows`` forward), each row pushed and
-    pulled as its own vector-matrix product against the shared block
-    matrices, so every row's result is bit-identical to a sweep of that row
-    alone.  The model picks the sweep shape from the row count: a batch of
-    one row, (s,) or (1, s), sweeps as a plain vector, and outputs keep the
-    shape of the input.  The per-block loops do the recursion alone; logs,
-    shifts, gammas and node marginals follow for all blocks at once, in the
-    floating-point order of a per-block computation.
-    All methods are pure; instances are safe for concurrent reads.
+    Block q's type is ``(w_q, w_{q+1}, factors)``: one factor ``(axis of i,
+    axis of j, outcome index)`` per edge (i, j), i < j, of
+    ``layers.block_edges(q)``, in that order.  Axes 0..w_q-1 are the
+    positions of layer q and w_q.. those of layer q+1.  ``_layout`` lays out
+    every block's type as one row, (w_q, w_{q+1}, then axis, axis, outcome per
+    edge, -1 past its edges), with the outcome slots open.  A filled row, as
+    bytes, keys the type table: type id k has (push, pull, log shift)
+    ``blocks[k]``, built once for every model on the structure.
     """
 
-    def __init__(self, dataset: Dataset, kernel: Kernel, support):
-        self.dataset = dataset
+    def __init__(self, layers: LayerStructure, kernel: Kernel, support):
+        self.layers = layers
         self.kernel = kernel
         self.support = np.asarray(support, dtype=float)
         self.s = self.support.size
-        layers = dataset.layers
-        self.layers = layers
         self.num_blocks = layers.q_max + 1
-
         self.log_table = kernel.log_table(self.support)
         self.floor: EpsilonCertificate = _table_floor(kernel, self.support, self.log_table)
-
         self.widths = [len(layer) for layer in layers.node_layers]
-        outcome_index = kernel.outcome_index
-        outcomes = dataset.outcomes
-        # Per block: the index of its type in self._types.
-        types: dict[tuple, int] = {}
-        self._block_type: list[int] = []
-        self.block_sizes: list[int] = []
-        for q in range(self.num_blocks):
-            wq, wq1 = self.widths[q], self.widths[q + 1]
-            # The node at position p of layer q is axis p, of layer q+1 axis wq + p.
-            axis = dict(zip(layers.node_layers[q] + layers.node_layers[q + 1], range(wq + wq1)))
-            factors = tuple(
-                (axis[i], axis[j], outcome_index(outcomes[(i, j)]))
-                for i, j in layers.block_edges(q)
-            )
-            key = (wq, wq1, factors)
-            self._block_type.append(types.setdefault(key, len(types)))
-            self.block_sizes.append(len(factors))
-        self._types = list(types)
 
-        total_entries = sum(
-            self.s ** (self.widths[q] + self.widths[q + 1]) for q in range(self.num_blocks)
-        )
+        per_block = [layers.block_edges(q) for q in range(self.num_blocks)]
+        self.block_sizes = [len(edges) for edges in per_block]
+        self._edges = [edge for edges in per_block for edge in edges]
+        # Edges run block by block and nodes layer by layer: an edge's slot is
+        # its index less its block's first, and a node's axis in block q is its
+        # index in the layer-major node order less that of layer q's first.
+        block = np.repeat(np.arange(self.num_blocks), self.block_sizes)
+        slot = np.arange(block.size) - (np.cumsum(self.block_sizes) - self.block_sizes)[block]
+        index = np.argsort(np.concatenate(layers.node_layers))  # of node v at v - 1
+        axes = index[np.array(self._edges) - 1] - (np.cumsum(self.widths) - self.widths)[block, None]
+        self._layout = np.full((self.num_blocks, 2 + 3 * max(self.block_sizes)), -1, dtype=np.int64)
+        self._layout[:, :2] = np.column_stack((self.widths[:-1], self.widths[1:]))
+        self._layout[block[:, None], 2 + 3 * slot[:, None] + [0, 1]] = axes
+        self._outcome_slots = (block, 4 + 3 * slot)
+
+        total_entries = sum(self.s ** (wq + wq1) for wq, wq1 in zip(self.widths, self.widths[1:]))
         if total_entries <= _BLOCK_CACHE_BUDGET:
-            self.engine = "dense"
-            built = [self._build_dense(block_type) for block_type in self._types]
+            self.engine, self._build = "dense", self._build_dense
         else:
-            self.engine = "factored"
-            built = self._compile_factored()
-        self._mats = [built[k][0][0] for k in self._block_type]
-        # A dense pull is an M.T view: row by row, x @ M.T is M @ x, bit for bit.
-        self._pulls = [built[k][0][1] for k in self._block_type]
-        self._shifts = np.array([built[k][1] for k in self._block_type])
+            self.engine, self._build = "factored", self._build_factored
+        self._plans: dict[tuple, tuple[_ContractionPlan, _ContractionPlan]] = {}
+        self.blocks: list[tuple] = []
+        self._type_index: dict[bytes, int] = {}
         # Per distinct layer width: its layers and their node rows (node id
         # - 1, one column per position), for the marginals of posterior_pass,
         # and its digit table, for the layer priors and the marginals.
@@ -278,17 +247,21 @@ class LayerChainModel:
             nodes = np.array([layers.node_layers[q] for q in qs]) - 1
             self._width_groups.append((width, qs, nodes))
             self._width_digits[width] = _digits(self.s, width)
-        log.debug(
-            "layer chain model: engine=%s blocks=%d distinct=%d max_state=%d",
-            self.engine,
-            self.num_blocks,
-            len(self._types),
-            self.s ** max(self.widths),
-        )
 
-    def block_nus(self) -> list[float]:
-        """The Doeblin coefficient nu_k = epsilon**|X_k| of every block k."""
-        return [self.floor.nu(size) for size in self.block_sizes]
+    @staticmethod
+    def _type_of(row: np.ndarray) -> tuple:
+        """The block type that a filled layout row describes."""
+        wq, wq1, *slots = row.tolist()
+        factors = zip(slots[0::3], slots[1::3], slots[2::3])
+        return wq, wq1, tuple(factor for factor in factors if factor[0] >= 0)
+
+    def type_id(self, row: np.ndarray) -> int:
+        """The id of the type of filled layout row ``row``, built on first use."""
+        key = row.tobytes()
+        if key not in self._type_index:
+            self._type_index[key] = len(self.blocks)
+            self.blocks.append(self._build(self._type_of(row)))
+        return self._type_index[key]
 
     # -- block construction -------------------------------------------------
 
@@ -311,18 +284,16 @@ class LayerChainModel:
         log_m += vec
         return log_m.reshape(s**wq, s**wq1)
 
-    def _block_log_matrix(self, q: int) -> np.ndarray:
-        return self._log_matrix(self._types[self._block_type[q]])
-
-    def _build_dense(self, block_type: tuple) -> tuple[tuple, float]:
-        """((M, M.T), log shift) of one block type."""
+    def _build_dense(self, block_type: tuple) -> tuple:
+        """(M, M.T, log shift) of one block type."""
         log_m = self._log_matrix(block_type)
         shift = float(log_m.max())
         mat = np.exp(log_m - shift)
-        return (mat, mat.T), shift
+        # A dense pull is an M.T view: row by row, x @ M.T is M @ x, bit for bit.
+        return mat, mat.T, shift
 
-    def _compile_factored(self) -> list[tuple[tuple, float]]:
-        """Per block type: ((push block, pull block), log shift).
+    def _build_factored(self, block_type: tuple) -> tuple:
+        """(push block, pull block, log shift) of one block type.
 
         Einsum subscript 0 is the batch axis and subscript 1 + a the block
         axis a.  A layer-q node without a cross edge gets a unit factor, so
@@ -331,38 +302,114 @@ class LayerChainModel:
         Each edge table is scaled by its maximum and the maxima summed into
         the shift, so no entry of the implied block matrix exceeds 1.
         """
-        plans: dict[tuple, tuple[_ContractionPlan, _ContractionPlan]] = {}
-        built: list[tuple[tuple, float]] = []
-        for wq, wq1, edges in self._types:
-            factors: dict[str, np.ndarray] = {}
-            for a, b, xi in edges:
-                factors[_SUBSCRIPTS[1 + a] + _SUBSCRIPTS[1 + b]] = self.log_table[xi]
-            for c in _SUBSCRIPTS[1 : 1 + wq]:
-                if not any(c in sub for sub in factors):
-                    factors[c] = np.zeros(self.s)
-            subs = tuple(sorted(factors))
-            key = (wq, wq1, subs)
-            if key not in plans:
-                lower = _SUBSCRIPTS[: 1 + wq]
-                upper = _SUBSCRIPTS[0] + _SUBSCRIPTS[1 + wq : 1 + wq + wq1]
-                plans[key] = (
-                    _compile_plan(self.s, lower, upper, subs),
-                    _compile_plan(self.s, upper, lower, subs),
-                )
-            push, pull = plans[key]
-            tables = [factors[sub] for sub in subs]
-            maxima = [float(t.max()) for t in tables]
-            scaled = [np.exp(t - m) for t, m in zip(tables, maxima)]
-            blocks = (
-                _FactoredBlock(push, push.prepare(scaled), (self.s,) * wq),
-                _FactoredBlock(pull, pull.prepare(scaled), (self.s,) * wq1),
+        wq, wq1, edges = block_type
+        factors: dict[str, np.ndarray] = {}
+        for a, b, xi in edges:
+            factors[_SUBSCRIPTS[1 + a] + _SUBSCRIPTS[1 + b]] = self.log_table[xi]
+        for c in _SUBSCRIPTS[1 : 1 + wq]:
+            if not any(c in sub for sub in factors):
+                factors[c] = np.zeros(self.s)
+        subs = tuple(sorted(factors))
+        key = (wq, wq1, subs)
+        if key not in self._plans:
+            lower = _SUBSCRIPTS[: 1 + wq]
+            upper = _SUBSCRIPTS[0] + _SUBSCRIPTS[1 + wq : 1 + wq + wq1]
+            self._plans[key] = (
+                _compile_plan(self.s, lower, upper, subs),
+                _compile_plan(self.s, upper, lower, subs),
             )
-            built.append((blocks, sum(maxima)))
-        return built
+        push, pull = self._plans[key]
+        tables = [factors[sub] for sub in subs]
+        maxima = [float(t.max()) for t in tables]
+        scaled = [np.exp(t - m) for t, m in zip(tables, maxima)]
+        return (
+            _FactoredBlock(push, push.prepare(scaled), (self.s,) * wq),
+            _FactoredBlock(pull, pull.prepare(scaled), (self.s,) * wq1),
+            sum(maxima),
+        )
 
-    def _push(self, q: int, x: np.ndarray) -> np.ndarray:
-        """x @ M_q for layer-q state vectors x, shape (..., s**w_q)."""
-        return x @ self._mats[q]
+
+class LayerChainModel(_ChainStructure):
+    """Chain representation of one (dataset, kernel, support) triple: the
+    ``_ChainStructure`` of (dataset.layers, kernel, support) plus the type id
+    of each block under the dataset's outcomes.  Models of datasets on one
+    layer structure, such as replicates, can share one ``structure`` and its
+    type table; without one, a model lays out its own.
+
+    Blocks depend on the kernel and the support grid but not on the simplex
+    weights, so a model can be reused across candidate distributions (EM
+    iterations, grid scans) on a fixed support.  ``engine`` says how blocks
+    are stored ("dense" or "factored", see the module docstring).  Sweeps
+    push with ``x @ _mats[q]`` and pull with ``x @ _pulls[q]``, the
+    transposed block, both gathered from the structure's type table, so no
+    sweep asks which.  Both engines give the same per-block log normalizers
+    up to float64 roundoff.
+
+    ``floor`` is the kernel's H1 floor epsilon on the support grid (a model
+    without one raises ``H1Violated``), and :meth:`block_nus` gives each
+    block's Doeblin coefficient from it, for the mixing envelopes.
+
+    ``forward_constants`` and ``posterior_pass`` sweep K rows of simplex
+    weights in one recursion (``_forward_rows`` forward), each row pushed and
+    pulled as its own vector-matrix product against the shared block
+    matrices, so every row's result is bit-identical to a sweep of that row
+    alone.  The model picks the sweep shape from the row count: a batch of
+    one row, (s,) or (1, s), sweeps as a plain vector, and outputs keep the
+    shape of the input.  The per-block loops do the recursion alone; logs,
+    shifts, gammas and node marginals follow for all blocks at once, in the
+    floating-point order of a per-block computation.  The sweeps are pure
+    and safe for concurrent reads; building a model on a shared structure
+    grows its type table, so models of one structure are built in one thread.
+    """
+
+    def __init__(self, dataset: Dataset, kernel: Kernel, support, structure: _ChainStructure | None = None):
+        if structure is None:
+            super().__init__(dataset.layers, kernel, support)
+        else:
+            # The structure's layout, and its type table by reference.
+            vars(self).update(vars(structure))
+        self.dataset = dataset
+        rows = self._layout.copy()
+        rows[self._outcome_slots] = [self.kernel.outcome_index(dataset.outcomes[e]) for e in self._edges]
+        distinct = self._use(rows)
+        log.debug(
+            "layer chain model: engine=%s blocks=%d distinct=%d max_state=%d",
+            self.engine,
+            self.num_blocks,
+            distinct,
+            self.s ** max(self.widths),
+        )
+
+    def _use(self, rows: np.ndarray) -> int:
+        """Point each block q at the type of filled layout row ``rows[q]``, and
+        return the number of distinct types.  The rows, viewed as one byte
+        string each, go through one ``np.unique``, which no block size can
+        overflow; only the distinct ones are looked up."""
+        self._filled = rows
+        codes = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+        # With return_inverse, np.unique does not import numpy.ma (numpy >= 2).
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        self._type_ids = np.array([self.type_id(rows[q]) for q in first.tolist()])[inverse]
+        self._mats, self._pulls, shifts = zip(*[self.blocks[k] for k in self._type_ids.tolist()])
+        self._shifts = np.array(shifts)
+        return first.size
+
+    def _flipped(self, q: int, edge: int, outcome: int) -> LayerChainModel:
+        """A copy of this model whose edge ``edge`` of block q (its place in
+        ``layers.block_edges(q)``) has outcome index ``outcome``: only block
+        q's type id changes.  Its ``dataset`` is still the unflipped one."""
+        rows = self._filled.copy()
+        rows[q, 4 + 3 * edge] = outcome  # the edge's outcome slot in _layout
+        twin = copy.copy(self)
+        twin._use(rows)
+        return twin
+
+    def block_nus(self) -> list[float]:
+        """The Doeblin coefficient nu_k = epsilon**|X_k| of every block k."""
+        return [self.floor.nu(size) for size in self.block_sizes]
+
+    def _block_log_matrix(self, q: int) -> np.ndarray:
+        return self._log_matrix(self._type_of(self._filled[q]))
 
     def _pull(self, q: int, x: np.ndarray) -> np.ndarray:
         """M_q @ x for layer-(q+1) state vectors x, (..., s**w_{q+1}), row by row."""
@@ -669,18 +716,22 @@ def _support_groups(dists) -> list[list[int]]:
     return list(groups.values())
 
 
-def _log_likelihoods(dataset: Dataset, kernel: Kernel, dists, score) -> np.ndarray:
-    """``score(model, rows)`` of every distribution in ``dists``, in order:
-    one value per row, such as ``LayerChainModel.log_likelihood``.
+def _log_likelihoods(datasets: list[Dataset], kernel: Kernel, dists, score) -> np.ndarray:
+    """(len(dists), len(datasets)) array of ``score(model, rows)``, one value
+    per row, such as ``LayerChainModel.log_likelihood``.
 
     Distributions on a common support are scored together, as the (K, s)
-    rows of one model of ``dataset`` on that support.  Each model is dropped
-    before the next is built, so at most one is alive.
+    rows of one model per dataset, and the models of one support share one
+    structure: the datasets must share their layers, as replicates do.  One
+    structure and one model are alive at a time.
     """
-    out = np.empty(len(dists))
+    out = np.empty((len(dists), len(datasets)))
     for indices in _support_groups(dists):
+        support = dists[indices[0]].support
         rows = np.array([dists[k].probs for k in indices])
-        out[indices] = score(LayerChainModel(dataset, kernel, dists[indices[0]].support), rows)
+        structure = _ChainStructure(datasets[0].layers, kernel, support)
+        for r, ds in enumerate(datasets):
+            out[indices, r] = score(LayerChainModel(ds, kernel, support, structure), rows)
     return out
 
 

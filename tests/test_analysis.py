@@ -34,7 +34,7 @@ from lgmle import (
     uniform_kernel,
     z_process_concentration,
 )
-from lgmle import analysis
+from lgmle import analysis, likelihood
 from lgmle.analysis import (
     forgetting_profile,
     conditional_magnitude_rows,
@@ -422,6 +422,35 @@ def test_single_flip_bounds_equal_gap_bound_oracle(n, N, s, kernel_index, seed):
         # flips reach the last interior layer, the bound matrix's last column
         assert max(flip_layer) == ds.layers.q_max - 1
         assert rows.bound.tolist() == [forgetting_gap_bound(nus, a, b) for a, b in zip(q, flip_layer)]
+
+
+def test_risks_and_flips_build_one_structure_per_support(monkeypatch):
+    counts = {"structure": 0, "model": 0}
+    structure_init, model_init = likelihood._ChainStructure.__init__, LayerChainModel.__init__
+
+    def counting_structure(self, *args, **kwargs):
+        counts["structure"] += 1
+        structure_init(self, *args, **kwargs)
+
+    def counting_model(self, *args, **kwargs):
+        counts["model"] += 1
+        model_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(likelihood._ChainStructure, "__init__", counting_structure)
+    monkeypatch.setattr(LayerChainModel, "__init__", counting_model)
+    pi = DiscreteDistribution([0.5, 2.0], [0.3, 0.7])
+    params = RiskParams(N=60, n=2, replicates=3, base_seed=2, min_q_max=5)
+    arms = [pi.with_probs([0.5, 0.5]), uniform([0.8, 1.5, 3.0]), pi.with_probs([0.9, 0.1])]
+    excess_risks(arms, degree_model(), pi, params)
+    # two supports, three replicates: one structure per support, one model per pair
+    assert counts == {"structure": 2, "model": 6}
+    counts.update(structure=0, model=0)
+    pi = DiscreteDistribution([1.0, 2.0, 4.0], [0.2, 0.5, 0.3])
+    kernel = bt_ties(2.0)
+    rows = single_flip_rows(simulate(pi, kernel, 20, 2, seed=202), pi, kernel)
+    # 28 flips, each a copy of the one model with one block type swapped
+    assert len(rows) == 112
+    assert counts == {"structure": 1, "model": 1}
 
 
 @pytest.mark.parametrize("kernel_index", range(4))

@@ -758,6 +758,31 @@ def test_fit_tol_not_finite_exit_2(tmp_path, base_config, capsys, tol):
     assert not (tmp_path / "fit" / "fit.json").exists()
 
 
+def test_fit_tol_overflowing_the_stop_test_exits_0_quietly(tmp_path, base_config, capsys):
+    # tol * max(1, |ll|) overflows to inf, which stops EM after one step
+    cfg = base_config(graph={"N": 40, "n": 2}, **_with_fit(tol=1e308))
+    assert run(["fit", "--config", cfg, "--out", tmp_path / "fit"]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((tmp_path / "fit" / "fit.json").read_text())
+    assert doc["converged"] and len(doc["trajectory"]) == 2
+
+
+@pytest.mark.parametrize("support", [[1e-300, 1.0], [1.0, 1e300]])
+def test_diagnose_vacuous_bounds_are_inf_and_counted(tmp_path, base_config, capsys, support):
+    # epsilon is about 1e-300, so nu_k = epsilon**2 underflows to 0 and every
+    # forgetting bound nu_q^-1 prod (1 - nu_k) is inf
+    model = {"kernel": {"variant": "bradley_terry"}, "support": support, "pi_star": [0.4, 0.6]}
+    out = tmp_path / "diag"
+    assert run(["diagnose", "--config", base_config(model=model), "--out", out]) == 0
+    shown = capsys.readouterr()
+    assert shown.err == ""
+    with open(out / "forgetting.csv") as fh:
+        bounds = [row["bound"] for row in csv.DictReader(fh)]
+    assert bounds and set(bounds) == {"inf"}
+    assert shown.out.startswith(f"diagnostics clean: {len(bounds)} forgetting rows, ")
+    assert shown.out.endswith(f" contraction steps; {len(bounds)} rows have a vacuous (infinite) bound\n")
+
+
 _RISK = {"candidates": [[0.5, 0.5]], "analysis": {"N": 300, "replicates": 2, "min_q_max": 20}}
 
 

@@ -1,7 +1,9 @@
+import dataclasses
 import logging
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from lgmle import (
     InvalidValue,
     Kernel,
     LayerOutOfRange,
+    OutcomeNotInSpace,
     TooLargeForBruteForce,
     bradley_terry,
     brute_force_log_likelihood,
@@ -31,6 +34,7 @@ from lgmle import (
 from lgmle import likelihood
 from lgmle.estimator import WEIGHT_FLOOR
 from lgmle.likelihood import LayerChainModel
+from lgmle.simulator import _simulate_replicates
 
 from conftest import (
     block_log_kernel,
@@ -583,22 +587,8 @@ def _oracle_compile_factored(model):
     return blocks, shifts
 
 
-@given(
-    n=st.integers(2, 4),
-    s=st.integers(2, 3),
-    extra=st.integers(0, 6),
-    kernel_index=st.integers(0, 3),
-    engine=st.sampled_from(["dense", "factored"]),
-    seed=st.integers(1, 2**31 - 1),
-)
-@settings(max_examples=30, deadline=None)
-def test_block_types_match_per_block_builders_exactly(n, s, extra, kernel_index, engine, seed):
-    rng = np.random.default_rng(seed)
-    kernel = kernel_variants()[kernel_index]
-    pi = random_distribution(rng, s)
-    ds = simulate(pi, kernel, 4 * n + 2 + 2 * extra, n, seed=seed)
-    model = _model(ds, pi, kernel, engine)
-    if engine == "dense":
+def _assert_blocks_match_oracle(model):
+    if model.engine == "dense":
         assert len(model._mats) == model.num_blocks
         for q in range(model.num_blocks):
             mat, shift = _oracle_build_block(model, q)
@@ -615,6 +605,54 @@ def test_block_types_match_per_block_builders_exactly(n, s, extra, kernel_index,
             assert len(ops) == len(oracle_ops)
             assert all(np.array_equal(a, b) for a, b in zip(ops, oracle_ops))
     assert np.array_equal(model._shifts, np.array(shifts))
+
+
+@given(
+    n=st.integers(2, 4),
+    s=st.integers(2, 3),
+    extra=st.integers(0, 6),
+    kernel_index=st.integers(0, 3),
+    engine=st.sampled_from(["dense", "factored"]),
+    seed=st.integers(1, 2**31 - 1),
+)
+# n=5 with three outcomes: blocks of up to 20 edges
+@example(n=5, s=2, extra=6, kernel_index=2, engine="dense", seed=5)
+@example(n=5, s=2, extra=6, kernel_index=2, engine="factored", seed=5)
+@settings(max_examples=30, deadline=None)
+def test_block_types_match_per_block_builders_exactly(n, s, extra, kernel_index, engine, seed):
+    # three replicates and a one-edge flip of the first, all on one structure
+    rng = np.random.default_rng(seed)
+    kernel = kernel_variants()[kernel_index]
+    pi = random_distribution(rng, s)
+    datasets = _simulate_replicates(pi, kernel, 4 * n + 2 + 2 * extra, n, [seed, seed + 1, seed + 2])
+    budget = {"dense": 10**12, "factored": 0}[engine]
+    with mock.patch.object(likelihood, "_BLOCK_CACHE_BUDGET", budget):
+        structure = likelihood._ChainStructure(datasets[0].layers, kernel, pi.support)
+    assert structure.engine == engine
+    models = [LayerChainModel(ds, kernel, pi.support, structure) for ds in datasets]
+    ds, layers = datasets[0], datasets[0].layers
+    q = int(rng.integers(layers.q_max + 1))
+    e = int(rng.integers(len(layers.block_edges(q))))
+    edge = layers.block_edges(q)[e]
+    size = len(kernel.outcomes)
+    outcome = (kernel.outcome_index(ds.outcomes[edge]) + int(rng.integers(1, size))) % size
+    flipped = models[0]._flipped(q, e, outcome)
+    # the oracle reads the flipped outcomes from the model's dataset
+    flipped.dataset = dataclasses.replace(ds, outcomes={**ds.outcomes, edge: kernel.outcomes[outcome]})
+    for model in models + [flipped]:
+        _assert_blocks_match_oracle(model)
+
+
+@pytest.mark.parametrize("bad", [7, [1], float("nan")], ids=["int", "unhashable", "nan"])
+def test_outcome_outside_the_space_raises_naming_the_first_in_block_order(bad):
+    pi = uniform([1.0, 2.0])
+    k = bradley_terry()
+    ds = simulate(pi, k, 20, 2, seed=1)
+    first, later = ds.layers.block_edges(3)[0], ds.layers.block_edges(5)[1]
+    outcomes = {**ds.outcomes, later: "x", first: bad}
+    with pytest.raises(OutcomeNotInSpace) as info:
+        LayerChainModel(dataclasses.replace(ds, outcomes=outcomes), k, pi.support)
+    assert str(info.value) == f"outcome {bad!r} not in outcome space (0, 1)"
 
 
 def test_dense_chain_shares_matrices_across_repeated_blocks():
@@ -634,7 +672,7 @@ def _oracle_forward_constants(model, probs):
     constants = np.empty(model.num_blocks)
     total = 0.0
     for q in range(model.num_blocks):
-        w = model._push(q, w) * priors[q + 1]
+        w = (w @ model._mats[q]) * priors[q + 1]
         c = float(w.sum())
         if c <= 0.0:
             raise H1Violated(f"zero likelihood mass at block {q}")
@@ -652,7 +690,7 @@ def _oracle_posterior_pass(model, probs):
     alphas.append(w)
     loglik = 0.0
     for q in range(model.num_blocks):
-        w = model._push(q, w) * priors[q + 1]
+        w = (w @ model._mats[q]) * priors[q + 1]
         c = float(w.sum())
         if c <= 0.0:
             raise H1Violated(f"zero likelihood mass at block {q}")
