@@ -155,7 +155,7 @@ def _require_counts(**counts: int) -> None:
 def _replicate_scores(datasets: list[Dataset], kernel: Kernel, arms, score) -> np.ndarray:
     """(arms x replicates) array of ``score(model, rows)`` values: every arm
     is scored on every dataset (common random numbers), as the rows of one
-    model per dataset and distinct support, on one structure per support."""
+    structure per distinct support, on which the datasets sweep in lockstep."""
     vals = _log_likelihoods(datasets, kernel, arms, score)
     log.debug(
         "scored: arms=%d replicates=%d supports=%d",
@@ -705,7 +705,7 @@ def z_process_concentration(
     pi_list = list(pi_list)
 
     def layer_mean(model: LayerChainModel, rows: np.ndarray) -> np.ndarray:
-        return np.mean(model.conditional_profiles(rows, m)[:, 2:], axis=1)
+        return np.mean(model.conditional_profiles(rows, m)[..., 2:], axis=-1)
 
     out = []
     for pi, sums in zip(pi_list, _replicate_scores(datasets, kernel, pi_list, layer_mean)):

@@ -11,7 +11,8 @@ The round-robin schedule is periodic, so a long chain has few distinct types
 (6 of 1500 blocks at N=3000, n=2), and datasets on one layer structure share
 most of them.  Each type is built once, in the type table of the chain
 structure that every model of a (layers, kernel, support) can share, and a
-model is that structure plus the type id of each of its blocks.  A block acts
+model is that structure plus the type id of each block of each of its
+datasets: one dataset, or R replicates swept in lockstep.  A block acts
 on state vectors x of s^|V_q| entries as ``x @ block``, stored by one of two
 engines, picked from the layer widths:
 
@@ -202,6 +203,11 @@ class _ChainStructure:
     edge, -1 past its edges), with the outcome slots open.  A filled row, as
     bytes, keys the type table: type id k has (push, pull, log shift)
     ``blocks[k]``, built once for every model on the structure.
+
+    ``engine`` and ``max_replicates`` follow from one budget: a chain whose
+    dense blocks hold T <= ``_BLOCK_CACHE_BUDGET`` entries in total runs
+    dense, and a model stacks the blocks of at most
+    max(1, ``_BLOCK_CACHE_BUDGET`` // T) datasets, so a factored chain holds one.
     """
 
     def __init__(self, layers: LayerStructure, kernel: Kernel, support):
@@ -234,6 +240,9 @@ class _ChainStructure:
             self.engine, self._build = "dense", self._build_dense
         else:
             self.engine, self._build = "factored", self._build_factored
+        # A model of R datasets stacks R dense matrices per block, so the same
+        # budget bounds R; a factored chain scores one dataset per model.
+        self.max_replicates = max(1, _BLOCK_CACHE_BUDGET // total_entries)
         self._plans: dict[tuple, tuple[_ContractionPlan, _ContractionPlan]] = {}
         self.blocks: list[tuple] = []
         self._type_index: dict[bytes, int] = {}
@@ -247,6 +256,11 @@ class _ChainStructure:
             nodes = np.array([layers.node_layers[q] for q in qs]) - 1
             self._width_groups.append((width, qs, nodes))
             self._width_digits[width] = _digits(self.s, width)
+        # The blocks of each (w_q, w_{q+1}), whose matrices stack into one array.
+        shapes: dict[tuple[int, int], list[int]] = {}
+        for q, shape in enumerate(zip(self.widths, self.widths[1:])):
+            shapes.setdefault(shape, []).append(q)
+        self._shape_groups = list(shapes.values())
 
     @staticmethod
     def _type_of(row: np.ndarray) -> tuple:
@@ -330,11 +344,22 @@ class _ChainStructure:
 
 
 class LayerChainModel(_ChainStructure):
-    """Chain representation of one (dataset, kernel, support) triple: the
+    """Chain representation of a (dataset, kernel, support) triple: the
     ``_ChainStructure`` of (dataset.layers, kernel, support) plus the type id
     of each block under the dataset's outcomes.  Models of datasets on one
     layer structure, such as replicates, can share one ``structure`` and its
-    type table; without one, a model lays out its own.
+    type table; without one, a model lays out its own.  A dataset whose
+    layers are not the structure's raises ``InvalidValue``.
+
+    ``dataset`` may also be a list of R datasets on one layer structure, up
+    to ``max_replicates`` of them: the model then holds block q of every
+    dataset as one (R, 1, S, S') stack, and ``forward_constants``,
+    ``log_likelihood`` and ``conditional_profiles`` sweep all R in lockstep,
+    with a leading R axis on their outputs, each value bit-identical to a
+    model of that dataset alone.  The methods that read one dataset's block
+    matrices (``posterior_pass``, ``backward_messages``, ``backward_kernels``,
+    ``contraction_profile``) refuse R > 1 with ``InvalidValue``.
+    ``replicates`` is R, and ``dataset`` the first (or only) dataset.
 
     Blocks depend on the kernel and the support grid but not on the simplex
     weights, so a model can be reused across candidate distributions (EM
@@ -353,55 +378,105 @@ class LayerChainModel(_ChainStructure):
     weights in one recursion (``_forward_rows`` forward), each row pushed and
     pulled as its own vector-matrix product against the shared block
     matrices, so every row's result is bit-identical to a sweep of that row
-    alone.  The model picks the sweep shape from the row count: a batch of
-    one row, (s,) or (1, s), sweeps as a plain vector, and outputs keep the
-    shape of the input.  The per-block loops do the recursion alone; logs,
-    shifts, gammas and node marginals follow for all blocks at once, in the
-    floating-point order of a per-block computation.  The sweeps are pure
+    alone.  The model picks the sweep shape from the row count: on a
+    one-dataset model a batch of one row, (s,) or (1, s), sweeps as a plain
+    vector, and outputs keep the shape of the input.  The per-block loops do
+    the recursion alone; logs, shifts, gammas and node marginals follow for
+    all blocks at once, in the floating-point order of a per-block
+    computation.  The sweeps are pure
     and safe for concurrent reads; building a model on a shared structure
     grows its type table, so models of one structure are built in one thread.
     """
 
-    def __init__(self, dataset: Dataset, kernel: Kernel, support, structure: _ChainStructure | None = None):
+    def __init__(
+        self,
+        dataset: Dataset | list[Dataset],
+        kernel: Kernel,
+        support,
+        structure: _ChainStructure | None = None,
+    ):
+        datasets = [dataset] if isinstance(dataset, Dataset) else list(dataset)
         if structure is None:
-            super().__init__(dataset.layers, kernel, support)
+            super().__init__(datasets[0].layers, kernel, support)
         else:
             # The structure's layout, and its type table by reference.
             vars(self).update(vars(structure))
-        self.dataset = dataset
-        rows = self._layout.copy()
-        rows[self._outcome_slots] = [self.kernel.outcome_index(dataset.outcomes[e]) for e in self._edges]
+        for ds in datasets:
+            if ds.layers is not self.layers and ds.layers != self.layers:
+                raise InvalidValue(
+                    f"a dataset on the N={ds.graph.N}, n={ds.graph.n} schedule does not fit "
+                    f"a chain structure of N={self.layers.N}, n={self.layers.n}"
+                )
+        if not 1 <= len(datasets) <= self.max_replicates:
+            raise InvalidValue(
+                f"a {self.engine} chain model takes 1 to {self.max_replicates} datasets, "
+                f"got {len(datasets)}"
+            )
+        self.replicates = len(datasets)
+        self.dataset = datasets[0]
+        rows = np.repeat(self._layout[None], self.replicates, axis=0)
+        rows[(slice(None),) + self._outcome_slots] = [
+            [self.kernel.outcome_index(ds.outcomes[e]) for e in self._edges] for ds in datasets
+        ]
         distinct = self._use(rows)
         log.debug(
-            "layer chain model: engine=%s blocks=%d distinct=%d max_state=%d",
+            "layer chain model: engine=%s blocks=%d replicates=%d distinct=%d max_state=%d",
             self.engine,
             self.num_blocks,
+            self.replicates,
             distinct,
             self.s ** max(self.widths),
         )
 
     def _use(self, rows: np.ndarray) -> int:
-        """Point each block q at the type of filled layout row ``rows[q]``, and
-        return the number of distinct types.  The rows, viewed as one byte
-        string each, go through one ``np.unique``, which no block size can
-        overflow; only the distinct ones are looked up."""
-        self._filled = rows
-        codes = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+        """Point each block q of replicate r at the type of filled layout row
+        ``rows[r, q]``, and return the number of distinct types.  The rows,
+        viewed as one byte string each, go through one ``np.unique``, which no
+        block size can overflow; only the distinct ones are looked up.
+
+        One replicate keeps each block's push and pull as the type table holds
+        them.  R > 1 replicates (dense only) stack block q's R matrices into
+        one (R, 1, S, S') push, gathered per (w_q, w_{q+1}) from the distinct
+        types of that shape, and pull with its ``swapaxes`` view."""
+        flat = rows.reshape(-1, rows.shape[-1])
+        codes = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel()
         # With return_inverse, np.unique does not import numpy.ma (numpy >= 2).
         _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        self._type_ids = np.array([self.type_id(rows[q]) for q in first.tolist()])[inverse]
-        self._mats, self._pulls, shifts = zip(*[self.blocks[k] for k in self._type_ids.tolist()])
-        self._shifts = np.array(shifts)
+        kinds = [self.type_id(flat[q]) for q in first.tolist()]
+        local = inverse.reshape(rows.shape[:-1])
+        self._type_ids = np.array(kinds)[local]
+        if self.replicates == 1:
+            self._filled, self._type_ids = rows[0], self._type_ids[0]
+            self._mats, self._pulls, shifts = zip(*[self.blocks[k] for k in self._type_ids.tolist()])
+            self._shifts = np.array(shifts)
+            return first.size
+        self._filled = rows
+        self._shifts = np.array([self.blocks[k][2] for k in kinds])[local]
+        mats = [self.blocks[k][0] for k in kinds]
+        self._mats = [None] * self.num_blocks
+        for qs in self._shape_groups:
+            present, at = np.unique(local[:, qs], return_inverse=True)
+            table = np.stack([mats[k] for k in present.tolist()])
+            for q, stack in zip(qs, table[at.reshape(-1, len(qs)).T]):
+                self._mats[q] = stack[:, None]
+        self._pulls = [mat.swapaxes(-1, -2) for mat in self._mats]
         return first.size
+
+    def _single(self, method: str) -> None:
+        """Refuse ``method`` on a model of R > 1 datasets: it reads one
+        dataset's block matrices, which such a model does not hold."""
+        if self.replicates > 1:
+            raise InvalidValue(f"{method} needs a one-dataset model, not one of {self.replicates}")
 
     def _flipped(self, q: int, edge: int, outcome: int) -> LayerChainModel:
         """A copy of this model whose edge ``edge`` of block q (its place in
         ``layers.block_edges(q)``) has outcome index ``outcome``: only block
         q's type id changes.  Its ``dataset`` is still the unflipped one."""
+        self._single("_flipped")
         rows = self._filled.copy()
         rows[q, 4 + 3 * edge] = outcome  # the edge's outcome slot in _layout
         twin = copy.copy(self)
-        twin._use(rows)
+        twin._use(rows[None])
         return twin
 
     def block_nus(self) -> list[float]:
@@ -436,11 +511,12 @@ class LayerChainModel(_ChainStructure):
             )
         return probs
 
-    @staticmethod
-    def _rows(probs: np.ndarray) -> np.ndarray:
-        """Simplex rows as a sweep takes them: K > 1 rows (K, s) as (K, 1, s),
-        one row, (s,) or (1, s), as a plain (s,) vector."""
-        return probs[:, None, :] if probs.ndim > 1 and len(probs) != 1 else probs.reshape(-1)
+    def _rows(self, probs: np.ndarray) -> np.ndarray:
+        """Simplex rows as a sweep takes them: K rows (K, s) as (K, 1, s), but
+        one row, (s,) or (1, s), of a one-dataset model as a plain (s,) vector."""
+        if self.replicates == 1 and probs.size == self.s:
+            return probs.reshape(-1)
+        return probs.reshape(-1, 1, self.s)
 
     def _priors(self, probs: np.ndarray) -> list[np.ndarray]:
         """``_prior(probs, q)`` for every layer q, built once per distinct width.
@@ -464,15 +540,17 @@ class LayerChainModel(_ChainStructure):
         return self.forward_constants(probs)[0]
 
     def _forward_rows(self, priors: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
-        """The scaled forward recursion of R rows: (alphas, (num_blocks, R) log
-        normalizers), with ``priors`` and ``alphas`` of shape (R, 1, S), or
-        (S,) for one row (R = 1).
+        """The scaled forward recursion of K rows on each of the model's R
+        datasets: (alphas, (num_blocks, R, K) log normalizers), with
+        ``priors`` of shape (K, 1, S), or (S,) for one row of one dataset.
 
         ``alphas[q]`` is the normalized forward message of layer q (the prior
-        at q = 0).  Each row is a (1, S) matrix pushed on its own, which keeps
-        it bit-identical to a sweep of that row alone (a (R, S) matrix product
-        is not).  Mass is checked once after the loop; ``H1Violated`` names
-        the first block at which any row's mass is zero.
+        at q = 0), of shape (R, K, 1, S) past q = 0 when R > 1.  Each row is a
+        (1, S) matrix pushed on its own against its dataset's block matrix,
+        which keeps it bit-identical to a sweep of that row alone (a (K, S)
+        matrix product is not).  Mass is checked once after the loop;
+        ``H1Violated`` names the first block at which any row of the first
+        dataset to lose mass lost it.
         """
         mats = self._mats
         total = np.add.reduce
@@ -489,11 +567,9 @@ class LayerChainModel(_ChainStructure):
                 w /= c
                 cs.append(c)
                 alphas.append(w)
-            cs = np.array(cs).reshape(self.num_blocks, -1)
-            lost = ~(cs > 0.0).all(axis=1)
-        if lost.any():
-            raise H1Violated(f"zero likelihood mass at block {int(np.argmax(lost))}")
-        return alphas, np.log(cs) + self._shifts[:, None]
+            cs = np.array(cs).reshape(self.num_blocks, self.replicates, -1)
+            _raise_lost(~(cs > 0.0).all(axis=2), range(self.num_blocks), "likelihood")
+        return alphas, np.log(cs) + self._shifts.T.reshape(self.num_blocks, -1, 1)
 
     def forward_constants(self, probs) -> tuple:
         """(log-likelihood, per-block log normalizers) for simplex ``probs``.
@@ -501,15 +577,18 @@ class LayerChainModel(_ChainStructure):
         ``probs`` of shape (s,) gives a float and a (num_blocks,) array;
         shape (K, s) gives (K,) log-likelihoods and (K, num_blocks) normalizers
         from one recursion over all rows (``_forward_rows``), each row
-        bit-identical to a sweep of that row alone.  The log-likelihood sums
-        the normalizers sequentially in block order.
+        bit-identical to a sweep of that row alone.  A model of R > 1 datasets
+        puts a leading R axis on both.  The log-likelihood sums the
+        normalizers sequentially in block order.
         """
         probs = self._simplex(probs)
         _, constants = self._forward_rows(self._priors(self._rows(probs)))
-        totals = np.cumsum(constants, axis=0)[-1]
+        totals, constants = np.cumsum(constants, axis=0)[-1], np.moveaxis(constants, 0, -1)
         if probs.ndim == 1:
-            return totals[0], constants[:, 0]
-        return totals, constants.T
+            totals, constants = totals[:, 0], constants[:, 0]
+        if self.replicates == 1:
+            return totals[0], constants[0]
+        return totals, constants
 
     def posterior_pass(self, probs) -> tuple:
         """(node marginals, log-likelihood) from one forward-backward sweep.
@@ -528,6 +607,7 @@ class LayerChainModel(_ChainStructure):
         (forward blocks upward, backward blocks downward, then layers) where
         any row fails, with the message that row's own sweep gives.
         """
+        self._single("posterior_pass")
         probs = self._simplex(probs)
         priors = self._priors(self._rows(probs))
         alphas, constants = self._forward_rows(priors)
@@ -548,7 +628,7 @@ class LayerChainModel(_ChainStructure):
         if np.isnan(beta).any():
             block = max(k for k in range(self.num_blocks) if np.isnan(betas[k]).any())
             raise H1Violated(f"zero posterior mass at block {block}")
-        totals = np.cumsum(constants, axis=0)[-1]
+        totals = np.cumsum(constants, axis=0)[-1, 0]
         marginals = self._marginals(alphas, betas, probs.shape[:-1])
         return marginals, totals if probs.ndim > 1 else totals[0]
 
@@ -593,28 +673,37 @@ class LayerChainModel(_ChainStructure):
     def _conditional_sweep(self, probs: np.ndarray, horizons: np.ndarray, bottom: int):
         """Yield (k, rows, P(V_k | X_{k:m_r}), log P(X_{k:m_r})) for the rows r
         with m_r = ``horizons[r]`` >= k, k = max(horizons) down to ``bottom``;
-        ``probs`` is (s,) or (K, s).  Row r starts from its layer-(m_r + 1)
-        prior and is pulled and normalized alone, bit-identical to its own
-        sweep.  Raises ``H1Violated`` at the first block where any row has no mass."""
+        ``probs`` is (s,) or (K, s), and a model of R > 1 datasets puts a
+        leading R axis on the yielded values.  Row r starts from its
+        layer-(m_r + 1) prior and is pulled and normalized alone, bit-identical
+        to its own sweep.  A row without mass turns to NaN and stays NaN; after
+        the sweep, ``H1Violated`` names the first block in sweep order at which
+        any row of the first dataset to lose mass lost it."""
         order = np.argsort(-horizons, kind="stable")
         horizons = horizons[order]
-        priors = self._priors(np.broadcast_to(probs, (order.size, self.s))[order])
-        log_z, n = np.zeros(order.size), 0
-        for k in range(int(horizons.max(initial=bottom - 1)), bottom - 1, -1):
+        lead = () if self.replicates == 1 else (self.replicates,)
+        priors = self._priors(np.broadcast_to(probs, lead + (order.size, self.s))[..., order, :])
+        log_z, n = np.zeros(lead + (order.size,)), 0
+        blocks = range(int(horizons.max(initial=bottom - 1)), bottom - 1, -1)
+        lost = np.zeros((len(blocks), self.replicates), dtype=bool)
+        for step, k in enumerate(blocks):
             # Rows join at their horizon: the first join starts the batch.
             start, n = n, int(np.searchsorted(-horizons, -k, side="right"))
             if n > start:
-                x = np.concatenate((x, priors[k + 1][start:n])) if start else priors[k + 1][:n]
-            x = priors[k][:n] * self._pull(k, x)
+                joining = priors[k + 1][..., start:n, :]
+                x = np.concatenate((x, joining), axis=-2) if start else joining
+            x = priors[k][..., :n, :] * self._pull(k, x)
             c = x.sum(axis=-1)
-            if not (c > 0.0).all():
-                raise H1Violated(f"zero conditional mass at block {k}")
-            x /= c[:, None]
-            log_z[:n] += np.log(c) + self._shifts[k]
-            yield k, order[:n], x, log_z[:n].copy()
+            lost[step] = ~(c > 0.0).all(axis=-1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x /= c[..., None]
+                log_z[..., :n] += np.log(c) + self._shifts[..., k, None]
+            yield k, order[:n], x, log_z[..., :n].copy()
+        _raise_lost(lost, blocks, "conditional")
 
     def backward_messages(self, probs, q: int, m: int) -> BackwardMessages:
         """Messages P(V_k | X_{k:m}) and log P(X_{k:m}) for k = q..m+1."""
+        self._single("backward_messages")
         self._check_window(q, m)
         probs = self._simplex(probs, rows=False)
         with np.errstate(divide="ignore"):
@@ -625,18 +714,20 @@ class LayerChainModel(_ChainStructure):
         return BackwardMessages((q, m), tuple(messages[::-1]), tuple(normalizers[::-1]))
 
     def conditional_profiles(self, probs, horizons) -> np.ndarray:
-        """(R, q_max): log P(X_q | X_{q+1:m_r}) at columns 2 <= q <= m_r, else NaN.
-        Row r has horizon ``horizons[r]`` (or the one given) and ``probs`` or ``probs[r]``."""
+        """(K, q_max): log P(X_q | X_{q+1:m_r}) at columns 2 <= q <= m_r, else NaN.
+        Row r has horizon ``horizons[r]`` (or the one given) and ``probs`` or
+        ``probs[r]``.  A model of R > 1 datasets gives (R, K, q_max)."""
         probs = self._simplex(probs)
         horizons = np.zeros(probs.shape[:-1], dtype=int) + np.array(horizons, dtype=int, ndmin=1)
         # a set, not np.unique: numpy >= 2 imports numpy.ma on that call
         for m in sorted(set(horizons.ravel().tolist())):
             self._check_window(2, m)
-        z = np.full((horizons.size, self.layers.q_max + 1), np.nan)
-        z[np.arange(horizons.size), horizons + 1] = 0.0
+        lead = () if self.replicates == 1 else (self.replicates,)
+        z = np.full(lead + (horizons.size, self.layers.q_max + 1), np.nan)
+        z[..., np.arange(horizons.size), horizons + 1] = 0.0
         for k, rows, _, log_z in self._conditional_sweep(probs, horizons, 2):
-            z[rows, k] = log_z
-        return z[:, :-1] - z[:, 1:]
+            z[..., rows, k] = log_z
+        return z[..., :-1] - z[..., 1:]
 
     def _check_window(self, q: int, m: int) -> None:
         if not 2 <= q <= m <= self.layers.q_max - 1:
@@ -654,6 +745,7 @@ class LayerChainModel(_ChainStructure):
         realized one-step kernels of the latent chain run backward under the
         conditioning window starting at q.
         """
+        self._single("backward_kernels")
         self._check_window(q, m)
         priors = self._priors(self._simplex(probs, rows=False))
         kernels = []
@@ -677,6 +769,7 @@ class LayerChainModel(_ChainStructure):
         factor 1 - nu_k (:meth:`block_nus`), and the cumulative envelope
         initial_tv * prod(1 - nu_i).
         """
+        self._single("contraction_profile")
         self._check_window(q, m)
         size_m = self.s ** self.widths[m]
         mu1 = np.zeros(size_m)
@@ -708,6 +801,15 @@ class LayerChainModel(_ChainStructure):
 # -- module-level operations ------------------------------------------------------
 
 
+def _raise_lost(lost: np.ndarray, blocks, what: str) -> None:
+    """Raise ``H1Violated`` if a dataset lost its ``what`` mass: ``lost`` is
+    (len(blocks), R) flags in sweep order, and the message names the first
+    lost block of the first dataset that lost any, as its own sweep would."""
+    if lost.any():
+        r = int(np.argmax(lost.any(axis=0)))
+        raise H1Violated(f"zero {what} mass at block {blocks[int(np.argmax(lost[:, r]))]}")
+
+
 def _support_groups(dists) -> list[list[int]]:
     """Indices of ``dists`` grouped by support, in order of first appearance."""
     groups: dict[tuple, list[int]] = {}
@@ -717,12 +819,15 @@ def _support_groups(dists) -> list[list[int]]:
 
 
 def _log_likelihoods(datasets: list[Dataset], kernel: Kernel, dists, score) -> np.ndarray:
-    """(len(dists), len(datasets)) array of ``score(model, rows)``, one value
-    per row, such as ``LayerChainModel.log_likelihood``.
+    """(len(dists), len(datasets)) array of ``score(model, rows)``, which
+    gives one value per row and dataset, such as
+    ``LayerChainModel.log_likelihood``.
 
     Distributions on a common support are scored together, as the (K, s)
-    rows of one model per dataset, and the models of one support share one
-    structure: the datasets must share their layers, as replicates do.  One
+    rows of one structure per support: the datasets must share their
+    layers, as replicates do.  The datasets are scored in lockstep, in
+    chunks of ``structure.max_replicates`` per model, each chunk one forward
+    sweep; every value is bit-identical to a model of its dataset alone.  One
     structure and one model are alive at a time.
     """
     out = np.empty((len(dists), len(datasets)))
@@ -730,8 +835,10 @@ def _log_likelihoods(datasets: list[Dataset], kernel: Kernel, dists, score) -> n
         support = dists[indices[0]].support
         rows = np.array([dists[k].probs for k in indices])
         structure = _ChainStructure(datasets[0].layers, kernel, support)
-        for r, ds in enumerate(datasets):
-            out[indices, r] = score(LayerChainModel(ds, kernel, support, structure), rows)
+        for start in range(0, len(datasets), structure.max_replicates):
+            chunk = datasets[start : start + structure.max_replicates]
+            values = score(LayerChainModel(chunk, kernel, support, structure), rows)
+            out[indices, start : start + len(chunk)] = np.reshape(values, (len(chunk), -1)).T
     return out
 
 

@@ -80,23 +80,26 @@ def sample_weights(pi: DiscreteDistribution, N: int, seed: int) -> np.ndarray:
 
 
 def _draw_outcomes(
-    graph: RoundRobinGraph, kernel: Kernel, weights: np.ndarray, seed: int
-) -> dict[tuple[int, int], object]:
-    """One outcome per edge from k(., V_i, V_j), from the outcome stream of
-    ``seed``: one uniform per edge in the graph's round-major edge order."""
-    rng = _stream(seed, _OUTCOMES_STREAM)
-    uniforms = rng.random(len(graph.edges))
-    ivec = np.array([i for i, _, _ in graph.edges])
-    jvec = np.array([j for _, j, _ in graph.edges])
-    vi = weights[ivec - 1]
-    vj = weights[jvec - 1]
-    num_x = len(kernel.outcomes)
-    cum = np.cumsum(
-        np.exp(np.stack([kernel.log_fn(xi, vi, vj) for xi in range(num_x)])), axis=0
-    )
-    cum[-1] = 1.0
-    drawn = np.sum(uniforms[None, :] >= cum, axis=0)
-    return {(int(i), int(j)): kernel.outcomes[int(d)] for i, j, d in zip(ivec, jvec, drawn)}
+    graph: RoundRobinGraph, kernel: Kernel, weights: list[np.ndarray], seeds
+) -> list[dict[tuple[int, int], object]]:
+    """One outcome dict per (weights, seed) pair: one outcome per edge from
+    k(., V_i, V_j), from the outcome stream of the seed, one uniform per edge
+    in the graph's round-major edge order.  The edges' end indices are read
+    once for all pairs."""
+    pairs = graph.edge_pairs()
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2).T - 1
+    out = []
+    for node_weights, seed in zip(weights, seeds):
+        uniforms = _stream(seed, _OUTCOMES_STREAM).random(len(pairs))
+        vi, vj = node_weights[ends]
+        cum = np.cumsum(
+            np.exp(np.stack([kernel.log_fn(xi, vi, vj) for xi in range(len(kernel.outcomes))])),
+            axis=0,
+        )
+        cum[-1] = 1.0
+        drawn = np.sum(uniforms[None, :] >= cum, axis=0)
+        out.append(dict(zip(pairs, map(kernel.outcomes.__getitem__, drawn.tolist()))))
+    return out
 
 
 def sample_outcomes(
@@ -118,7 +121,7 @@ def sample_outcomes(
     return Dataset(
         graph=graph,
         layers=layer_decomposition(graph),
-        outcomes=_draw_outcomes(graph, kernel, weights, seed),
+        outcomes=_draw_outcomes(graph, kernel, [weights], [seed])[0],
         true_weights=weights,
         seed=seed,
     )
@@ -156,11 +159,9 @@ def _simulate_replicates(
     kernel.log_table(pi_star.support)
     graph = build_schedule(N, n) if strict else build_schedule_unchecked(N, n)
     layers = layer_decomposition(graph)
-    datasets = []
-    for seed in seeds:
-        weights = sample_weights(pi_star, N, seed)
-        outcomes = _draw_outcomes(graph, kernel, weights, seed)
-        datasets.append(Dataset(graph, layers, outcomes, weights, seed))
+    weights = [sample_weights(pi_star, N, seed) for seed in seeds]
+    outcomes = _draw_outcomes(graph, kernel, weights, seeds)
+    datasets = [Dataset(graph, layers, *fields) for fields in zip(outcomes, weights, seeds)]
     log.debug("replicates: N=%d n=%d count=%d q_max=%d", N, n, len(datasets), layers.q_max)
     return datasets
 

@@ -442,8 +442,8 @@ def test_risks_and_flips_build_one_structure_per_support(monkeypatch):
     params = RiskParams(N=60, n=2, replicates=3, base_seed=2, min_q_max=5)
     arms = [pi.with_probs([0.5, 0.5]), uniform([0.8, 1.5, 3.0]), pi.with_probs([0.9, 0.1])]
     excess_risks(arms, degree_model(), pi, params)
-    # two supports, three replicates: one structure per support, one model per pair
-    assert counts == {"structure": 2, "model": 6}
+    # two supports, three replicates: one structure and one lockstep model per support
+    assert counts == {"structure": 2, "model": 2}
     counts.update(structure=0, model=0)
     pi = DiscreteDistribution([1.0, 2.0, 4.0], [0.2, 0.5, 0.3])
     kernel = bt_ties(2.0)

@@ -162,7 +162,7 @@ def test_risk_accepts_integral_floats(tmp_path, base_config):
     assert (outs[0] / "risk.csv").read_bytes() == (outs[1] / "risk.csv").read_bytes()
 
 
-def test_risk_builds_one_model_per_replicate(tmp_path, base_config, monkeypatch):
+def test_risk_builds_one_model_for_all_replicates(tmp_path, base_config, monkeypatch):
     replicates, candidates = 3, [[0.4, 0.6], [0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]
     cfg = base_config(
         extra={
@@ -184,8 +184,9 @@ def test_risk_builds_one_model_per_replicate(tmp_path, base_config, monkeypatch)
     monkeypatch.setattr(simulator, "layer_decomposition", counting_layers)
     monkeypatch.setattr(LayerChainModel, "__init__", counting_init)
     assert run(["risk", "--config", cfg, "--out", tmp_path / "risk", "--threads", 1]) == 0
-    # The replicates share one schedule and its layers.
-    assert counts == {"layers": 1, "model": replicates}
+    # The replicates share one schedule and its layers, and sweep in lockstep
+    # on one model.
+    assert counts == {"layers": 1, "model": 1}
     doc = json.loads((tmp_path / "risk" / "risk.json").read_text())
     assert len(doc["reports"]) == len(candidates)
 

@@ -469,8 +469,8 @@ def test_model_logs_engine_at_debug(engine, caplog):
     with caplog.at_level(logging.DEBUG, logger="lgmle"):
         model = _model(ds, pi, k, engine)
     assert [r.getMessage() for r in caplog.records] == [
-        f"layer chain model: engine={engine} blocks={model.num_blocks} distinct=5 "
-        f"max_state={3**4}"
+        f"layer chain model: engine={engine} blocks={model.num_blocks} replicates=1 "
+        f"distinct=5 max_state={3**4}"
     ]
 
 
@@ -1143,3 +1143,183 @@ def test_conditional_sweep_raises_at_highest_block_without_mass():
     with pytest.raises(H1Violated, match=f"^zero conditional mass at block {lost[-1]}$"):
         model.conditional_profiles([[0.5, 0.5], point], top)
     assert np.isfinite(model.conditional_profiles([0.5, 0.5], top)[0, 2:]).all()
+
+
+# -- lockstep models of several datasets -----------------------------------------
+
+
+def _layer_mean(m):
+    """The z-process score: the layer mean of every row's conditional profile."""
+
+    def score(model, rows):
+        return np.mean(model.conditional_profiles(rows, m)[..., 2:], axis=-1)
+
+    return score
+
+
+@given(
+    R=st.sampled_from([1, 2, 5]),
+    K=st.sampled_from([1, 3]),
+    n=st.integers(2, 4),
+    s=st.integers(2, 3),
+    extra=st.integers(0, 4),
+    kernel_index=st.integers(0, 3),
+    engine=st.sampled_from(["dense", "factored"]),
+    seed=st.integers(1, 2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_lockstep_scores_equal_one_model_per_dataset(R, K, n, s, extra, kernel_index, engine, seed):
+    rng = np.random.default_rng(seed)
+    kernel = kernel_variants()[kernel_index]
+    pi = random_distribution(rng, s)
+    datasets = _simulate_replicates(pi, kernel, 4 * n + 2 + 2 * extra, n, [seed + r for r in range(R)])
+    arms = [pi.with_probs(probs) for probs in rng.dirichlet(np.ones(s), size=K)]
+    rows = np.array([arm.probs for arm in arms])
+    top = datasets[0].layers.q_max - 1
+    scores = [LayerChainModel.log_likelihood] + ([_layer_mean(top)] if top >= 2 else [])
+    budget = {"dense": 10**12, "factored": 0}[engine]
+    with mock.patch.object(likelihood, "_BLOCK_CACHE_BUDGET", budget):
+        structure = likelihood._ChainStructure(datasets[0].layers, kernel, pi.support)
+        singles = [LayerChainModel(ds, kernel, pi.support) for ds in datasets]
+        chunked = [likelihood._log_likelihoods(datasets, kernel, arms, score) for score in scores]
+    assert structure.engine == engine
+    assert (structure.max_replicates == 1) == (engine == "factored")
+    for score, values in zip(scores, chunked):
+        assert np.array_equal(values, np.array([score(single, rows) for single in singles]).T)
+    if engine == "factored":
+        return
+    lockstep = LayerChainModel(datasets, kernel, pi.support, structure)
+    assert lockstep.replicates == R
+    totals, constants = lockstep.forward_constants(rows)
+    total, row_constants = lockstep.forward_constants(rows[0])
+    for r, single in enumerate(singles):
+        expected, expected_constants = single.forward_constants(rows)
+        assert np.array_equal(np.reshape(totals, (R, K))[r], expected)
+        assert np.array_equal(np.reshape(constants, (R, K, -1))[r], expected_constants)
+        assert np.reshape(total, R)[r] == expected[0]
+        assert np.array_equal(np.reshape(row_constants, (R, -1))[r], expected_constants[0])
+    if top >= 2:
+        horizons = rng.integers(2, top + 1, size=K)
+        profiles = np.reshape(lockstep.conditional_profiles(rows, horizons), (R, K, -1))
+        for r, single in enumerate(singles):
+            expected = single.conditional_profiles(rows, horizons)
+            assert np.array_equal(profiles[r], expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_chunked_scores_equal_unchunked(chunk, monkeypatch):
+    rng = np.random.default_rng(chunk)
+    kernel = bt_ties(2.0)
+    pi = random_distribution(rng, 3)
+    datasets = _simulate_replicates(pi, kernel, 60, 2, list(range(7)))
+    arms = [pi.with_probs(probs) for probs in rng.dirichlet(np.ones(3), size=3)]
+    scores = [LayerChainModel.log_likelihood, _layer_mean(datasets[0].layers.q_max - 1)]
+    whole = [likelihood._log_likelihoods(datasets, kernel, arms, score) for score in scores]
+    widths = [len(layer) for layer in datasets[0].layers.node_layers]
+    total_entries = sum(3 ** (a + b) for a, b in zip(widths, widths[1:]))
+    sizes = []
+    init = LayerChainModel.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sizes.append(self.replicates)
+
+    monkeypatch.setattr(likelihood, "_BLOCK_CACHE_BUDGET", chunk * total_entries + chunk - 1)
+    monkeypatch.setattr(LayerChainModel, "__init__", recording_init)
+    chunked = [likelihood._log_likelihoods(datasets, kernel, arms, score) for score in scores]
+    # each score runs in chunks of the budget's size: 1 x 7, 2 x 3 + 1, 3 x 2 + 1
+    assert sizes == 2 * ([chunk] * (7 // chunk) + [7 % chunk] * (7 % chunk > 0))
+    for a, b in zip(whole, chunked):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lockstep_raises_for_the_first_replicate_that_loses_mass():
+    # Outcome 1 between two nodes at support index 0 has probability 1e-200;
+    # a block holding two of them has no mass under the point mass on index
+    # 0.  Seed 6 first loses forward mass at block 4 and seed 1 at block 2;
+    # sweeping down from the top interior block, seed 6 first loses
+    # conditional mass at block 10 and seed 1 at block 17.
+    support = [1.0, 2.0]
+    table = np.full((2, 2, 2), 0.5)
+    table[:, 0, 0] = [1.0 - 1e-200, 1e-200]
+    kernel = custom_table((0, 1), support, table)
+    fair = custom_table((0, 1), support, np.full((2, 2, 2), 0.5))
+    datasets = _simulate_replicates(uniform(support), fair, 40, 2, [6, 1])
+    point = point_mass_on(support, 0)
+    forward, conditional = LayerChainModel.log_likelihood, _layer_mean(datasets[0].layers.q_max - 1)
+
+    def per_replicate_message(datasets, score):
+        for ds in datasets:
+            try:
+                score(LayerChainModel(ds, kernel, support), point.probs[None])
+            except H1Violated as exc:
+                return str(exc)
+
+    cases = [
+        (datasets, forward, "zero likelihood mass at block 4"),
+        (datasets, conditional, "zero conditional mass at block 10"),
+        (datasets[::-1], forward, "zero likelihood mass at block 2"),
+        (datasets[::-1], conditional, "zero conditional mass at block 17"),
+    ]
+    for chunk, score, message in cases:
+        assert per_replicate_message(chunk, score) == message
+        with pytest.raises(H1Violated, match=f"^{message}$"):
+            likelihood._log_likelihoods(chunk, kernel, [point], score)
+
+
+def test_matrix_methods_refuse_a_lockstep_model():
+    pi = uniform([1.0, 2.0])
+    k = bradley_terry()
+    datasets = _simulate_replicates(pi, k, 40, 2, [1, 2])
+    model = LayerChainModel(datasets, k, pi.support)
+    top = model.layers.q_max - 1
+    calls = {
+        "posterior_pass": lambda: model.posterior_pass(pi.probs),
+        "backward_kernels": lambda: model.backward_kernels(pi.probs, 2, top),
+        "contraction_profile": lambda: model.contraction_profile(pi.probs, 2, top),
+        "backward_messages": lambda: model.backward_messages(pi.probs, 2, top),
+        "_flipped": lambda: model._flipped(2, 0, 0),
+    }
+    for method, call in calls.items():
+        with pytest.raises(InvalidValue, match=f"^{method} needs a one-dataset model, not one of 2$"):
+            call()
+    # a factored chain holds one dataset per model
+    with mock.patch.object(likelihood, "_BLOCK_CACHE_BUDGET", 0):
+        with pytest.raises(InvalidValue, match="^a factored chain model takes 1 to 1 datasets, got 2$"):
+            LayerChainModel(datasets, k, pi.support)
+
+
+@pytest.mark.parametrize("N, n", [(40, 3), (60, 2)])
+def test_dataset_on_another_schedule_raises(N, n):
+    # At N=40, n=3 the model used to score only the n=2 edges; at N=60 it
+    # raised a bare KeyError.
+    pi = uniform([1.0, 2.0])
+    k = bradley_terry()
+    ds = simulate(pi, k, 40, 2, seed=1)
+    other = simulate(pi, k, N, n, seed=2)
+    structure = likelihood._ChainStructure(ds.layers, k, pi.support)
+    message = f"^a dataset on the N={N}, n={n} schedule does not fit a chain structure of N=40, n=2$"
+    for build in (
+        lambda: LayerChainModel(other, k, pi.support, structure),
+        lambda: LayerChainModel([ds, other], k, pi.support, structure),
+        lambda: likelihood._log_likelihoods([ds, other], k, [pi], LayerChainModel.log_likelihood),
+    ):
+        with pytest.raises(InvalidValue, match=message):
+            build()
+
+
+def test_lockstep_model_logs_replicates_and_distinct_types(caplog):
+    pi = uniform([1.0, 2.0, 4.0])
+    k = bt_ties(2.0)
+    datasets = _simulate_replicates(pi, k, 40, 2, [1, 2, 3])
+    structure = likelihood._ChainStructure(datasets[0].layers, k, pi.support)
+    singles = [LayerChainModel(ds, k, pi.support, structure) for ds in datasets]
+    distinct = len(set().union(*(single._type_ids.tolist() for single in singles)))
+    assert distinct > max(len(set(single._type_ids.tolist())) for single in singles)
+    with caplog.at_level(logging.DEBUG, logger="lgmle"):
+        model = LayerChainModel(datasets, k, pi.support, structure)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"layer chain model: engine=dense blocks={model.num_blocks} replicates=3 "
+        f"distinct={distinct} max_state={3 ** max(model.widths)}"
+    ]
