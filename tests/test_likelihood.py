@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import logging
 import math
 import re
@@ -470,7 +471,7 @@ def test_model_logs_engine_at_debug(engine, caplog):
         model = _model(ds, pi, k, engine)
     assert [r.getMessage() for r in caplog.records] == [
         f"layer chain model: engine={engine} blocks={model.num_blocks} replicates=1 "
-        f"distinct=5 max_state={3**4}"
+        f"distinct=5 max_state={3**4} segment=1"
     ]
 
 
@@ -742,9 +743,10 @@ def test_sweeps_match_per_block_oracle_exactly(n, s, extra, kernel_index, engine
     assert loglik == loglik_o == total
 
 
-def _extreme_model(n, s, engine, seed, rng):
+def _extreme_model(n, s, engine, seed, rng, N=None):
     """A model of a binary custom_table whose rare outcome, per weight pair,
-    has probability down to 1e-300, on data simulated from a fair coin."""
+    has probability down to 1e-300, on data simulated from a fair coin
+    (N nodes, or 4n + 2 to 4n + 8)."""
     support = np.arange(1.0, s + 1.0)
     rare = 10.0 ** -rng.uniform(0.3, 300.0, size=(s, s))
     swap = rng.random((s, s)) < 0.5
@@ -752,7 +754,8 @@ def _extreme_model(n, s, engine, seed, rng):
     extreme = custom_table((0, 1), support, table)
     fair = custom_table((0, 1), support, np.full((2, s, s), 0.5))
     pi = uniform(support)
-    ds = simulate(pi, fair, 4 * n + 2 + 2 * int(rng.integers(0, 4)), n, seed=seed)
+    N = 4 * n + 2 + 2 * int(rng.integers(0, 4)) if N is None else N
+    ds = simulate(pi, fair, N, n, seed=seed)
     return _model(ds, pi, extreme, engine)
 
 
@@ -1321,5 +1324,237 @@ def test_lockstep_model_logs_replicates_and_distinct_types(caplog):
         model = LayerChainModel(datasets, k, pi.support, structure)
     assert [r.getMessage() for r in caplog.records] == [
         f"layer chain model: engine=dense blocks={model.num_blocks} replicates=3 "
-        f"distinct={distinct} max_state={3 ** max(model.widths)}"
+        f"distinct={distinct} max_state={3 ** max(model.widths)} segment=1"
     ]
+
+
+# -- segment sweeps of long dense chains ---------------------------------------------
+
+
+def _segmented(build, min_run=2):
+    """``build()`` with the segment rule's minimum run at ``min_run`` blocks."""
+    with mock.patch.object(likelihood, "_SEGMENT_MIN_RUN", min_run):
+        return build()
+
+
+def _assert_close_to_per_block_sweep(model, probs, marginals, loglik):
+    marginals_o, loglik_o = _oracle_posterior_pass(model, probs)
+    assert abs(loglik - loglik_o) <= 1e-13 * abs(loglik_o)
+    assert np.max(np.abs(marginals - marginals_o)) <= 1e-15
+
+
+@given(
+    n_s=st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2)]),
+    extra=st.integers(0, 10),
+    kernel_index=st.integers(0, 3),
+    floored=st.integers(0, 2),
+    seed=st.integers(1, 2**31 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_segment_sweep_matches_per_block_oracle(n_s, extra, kernel_index, floored, seed):
+    n, s = n_s
+    rng = np.random.default_rng(seed)
+    kernel = kernel_variants()[kernel_index]
+    pi = random_distribution(rng, s)
+    ds = simulate(pi, kernel, 20 * (n - 1) + 2 * extra, n, seed=seed)
+    model = _segmented(lambda: _model(ds, pi, kernel, "dense"))
+    assert model.segment > 1
+    probs = rng.dirichlet(np.ones(s))
+    probs[: min(floored, s - 1)] = WEIGHT_FLOOR
+    probs /= probs.sum()
+    marginals, loglik = model.posterior_pass(probs)
+    _assert_close_to_per_block_sweep(model, probs, marginals, loglik)
+    # scoring stays block by block
+    total_o, constants_o = _oracle_forward_constants(model, probs)
+    assert model.log_likelihood(probs) == total_o
+
+
+@pytest.mark.parametrize("kernel_index", range(4))
+@pytest.mark.parametrize(
+    "segment, pieces", [(2, ((0, 1, 1), (1, 2, 3), (7, 1, 2))), (3, ((0, 1, 1), (1, 3, 2), (7, 1, 2)))]
+)
+def test_segment_sweep_matches_enumeration(kernel_index, segment, pieces):
+    # 2**18 assignments; the rule would give a run of 7 blocks L = 1, so the
+    # model is set to the segment length under test.
+    rng = np.random.default_rng(kernel_index)
+    kernel = kernel_variants()[kernel_index]
+    pi = random_distribution(rng, 2)
+    ds = simulate(pi, kernel, 18, 2, seed=kernel_index + 1)
+    model = LayerChainModel(ds, kernel, pi.support)
+    model.segment = segment
+    assert model._pieces(segment) == pieces
+    marginals, loglik = model.posterior_pass(pi.probs)
+    assert abs(loglik - brute_force_log_likelihood(ds, pi, kernel)) <= 1e-10
+    assert np.max(np.abs(marginals - brute_force_node_marginals(ds, pi, kernel))) <= 1e-10
+
+
+@given(
+    K=st.integers(2, 5),
+    n_s=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+    extra=st.integers(0, 6),
+    kernel_index=st.integers(0, 3),
+    seed=st.integers(1, 2**31 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_segment_batch_equals_each_rows_own_sweep(K, n_s, extra, kernel_index, seed):
+    n, s = n_s
+    rng = np.random.default_rng(seed)
+    kernel = kernel_variants()[kernel_index]
+    pi = random_distribution(rng, s)
+    ds = simulate(pi, kernel, 20 * (n - 1) + 2 * extra, n, seed=seed)
+    model = _segmented(lambda: _model(ds, pi, kernel, "dense"))
+    assert model.segment > 1
+    rows = rng.dirichlet(np.ones(s), size=K)
+    for row, floored in zip(rows, rng.integers(0, s, size=K)):
+        row[:floored] = WEIGHT_FLOOR
+    rows /= rows.sum(axis=1, keepdims=True)
+    marginals, logliks = model.posterior_pass(rows)
+    for row, row_marginals, loglik in zip(rows, marginals, logliks):
+        alone = model.posterior_pass(row)
+        assert np.array_equal(row_marginals, alone[0])
+        assert loglik == alone[1]
+    one = model.posterior_pass(rows[:1])
+    assert np.array_equal(one[0][0], marginals[0]) and one[1][0] == logliks[0]
+
+
+def test_segment_batch_reruns_only_the_rows_that_lose_mass():
+    # Outcome 1 between two nodes at support index 0 has probability 1e-60,
+    # and every outcome is 1.  A block's entry between the all-index-0
+    # states is about 1e-120 of its peak, a normal float, but the product of
+    # three blocks underflows there: the point mass on index 0 loses its
+    # segment sweep, and only that row reruns block by block.
+    support = [1.0, 2.0]
+    table = np.full((2, 2, 2), 0.5)
+    table[:, 0, 0] = [1.0 - 1e-60, 1e-60]
+    kernel = custom_table((0, 1), support, table)
+    ds = simulate(uniform(support), kernel, 40, 2, seed=4)
+    ds = dataclasses.replace(ds, outcomes=dict.fromkeys(ds.outcomes, 1))
+    model = _segmented(lambda: LayerChainModel(ds, kernel, support))
+    block_by_block = _segmented(lambda: LayerChainModel(ds, kernel, support), math.inf)
+    assert (model.segment, block_by_block.segment) == (3, 1)
+    rows = np.array([[0.5, 0.5], [1.0, 0.0], [0.3, 0.7]])
+    with pytest.raises(H1Violated, match="^segment product underflows$"):
+        model._posterior(rows[1], model.segment)
+    marginals, logliks = model.posterior_pass(rows)
+    for k, row in enumerate(rows):
+        alone = model.posterior_pass(row)
+        assert np.array_equal(marginals[k], alone[0]) and logliks[k] == alone[1]
+    kept = model._posterior(rows[[0, 2]], model.segment)
+    assert np.array_equal(marginals[[0, 2]], kept[0]) and np.array_equal(logliks[[0, 2]], kept[1])
+    rerun = block_by_block.posterior_pass(rows[1])
+    assert np.array_equal(marginals[1], rerun[0]) and logliks[1] == rerun[1]
+
+
+def test_flipped_twin_of_a_segmented_model_equals_a_fresh_model():
+    pi = uniform([1.0, 2.0, 4.0])
+    k = bt_ties(2.0)
+    ds = simulate(pi, k, 60, 2, seed=7)
+    model = _segmented(lambda: LayerChainModel(ds, k, pi.support))
+    assert model.segment > 1
+    probs = np.array([0.2, 0.5, 0.3])
+    before = model.posterior_pass(probs)  # gathers the parent's run blocks
+    q = model._run[0] + 2
+    edge = ds.layers.block_edges(q)[0]
+    outcome = (k.outcome_index(ds.outcomes[edge]) + 1) % len(k.outcomes)
+    twin = model._flipped(q, 0, outcome)
+    flipped = dataclasses.replace(ds, outcomes={**ds.outcomes, edge: k.outcomes[outcome]})
+    fresh = _segmented(lambda: LayerChainModel(flipped, k, pi.support))
+    got, want = twin.posterior_pass(probs), fresh.posterior_pass(probs)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert got[1] != before[1]
+    again = model.posterior_pass(probs)
+    assert np.array_equal(again[0], before[0]) and again[1] == before[1]
+
+
+def _posterior_or_message(model, probs):
+    try:
+        return model.posterior_pass(probs)
+    except H1Violated as exc:
+        return str(exc)
+
+
+@pytest.mark.filterwarnings("error")
+def test_segment_sweep_on_extreme_tables_raises_the_block_by_block_message():
+    raised = rerun = 0
+    for (n, s), seed in itertools.product([(2, 2), (2, 3), (3, 2)], range(1, 31)):
+        rng = np.random.default_rng(seed)
+        model = _segmented(lambda: _extreme_model(n, s, "dense", seed, rng, N=20 * n))
+        block_by_block = LayerChainModel(model.dataset, model.kernel, model.support)
+        assert model.segment > 1 and block_by_block.segment == 1
+        probs = rng.dirichlet(np.ones(s))
+        probs[:1] = WEIGHT_FLOOR
+        probs /= probs.sum()
+        got = _posterior_or_message(model, probs)
+        want = _posterior_or_message(block_by_block, probs)
+        if isinstance(want, str):
+            raised += 1
+            assert got == want
+            continue
+        try:
+            model._posterior(probs, model.segment)
+        except H1Violated:
+            rerun += 1
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            continue
+        _assert_close_to_per_block_sweep(model, probs, *got)
+    assert raised > 0 and rerun > 0
+
+
+def test_segment_em_fit_matches_block_by_block(caplog):
+    from lgmle import FitConfig, fit_mle, degree_model
+
+    pi_star = DiscreteDistribution([0.5, 2.0], [0.3, 0.7])
+    k = degree_model()
+    ds = simulate(pi_star, k, 2000, 2, seed=12)
+    config = FitConfig(support=(0.5, 2.0), mode="em", tol=1e-9, max_iters=200, restarts=2, seed=3)
+    fits, logs = [], []
+    for min_run in (likelihood._SEGMENT_MIN_RUN, math.inf):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="lgmle"):
+            fits.append(_segmented(lambda: fit_mle(ds, k, config), min_run))
+        logs.append([r.getMessage() for r in caplog.records])
+    segmented, block_by_block = fits
+    assert "segment=22" in logs[0][0] and "segment=1" in logs[1][0]
+    assert logs[0][1:] == logs[1][1:]  # sweep counts, stop reasons, clipping
+    assert np.max(np.abs(segmented.pi_hat.probs - block_by_block.pi_hat.probs)) <= 1e-12
+    assert len(segmented.trajectory) == len(block_by_block.trajectory)
+    np.testing.assert_allclose(segmented.trajectory, block_by_block.trajectory, rtol=1e-12, atol=0)
+    assert segmented.restart_index == block_by_block.restart_index
+    assert segmented.converged == block_by_block.converged
+
+
+@pytest.mark.parametrize(
+    "engine, n, s, segment", [("dense", 2, 2, 7), ("dense", 3, 2, 4), ("dense", 3, 3, 1), ("factored", 2, 2, 1)]
+)
+def test_model_logs_its_segment_length(engine, n, s, segment, caplog):
+    # 200 nodes: a run of 98 blocks at n=2 and 48 at n=3; 81 states at n=3, s=3
+    pi = uniform(np.arange(1.0, s + 1.0))
+    k = bradley_terry()
+    ds = simulate(pi, k, 200, n, seed=1)
+    with caplog.at_level(logging.DEBUG, logger="lgmle"):
+        model = _model(ds, pi, k, engine)
+    assert model.segment == segment
+    assert caplog.records[-1].getMessage().endswith(f" segment={segment}")
+
+
+def test_outcome_ids_take_equal_outcomes_of_other_types():
+    pi = uniform([1.0, 2.0])
+    k = bt_ties(2.0)
+    ds = simulate(pi, k, 20, 2, seed=3)
+    recast = {-1: -1.0, 0: False, 1: np.int64(1)}
+    other = dataclasses.replace(ds, outcomes={e: recast[x] for e, x in ds.outcomes.items()})
+    model = LayerChainModel([ds, other], k, pi.support)
+    assert np.array_equal(model._filled[0], model._filled[1])
+
+
+@pytest.mark.parametrize("bad", [7, [1], float("nan")], ids=["int", "unhashable", "nan"])
+def test_foreign_outcome_in_a_later_replicate_raises_naming_it(bad):
+    pi = uniform([1.0, 2.0])
+    k = bradley_terry()
+    first, second = _simulate_replicates(pi, k, 20, 2, [1, 2])
+    edge = first.layers.block_edges(4)[1]
+    later = first.layers.block_edges(6)[0]
+    second = dataclasses.replace(second, outcomes={**second.outcomes, later: "x", edge: bad})
+    with pytest.raises(OutcomeNotInSpace) as info:
+        LayerChainModel([first, second], k, pi.support)
+    assert str(info.value) == f"outcome {bad!r} not in outcome space (0, 1)"
