@@ -637,7 +637,7 @@ class LayerChainModel(_ChainStructure):
             for mat in blocks[1:]:
                 product = (product * p) @ mat
                 product /= np.maximum.reduce(product, axis=(-2, -1), keepdims=True)
-                low = min(low, np.minimum.reduce(product, axis=None))
+                low = min(low, np.minimum.reduce(product, axis=None, initial=np.inf))
         if not low >= np.finfo(float).smallest_normal:
             raise H1Violated("segment product underflows")
         return blocks, product
@@ -659,7 +659,7 @@ class LayerChainModel(_ChainStructure):
 
         Without ``run`` the sweep is block by block; with ``run``, the
         ``_segment_products`` of one dataset's rows, it goes in the pieces of
-        ``_pieces(segment)``.  Each piece sweeps its C segment starts one
+        ``_pieces(self.segment)``.  Each piece sweeps its C segment starts one
         after another, pushing w @ T_j; at L = 1, T_j is the block itself and
         this is the whole recursion.  For L > 1 the C starts then step
         through their L blocks at once, with the per-block formulas, which
@@ -692,8 +692,7 @@ class LayerChainModel(_ChainStructure):
                     alphas += starts[1:]
                     cs.append(np.reshape(step_cs, (count, -1)))
                     continue
-                shape = (count, -1) + w.shape[-2:] if rows else (count, 1, -1)
-                x = np.stack(starts[:-1]).reshape(shape)
+                x = np.stack(starts[:-1]).reshape((count,) + (w.shape if rows else (1,) + w.shape))
                 messages, normalizers = [], []
                 for mat in blocks:
                     x = (x @ mat) * p
@@ -701,7 +700,7 @@ class LayerChainModel(_ChainStructure):
                     x /= c
                     messages.append(x)
                     normalizers.append(c)
-                alphas += list(np.stack(messages, axis=1).reshape((-1,) + w.shape))
+                alphas += list(np.stack(messages, axis=1).reshape((count * length,) + w.shape))
                 cs.append(np.stack(normalizers, axis=1).reshape(count * length, -1))
             cs = np.concatenate(cs).reshape(self.num_blocks, self.replicates, -1)
             _raise_lost(~(cs > 0.0).all(axis=2), range(self.num_blocks), "likelihood")
@@ -812,14 +811,15 @@ class LayerChainModel(_ChainStructure):
                 if length == 1:
                     betas += starts[1:]
                     continue
-                shape = (count, -1) + beta.shape[-2:] if rows else (count, 1, -1)
+                shape = (count,) + (beta.shape if rows else (1,) + beta.shape)
                 x = np.stack(starts[-2::-1]).reshape(shape)
                 messages = []
                 for mat in blocks[::-1].swapaxes(-1, -2):
                     x = (p * x) @ mat
                     x /= peak_of(x, -1, keepdims=True)
                     messages.append(x)
-                betas += list(np.stack(messages[::-1], axis=1).reshape((-1,) + beta.shape))[::-1]
+                messages = np.stack(messages[::-1], axis=1).reshape((count * length,) + beta.shape)
+                betas += list(messages[::-1])
         betas.reverse()
         if np.isnan(beta).any():
             block = max(k for k in range(self.num_blocks) if np.isnan(betas[k]).any())

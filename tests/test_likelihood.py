@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from lgmle import (
     DiscreteDistribution,
+    FitConfig,
     H1Violated,
     InvalidValue,
     Kernel,
@@ -24,7 +25,9 @@ from lgmle import (
     brute_force_node_marginals,
     bt_ties,
     custom_table,
+    degree_model,
     epsilon_floor,
+    fit_mle,
     log_likelihood,
     point_mass,
     point_mass_on,
@@ -1338,6 +1341,9 @@ def _segmented(build, min_run=2):
 
 
 def _assert_close_to_per_block_sweep(model, probs, marginals, loglik):
+    """The segment sweep's result, not a rerun's, within roundoff of the oracle."""
+    segmented = model._posterior(probs, model.segment)
+    assert np.array_equal(marginals, segmented[0]) and loglik == segmented[1]
     marginals_o, loglik_o = _oracle_posterior_pass(model, probs)
     assert abs(loglik - loglik_o) <= 1e-13 * abs(loglik_o)
     assert np.max(np.abs(marginals - marginals_o)) <= 1e-15
@@ -1384,6 +1390,7 @@ def test_segment_sweep_matches_enumeration(kernel_index, segment, pieces):
     model.segment = segment
     assert model._pieces(segment) == pieces
     marginals, loglik = model.posterior_pass(pi.probs)
+    _assert_close_to_per_block_sweep(model, pi.probs, marginals, loglik)
     assert abs(loglik - brute_force_log_likelihood(ds, pi, kernel)) <= 1e-10
     assert np.max(np.abs(marginals - brute_force_node_marginals(ds, pi, kernel))) <= 1e-10
 
@@ -1409,12 +1416,22 @@ def test_segment_batch_equals_each_rows_own_sweep(K, n_s, extra, kernel_index, s
         row[:floored] = WEIGHT_FLOOR
     rows /= rows.sum(axis=1, keepdims=True)
     marginals, logliks = model.posterior_pass(rows)
+    assert np.array_equal(logliks, model._posterior(rows, model.segment)[1])  # no rerun
     for row, row_marginals, loglik in zip(rows, marginals, logliks):
         alone = model.posterior_pass(row)
         assert np.array_equal(row_marginals, alone[0])
         assert loglik == alone[1]
     one = model.posterior_pass(rows[:1])
     assert np.array_equal(one[0][0], marginals[0]) and one[1][0] == logliks[0]
+
+
+def test_segment_sweep_of_no_rows_is_empty():
+    pi = uniform([1.0, 2.0])
+    k = bradley_terry()
+    model = _segmented(lambda: LayerChainModel(simulate(pi, k, 40, 2, seed=1), k, pi.support))
+    assert model.segment > 1
+    marginals, logliks = model.posterior_pass(np.empty((0, 2)))
+    assert marginals.shape == (0, 40, 2) and logliks.shape == (0,)
 
 
 def test_segment_batch_reruns_only_the_rows_that_lose_mass():
@@ -1501,8 +1518,6 @@ def test_segment_sweep_on_extreme_tables_raises_the_block_by_block_message():
 
 
 def test_segment_em_fit_matches_block_by_block(caplog):
-    from lgmle import FitConfig, fit_mle, degree_model
-
     pi_star = DiscreteDistribution([0.5, 2.0], [0.3, 0.7])
     k = degree_model()
     ds = simulate(pi_star, k, 2000, 2, seed=12)
