@@ -20,10 +20,13 @@ engines, picked from the layer widths:
   broadcast-adding its edge log tables.  Used when the chain's blocks hold
   at most ``_BLOCK_CACHE_BUDGET`` entries in total.
 * factored: a ``_FactoredBlock`` of pairwise edge factors, contracted with
-  the state vector one factor at a time in an order compiled once per
-  positional plan (variable elimination, Koller & Friedman 2009, ch. 9).  A
-  step costs about s^(max(|V_q|, |V_q+1|)+1) per edge factor, so chains whose
-  dense blocks would not fit in memory (n=4 and n=5 at small s) stay cheap.
+  the state vector by variable elimination (Koller & Friedman 2009, ch. 9)
+  in an order compiled once per positional plan: the source layer's nodes
+  are summed out one at a time, smallest result first, each against the
+  product of the factors that touch it, folded once per block type from
+  edge tables scaled once per outcome.  A step loops over at most
+  s^(max(|V_q|, |V_q+1|)+1) index combinations, so chains whose dense blocks
+  would not fit in memory (n=4 and n=5 at small s) stay cheap.
 
 All arithmetic runs in rescaled probability space with per-block shifts
 tracked in log scale (the standard scaled forward-backward scheme), so block
@@ -50,6 +53,7 @@ messages rely on this order.
 from __future__ import annotations
 
 import copy
+import functools
 import logging
 import math
 import string
@@ -102,21 +106,27 @@ def _placed(table: np.ndarray, a: int, b: int, ndim: int) -> np.ndarray:
 class _ContractionPlan:
     """A tensor x contracted with fixed factors, as two-operand einsum steps.
 
-    ``folds`` combine factors with each other; they do not involve x and run
-    once per block in :meth:`prepare`.  ``steps`` run on every call, each one
-    contracting the running tensor with one prepared operand, so a call does
-    no path search.
+    Step k is ``(subscripts, fold)``: it contracts the running tensor with
+    one operand, the elementwise product of the factors that ``fold`` lists
+    as (factor index, transposed, broadcast shape).  :meth:`prepare` forms
+    the operands once per block, so a call runs only the steps.
     """
 
-    folds: tuple[tuple[str, int, int], ...]  # (subscripts, operand a, operand b)
-    steps: tuple[tuple[str, int], ...]  # (subscripts, operand)
+    steps: tuple[tuple[str, tuple[tuple[int, bool, tuple[int, ...]], ...]], ...]
 
     def prepare(self, factors: list[np.ndarray]) -> tuple[np.ndarray, ...]:
         """The operands of ``steps``, in order, for one block's factors."""
-        operands = list(factors)
-        for sub, a, b in self.folds:
-            operands.append(np.einsum(sub, operands[a], operands[b]))
-        return tuple(operands[k] for _, k in self.steps)
+        return tuple(
+            functools.reduce(
+                np.multiply,
+                [(factors[k].T if flip else factors[k]).reshape(shape) for k, flip, shape in fold],
+            )
+            for _, fold in self.steps
+        )
+
+    def loop_axes(self) -> int:
+        """The most block axes that one step loops over, its batch axis aside."""
+        return max(len(set(sub) - {",", "-", ">", _SUBSCRIPTS[0]}) for sub, _ in self.steps)
 
 
 @dataclass(frozen=True)
@@ -140,43 +150,47 @@ class _FactoredBlock:
 def _compile_plan(
     s: int, x_sub: str, out_sub: str, factor_subs: tuple[str, ...]
 ) -> _ContractionPlan:
-    """Order the contraction ``x_sub,factor_subs... -> out_sub`` once.
+    """Order the contraction ``x_sub,factor_subs... -> out_sub`` once, by
+    variable elimination over the block's factor graph.
 
-    ``np.einsum_path`` picks the pairwise order greedily; no intermediate may
-    exceed one state tensor times s, which keeps constant folds from growing
-    into the dense block.
+    x_sub is the batch axis, then the source layer's axes.  These are summed
+    out one at a time: each step takes the axis whose result tensor is
+    smallest (the first in x_sub on ties) and contracts the running tensor
+    with the product of every factor not yet used that touches that axis.
+    The factors over target axes alone multiply in at the end, as one
+    elementwise operand; the last step writes out_sub's axis order.
     """
-    shapes = [(1,) + (s,) * (len(x_sub) - 1)] + [(s,) * len(f) for f in factor_subs]
-    limit = s ** max(len(x_sub), len(out_sub))
-    path, _ = np.einsum_path(
-        ",".join((x_sub,) + factor_subs) + "->" + out_sub,
-        *(np.empty(shape) for shape in shapes),
-        optimize=("greedy", limit),
-    )
-    # Replay the path: each entry pops two operands and appends their
-    # contraction.  Operand id None marks the tensor derived from x.
-    live: list[tuple[str, int | None]] = [(x_sub, None)]
-    live += [(sub, k) for k, sub in enumerate(factor_subs)]
-    folds: list[tuple[str, int, int]] = []
-    steps: list[tuple[str, int]] = []
-    next_id = len(factor_subs)
-    for pair in path[1:]:
-        i, j = sorted(pair)
-        b, a = live.pop(j), live.pop(i)
-        if live:
-            rest = "".join(sub for sub, _ in live) + out_sub
-            result = "".join(c for c in dict.fromkeys(a[0] + b[0]) if c in rest)
-        else:
-            result = out_sub
-        if a[1] is not None and b[1] is not None:
-            folds.append((f"{a[0]},{b[0]}->{result}", a[1], b[1]))
-            live.append((result, next_id))
-            next_id += 1
-        else:
-            x, operand = (a, b) if a[1] is None else (b, a)
-            steps.append((f"{x[0]},{operand[0]}->{result}", operand[1]))
-            live.append((result, None))
-    return _ContractionPlan(tuple(folds), tuple(steps))
+    unused = dict(enumerate(factor_subs))
+    running, left = x_sub, list(x_sub[1:])
+    steps: list[tuple[str, tuple]] = []
+
+    def operand(ks: tuple[int, ...]) -> str:
+        return "".join(dict.fromkeys("".join(unused[k] for k in ks)))
+
+    def eliminate(axis: str) -> tuple[str, tuple[int, ...]]:
+        ks = tuple(k for k, sub in unused.items() if axis in sub)
+        axes = dict.fromkeys(running + operand(ks))
+        del axes[axis]
+        return "".join(axes), ks
+
+    def step(result: str, ks: tuple[int, ...]) -> None:
+        sub = operand(ks)
+        fold = []
+        for k in ks:
+            at = [sub.index(c) for c in unused[k]]
+            fold.append((k, at != sorted(at), tuple(s if i in at else 1 for i in range(len(sub)))))
+            del unused[k]
+        steps.append((f"{running},{sub}->{result}", tuple(fold)))
+
+    while left:
+        axis = min(left, key=lambda c: len(eliminate(c)[0]))
+        result, ks = eliminate(axis)
+        left.remove(axis)
+        step(out_sub if not left and len(ks) == len(unused) else result, ks)
+        running = result
+    if unused:
+        step(out_sub, tuple(unused))
+    return _ContractionPlan(tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -226,6 +240,9 @@ class _ChainStructure:
     dense blocks hold T <= ``_BLOCK_CACHE_BUDGET`` entries in total runs
     dense, and a model stacks the blocks of at most
     max(1, ``_BLOCK_CACHE_BUDGET`` // T) datasets, so a factored chain holds one.
+    A factored structure also keeps each outcome's edge table scaled by its
+    maximum, and that maximum, for every block type's factors, and the
+    contraction plans compiled so far (``_plans``).
     """
 
     def __init__(self, layers: LayerStructure, kernel: Kernel, support):
@@ -258,6 +275,11 @@ class _ChainStructure:
             self.engine, self._build = "dense", self._build_dense
         else:
             self.engine, self._build = "factored", self._build_factored
+            # Per outcome index, its edge table scaled by its maximum, and
+            # that maximum; index -1 is the unit factor of a bare layer-q node.
+            self._maxima = [float(t.max()) for t in self.log_table] + [0.0]
+            self._scaled = [np.exp(t - m) for t, m in zip(self.log_table, self._maxima)]
+            self._scaled.append(np.ones(self.s))
         # A model of R datasets stacks R dense matrices per block, so the same
         # budget bounds R; a factored chain scores one dataset per model.
         self.max_replicates = max(1, _BLOCK_CACHE_BUDGET // total_entries)
@@ -334,19 +356,20 @@ class _ChainStructure:
         """(push block, pull block, log shift) of one block type.
 
         Einsum subscript 0 is the batch axis and subscript 1 + a the block
-        axis a.  A layer-q node without a cross edge gets a unit factor, so
+        axis a.  A layer-q node without a cross edge gets the unit factor, so
         every index of either layer occurs in some factor.  Factors are sorted
-        by subscripts, so types with one positional plan share its plans.
-        Each edge table is scaled by its maximum and the maxima summed into
-        the shift, so no entry of the implied block matrix exceeds 1.
+        by subscripts, so types with one positional plan share its plans
+        (``_compile_plan``: push eliminates layer q's axes, pull layer q+1's).
+        Each factor is its outcome's edge table scaled by the table's
+        maximum, built once per structure, and the shift is those maxima
+        summed in factor order, so no entry of the implied block matrix
+        exceeds 1.
         """
         wq, wq1, edges = block_type
-        factors: dict[str, np.ndarray] = {}
-        for a, b, xi in edges:
-            factors[_SUBSCRIPTS[1 + a] + _SUBSCRIPTS[1 + b]] = self.log_table[xi]
+        factors = {_SUBSCRIPTS[1 + a] + _SUBSCRIPTS[1 + b]: xi for a, b, xi in edges}
         for c in _SUBSCRIPTS[1 : 1 + wq]:
             if not any(c in sub for sub in factors):
-                factors[c] = np.zeros(self.s)
+                factors[c] = -1
         subs = tuple(sorted(factors))
         key = (wq, wq1, subs)
         if key not in self._plans:
@@ -357,13 +380,12 @@ class _ChainStructure:
                 _compile_plan(self.s, upper, lower, subs),
             )
         push, pull = self._plans[key]
-        tables = [factors[sub] for sub in subs]
-        maxima = [float(t.max()) for t in tables]
-        scaled = [np.exp(t - m) for t, m in zip(tables, maxima)]
+        ids = [factors[sub] for sub in subs]
+        scaled = [self._scaled[xi] for xi in ids]
         return (
             _FactoredBlock(push, push.prepare(scaled), (self.s,) * wq),
             _FactoredBlock(pull, pull.prepare(scaled), (self.s,) * wq1),
-            sum(maxima),
+            sum(self._maxima[xi] for xi in ids),
         )
 
 
@@ -468,14 +490,20 @@ class LayerChainModel(_ChainStructure):
             and self.s ** self.widths[first] <= _SEGMENT_MAX_STATE
         ):
             self.segment = math.isqrt(length // 2)
+        plans = ""
+        if self.engine == "factored":
+            compiled = [plan for pair in self._plans.values() for plan in pair]
+            steps = max(plan.loop_axes() for plan in compiled)
+            plans = f" plans={len(compiled)} max_step={self.s**steps}"
         log.debug(
-            "layer chain model: engine=%s blocks=%d replicates=%d distinct=%d max_state=%d "
+            "layer chain model: engine=%s blocks=%d replicates=%d distinct=%d max_state=%d%s "
             "segment=%d",
             self.engine,
             self.num_blocks,
             self.replicates,
             distinct,
             self.s ** max(self.widths),
+            plans,
             self.segment,
         )
 

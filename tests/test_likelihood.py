@@ -3,6 +3,7 @@ import itertools
 import logging
 import math
 import re
+import sys
 import warnings
 from unittest import mock
 
@@ -472,9 +473,12 @@ def test_model_logs_engine_at_debug(engine, caplog):
     ds = simulate(pi, k, 20, 3, seed=1)
     with caplog.at_level(logging.DEBUG, logger="lgmle"):
         model = _model(ds, pi, k, engine)
+    # a factored chain also names its compiled plans (push and pull of 4
+    # positional plans) and the most index combinations one step loops over
+    plans = {"dense": "", "factored": f" plans=8 max_step={3**5}"}[engine]
     assert [r.getMessage() for r in caplog.records] == [
         f"layer chain model: engine={engine} blocks={model.num_blocks} replicates=1 "
-        f"distinct=5 max_state={3**4} segment=1"
+        f"distinct=5 max_state={3**4}{plans} segment=1"
     ]
 
 
@@ -603,8 +607,7 @@ def _assert_blocks_match_oracle(model):
     blocks, shifts = _oracle_compile_factored(model)
     assert len(model._mats) == len(model._pulls) == len(blocks)
     for push, pull, oracle in zip(model._mats, model._pulls, blocks):
-        assert (push.plan.folds, push.plan.steps) == (oracle[0].folds, oracle[0].steps)
-        assert (pull.plan.folds, pull.plan.steps) == (oracle[2].folds, oracle[2].steps)
+        assert (push.plan, pull.plan) == (oracle[0], oracle[2])
         for ops, oracle_ops in ((push.operands, oracle[1]), (pull.operands, oracle[3])):
             assert len(ops) == len(oracle_ops)
             assert all(np.array_equal(a, b) for a, b in zip(ops, oracle_ops))
@@ -645,6 +648,58 @@ def test_block_types_match_per_block_builders_exactly(n, s, extra, kernel_index,
     flipped.dataset = dataclasses.replace(ds, outcomes={**ds.outcomes, edge: kernel.outcomes[outcome]})
     for model in models + [flipped]:
         _assert_blocks_match_oracle(model)
+
+
+# Blocks whose dense oracle matrix would exceed this many entries are left to
+# the step bound alone (the middle blocks at n=5 with s >= 3 and at n=4, s=4).
+_ORACLE_BLOCK_ENTRIES = 2**20
+
+
+@given(
+    n=st.integers(2, 5),
+    s=st.integers(2, 4),
+    extra=st.integers(0, 3),
+    kernel_index=st.integers(0, 3),
+    seed=st.integers(1, 2**31 - 1),
+)
+# N=18, n=4 ends in a (6, 1) block: two of its layer-q nodes get the unit factor
+@example(n=4, s=3, extra=0, kernel_index=2, seed=3)
+@example(n=5, s=2, extra=3, kernel_index=2, seed=5)
+@settings(max_examples=40, deadline=None)
+def test_factored_blocks_equal_dense_oracle_and_bound_each_step(n, s, extra, kernel_index, seed):
+    rng = np.random.default_rng(seed)
+    kernel = kernel_variants()[kernel_index]
+    pi = random_distribution(rng, s)
+    ds = simulate(pi, kernel, 4 * n + 2 + 2 * extra, n, seed=seed)
+    model = _model(ds, pi, kernel, "factored")
+    for q in range(model.num_blocks):
+        wq, wq1 = model.widths[q], model.widths[q + 1]
+        push, pull = model._mats[q], model._pulls[q]
+        # no step loops over more than one state tensor times s
+        for plan in (push.plan, pull.plan):
+            assert s ** plan.loop_axes() <= s ** (max(wq, wq1) + 1)
+        if s ** (wq + wq1) > _ORACLE_BLOCK_ENTRIES:
+            continue
+        mat, shift = _oracle_build_block(model, q)
+        scale = math.exp(model._shifts[q] - shift)
+        x = rng.uniform(0.1, 1.0, size=(3, s**wq))
+        y = rng.uniform(0.1, 1.0, size=(3, s**wq1))
+        np.testing.assert_allclose((x @ push) * scale, x @ mat, rtol=1e-12, atol=0)
+        np.testing.assert_allclose((y @ pull) * scale, y @ mat.T, rtol=1e-12, atol=0)
+
+
+def test_factored_build_runs_no_einsum_path(monkeypatch):
+    # N=300, n=4, s=3 (perfbench's wide_layers loglik): no plan may search for a path
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum_path called")
+
+    monkeypatch.setattr(np, "einsum_path", refuse)
+    monkeypatch.setattr(sys.modules[np.einsum.__module__], "einsum_path", refuse)
+    pi = DiscreteDistribution([1.0, 2.0, 4.0], [0.2, 0.5, 0.3])
+    k = bradley_terry()
+    model = LayerChainModel(simulate(pi, k, 300, 4, seed=7), k, pi.support)
+    assert model.engine == "factored"
+    assert np.isfinite(model.log_likelihood(pi.probs))
 
 
 @pytest.mark.parametrize("bad", [7, [1], float("nan")], ids=["int", "unhashable", "nan"])
