@@ -35,15 +35,18 @@ log-likelihood is exact to float64 roundoff.
 
 The forward-backward sweep of ``posterior_pass`` (the EM E-step) on a long
 dense chain of small blocks goes in two levels, which cuts its sequential
-Python steps per direction from one per block to about 3 sqrt(n) (about 110
-for n = 1,500 blocks), in the spirit of the temporal-parallel smoother of
-Sarkka & Garcia-Fernandez (IEEE TAC 2021).  Its longest run of n
-equal-shape blocks is cut into C = n // L segments of L = isqrt(n // 2)
-blocks; each segment's L-block product is built for all segments at once,
-the C segment start messages are swept through those products, and then
-all segments step through their blocks at once with the per-block
-formulas.  At L = 1 this is the block-by-block sweep.  Scoring
-(``forward_constants``) stays block by block.
+Python steps from one per block and direction to about 2.5 sqrt(n) for both
+directions together (about 100 for n = 1,500 blocks), in the spirit of the
+temporal-parallel smoother of Sarkka & Garcia-Fernandez (IEEE TAC 2021).
+Its longest run of n equal-shape blocks is cut into C = n // L segments of
+L = isqrt(n // 2) blocks.  The backward recursion never reads the forward
+one, and carrying beta' = p * beta (p the layer prior) gives both the same
+step, x -> (x @ [M, M^T]) * p scaled by its sum, so the two directions share
+every batched numpy step: the segments' L-block products are built for all
+segments at once, the C segment starts of both directions are swept through
+them together, and then all 2C segments step through their blocks at once.
+Run betas are scaled by their sum, not their peak.  At L = 1 the sweep is
+block by block.  Scoring (``forward_constants``) stays block by block.
 
 Block states enumerate the support indices of a layer's nodes in row-major
 order of node id within the layer (first node varies slowest); serialized
@@ -52,6 +55,7 @@ messages rely on this order.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import functools
 import logging
@@ -606,11 +610,8 @@ class LayerChainModel(_ChainStructure):
         row then sweeps as it would alone), so sweeps must not write into a
         prior in place.
         """
-        by_width: dict[int, np.ndarray] = {}
-        for q, width in enumerate(self.widths):
-            if width not in by_width:
-                by_width[width] = np.ascontiguousarray(self._prior(probs, q))
-        return [by_width[width] for width in self.widths]
+        by_width = {w: np.ascontiguousarray(self._prior(probs, qs[0])) for w, qs, _ in self._width_groups}
+        return list(map(by_width.__getitem__, self.widths))
 
     # -- forward / backward sweeps ---------------------------------------------
 
@@ -619,120 +620,52 @@ class LayerChainModel(_ChainStructure):
         value per row for shape (K, s)."""
         return self.forward_constants(probs)[0]
 
-    def _pieces(self, segment: int) -> tuple[tuple[int, int, int], ...]:
-        """The chain in sweep pieces (first block, segment length L, segment
-        count C), in block order: at ``segment`` 1 one piece of single
-        blocks, else the longest equal-shape run in C = length // L segments
-        of L blocks, with the blocks below and above it single.  Empty pieces
-        are left out."""
-        if segment == 1:
-            return ((0, 1, self.num_blocks),)
-        first, length = self._run
-        end = first + length // segment * segment
-        pieces = (0, 1, first), (first, segment, length // segment), (end, 1, self.num_blocks - end)
-        return tuple(piece for piece in pieces if piece[2])
-
     def _run_blocks(self) -> np.ndarray:
-        """(L, C, S, S) block matrices of the segmented run, [i, j] that of
-        block first + j L + i; gathered from the type table by ``_type_ids``
-        on first use, and dropped when ``_use`` repoints the blocks."""
+        """(L, 2, C, S, S) block matrices of the segmented run, stepped by
+        both directions: [i, 0, j] is that of block first + j L + i, and
+        [i, 1, j] the transpose of block first + j L + L - 1 - i.  Gathered
+        from the type table by ``_type_ids`` on first use, and dropped when
+        ``_use`` repoints the blocks."""
         if self._segment_stack is None:
             first, length = self._run
             count = length // self.segment
             ids = self._type_ids[first : first + count * self.segment].reshape(count, -1).T
             kinds, at = np.unique(ids, return_inverse=True)
             table = np.stack([self.blocks[k][0] for k in kinds.tolist()])
-            self._segment_stack = table[at.reshape(ids.shape)]
+            blocks = table[at.reshape(ids.shape)]
+            self._segment_stack = np.stack((blocks, blocks[::-1].swapaxes(-1, -2)), axis=1)
         return self._segment_stack
 
-    def _segment_products(self, priors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """(run blocks, segment products) for one dataset's rows: the blocks
-        shaped to broadcast against (C, K, 1, S) rows, (L, C, 1, S, S), or
-        (L, C, S, S) for one row (S,), and per segment j and row the product
-        T_j = M diag(p) M ... diag(p) M of its L blocks, with p the run's
-        layer prior, scaled to peak 1 after each of its L - 1 products.
+    def _forward_rows(self, priors: list, w: np.ndarray, blocks: range) -> tuple[list, np.ndarray]:
+        """The scaled forward recursion, block by block, of K rows on each of
+        the model's R datasets through ``blocks`` from message w of layer
+        blocks.start: (alphas of layers blocks.start to blocks.stop,
+        (len(blocks), R, K) normalizers), with ``priors`` of shape (K, 1, S),
+        or (S,) for one row of one dataset.
 
-        Raises ``H1Violated`` if any product has an entry below the smallest
-        normal float (or not finite): its segment would lose mass or
-        precision that the block-by-block sweep keeps."""
-        first = self._run[0]
-        p = priors[first + 1]
-        blocks = self._run_blocks()
-        if p.ndim > 1:
-            blocks = blocks[:, :, None]
-        product, low = blocks[0], np.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for mat in blocks[1:]:
-                product = (product * p) @ mat
-                product /= np.maximum.reduce(product, axis=(-2, -1), keepdims=True)
-                low = min(low, np.minimum.reduce(product, axis=None, initial=np.inf))
-        if not low >= np.finfo(float).smallest_normal:
-            raise H1Violated("segment product underflows")
-        return blocks, product
-
-    def _forward_rows(
-        self, priors: list[np.ndarray], run: tuple | None = None
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        """The scaled forward recursion of K rows on each of the model's R
-        datasets: (alphas, (num_blocks, R, K) log normalizers), with
-        ``priors`` of shape (K, 1, S), or (S,) for one row of one dataset.
-
-        ``alphas[q]`` is the normalized forward message of layer q (the prior
-        at q = 0), of shape (R, K, 1, S) past q = 0 when R > 1.  Each row is a
-        (1, S) matrix pushed on its own against its dataset's block matrix,
-        which keeps it bit-identical to a sweep of that row alone (a (K, S)
-        matrix product is not).  Mass is checked once after the loop;
-        ``H1Violated`` names the first block at which any row of the first
-        dataset to lose mass lost it.
-
-        Without ``run`` the sweep is block by block; with ``run``, the
-        ``_segment_products`` of one dataset's rows, it goes in the pieces of
-        ``_pieces(self.segment)``.  Each piece sweeps its C segment starts one
-        after another, pushing w @ T_j; at L = 1, T_j is the block itself and
-        this is the whole recursion.  For L > 1 the C starts then step
-        through their L blocks at once, with the per-block formulas, which
-        give every block's normalizer and message.
+        Each alpha is normalized by its sum, of shape (R, K, 1, S) past the
+        first when R > 1.  Each row is a (1, S) matrix pushed on its own
+        against its dataset's block matrix, which keeps it bit-identical to a
+        sweep of that row alone (a (K, S) matrix product is not).  Mass is
+        checked once after the loop; ``H1Violated`` names the first block at
+        which any row of the first dataset to lose mass lost it.
         """
         total = np.add.reduce
         # One row divides by a scalar, which is faster than by a (1, 1) array.
-        rows = priors[0].ndim > 1
-        w = priors[0]
+        rows = w.ndim > 1
         alphas, cs = [w], []
         # A row that lost its mass turns to NaN in the division and stays
         # NaN; the check after the loop reports where it happened.
         with np.errstate(divide="ignore", invalid="ignore"):
-            for first, length, count in self._pieces(1 if run is None else self.segment):
-                if length == 1:
-                    steps = self._mats[first : first + count]
-                    ends = priors[first + 1 : first + count + 1]
-                else:
-                    blocks, steps = run
-                    p = priors[first + 1]
-                    ends = [p] * count
-                starts, step_cs = [w], []
-                for mat, prior in zip(steps, ends):
-                    w = (w @ mat) * prior
-                    c = total(w, -1, keepdims=rows)
-                    w /= c
-                    step_cs.append(c)
-                    starts.append(w)
-                if length == 1:
-                    alphas += starts[1:]
-                    cs.append(np.reshape(step_cs, (count, -1)))
-                    continue
-                x = np.stack(starts[:-1]).reshape((count,) + (w.shape if rows else (1,) + w.shape))
-                messages, normalizers = [], []
-                for mat in blocks:
-                    x = (x @ mat) * p
-                    c = total(x, -1, keepdims=True)
-                    x /= c
-                    messages.append(x)
-                    normalizers.append(c)
-                alphas += list(np.stack(messages, axis=1).reshape((count * length,) + w.shape))
-                cs.append(np.stack(normalizers, axis=1).reshape(count * length, -1))
-            cs = np.concatenate(cs).reshape(self.num_blocks, self.replicates, -1)
-            _raise_lost(~(cs > 0.0).all(axis=2), range(self.num_blocks), "likelihood")
-        return alphas, np.log(cs) + self._shifts.T.reshape(self.num_blocks, -1, 1)
+            for mat, prior in zip(self._mats[blocks.start : blocks.stop], priors[blocks.start + 1 :]):
+                w = (w @ mat) * prior
+                c = total(w, -1, keepdims=rows)
+                w /= c
+                cs.append(c)
+                alphas.append(w)
+        cs = np.reshape(cs, (len(blocks), self.replicates, w.shape[-3] if rows else 1))
+        _raise_lost(~(cs > 0.0).all(axis=2), blocks, "likelihood")
+        return alphas, cs
 
     def forward_constants(self, probs) -> tuple:
         """(log-likelihood, per-block log normalizers) for simplex ``probs``.
@@ -745,7 +678,9 @@ class LayerChainModel(_ChainStructure):
         normalizers sequentially in block order.
         """
         probs = self._simplex(probs)
-        _, constants = self._forward_rows(self._priors(self._rows(probs)))
+        priors = self._priors(self._rows(probs))
+        _, cs = self._forward_rows(priors, priors[0], range(self.num_blocks))
+        constants = np.log(cs) + self._shifts.T.reshape(self.num_blocks, -1, 1)
         totals, constants = np.cumsum(constants, axis=0)[-1], np.moveaxis(constants, 0, -1)
         if probs.ndim == 1:
             totals, constants = totals[:, 0], constants[:, 0]
@@ -759,26 +694,23 @@ class LayerChainModel(_ChainStructure):
         ``probs`` of shape (s,) gives (N, s) marginals and a float; shape
         (R, s) gives (R, N, s) marginals and (R,) log-likelihoods from one
         sweep over all rows.  Each row stays a (1, S) row both ways, pushed
-        and pulled on its own against the shared block matrices and scaled by
-        its own sum going forward and its own peak going backward, so every
-        row is bit-identical to a sweep of that row alone.
+        and pulled on its own against the shared block matrices, so every
+        row is bit-identical to a sweep of that row alone.  Block by block,
+        alphas are scaled by their sum and betas by their peak.
 
         A model with ``segment`` L > 1 sweeps its longest run in segments of
-        L blocks (``_forward_rows``, ``_backward_rows``); its log-likelihood
-        then agrees with ``log_likelihood`` within about 1e-13 relative, not
-        bit for bit.  If a segment sweep loses mass anywhere, the rows that
-        lose it rerun at L = 1, so a failure raises what that sweep raises.
-
-        The backward loop only pulls beta one block down; gamma_q = alpha_q *
-        beta_q and the node marginals follow in :meth:`_marginals`.  Raises
-        ``H1Violated`` naming the block or layer where the backward mass
-        underflows to zero or is not finite: the first place in sweep order
-        (forward blocks upward, backward blocks downward, then layers) where
-        any row fails, with the message that row's own sweep gives.
+        L blocks (``_run_sweep``), where run betas are scaled by their sum;
+        its log-likelihood then agrees with ``log_likelihood`` within about
+        1e-13 relative, not bit for bit.  If a segment sweep loses mass
+        anywhere, the rows that lose it rerun at L = 1, so a failure raises
+        what that sweep raises: ``H1Violated`` naming the block or layer
+        where the mass underflows to zero or is not finite, the first place
+        in sweep order (forward blocks upward, backward blocks downward, then
+        layers) where any row fails, with the message of that row's own sweep.
         """
         self._single("posterior_pass")
         probs = self._simplex(probs)
-        if self.segment == 1:
+        if self.segment == 1 or not probs.size:
             return self._posterior(probs, 1)
         try:
             return self._posterior(probs, self.segment)
@@ -802,94 +734,157 @@ class LayerChainModel(_ChainStructure):
     def _posterior(self, probs: np.ndarray, segment: int) -> tuple:
         """``posterior_pass`` of simplex rows ``probs`` at segment length ``segment``."""
         priors = self._priors(self._rows(probs))
-        run = None if segment == 1 else self._segment_products(priors)
-        alphas, constants = self._forward_rows(priors, run)
-        betas = self._backward_rows(priors, run)
-        totals = np.cumsum(constants, axis=0)[-1, 0]
-        marginals = self._marginals(alphas, betas, probs.shape[:-1])
-        return marginals, totals if probs.ndim > 1 else totals[0]
+        if segment > 1:
+            marginals, totals = self._run_sweep(priors, probs.shape[:-1])
+            return marginals, totals if probs.ndim > 1 else totals[0]
+        alphas, cs = self._forward_rows(priors, priors[0], range(self.num_blocks))
+        ones = np.ones(priors[-1].shape)
+        betas = self._backward_rows(priors, ones, range(self.num_blocks)) + [ones]
+        totals = np.cumsum(np.log(cs) + self._shifts[:, None, None], axis=0)[-1, 0]
+        # Rows (K, 1, S) join along their middle axis, one row (S,) along its only one.
+        axis = -2 if priors[0].ndim > 1 else -1
 
-    def _backward_rows(self, priors: list[np.ndarray], run: tuple | None) -> list:
-        """The peak-scaled backward recursion of one dataset's rows: betas
-        of every layer, in layer order, the mirror of ``_forward_rows``.  Each
-        piece sweeps its segment starts down with (p * beta) @ T_j^T, and for
-        L > 1 the starts then step down through their L blocks at once.
+        def gammas(qs: list[int]) -> np.ndarray:
+            shape = (-1, len(qs), alphas[qs[0]].shape[-1])
+            gamma = np.concatenate([alphas[q] for q in qs], axis=axis).reshape(shape)
+            gamma *= np.concatenate([betas[q] for q in qs], axis=axis).reshape(shape)
+            for q in qs:  # freed width by width
+                alphas[q] = betas[q] = None
+            return gamma
+
+        return self._marginals(gammas, probs.shape[:-1]), totals if probs.ndim > 1 else totals[0]
+
+    def _backward_rows(self, priors: list, beta: np.ndarray, blocks: range) -> list:
+        """The peak-scaled backward recursion of one dataset's rows, block by
+        block, down through ``blocks`` from beta of layer blocks.stop: the
+        betas of layers blocks.start to blocks.stop - 1, in layer order.
         Raises ``H1Violated`` at the highest block whose beta has no mass
         when the lowest one has none."""
         peak_of = np.maximum.reduce
-        rows = priors[0].ndim > 1
-        beta = np.ones(priors[-1].shape)
-        betas = [beta]
+        rows = beta.ndim > 1
+        betas = []
         # A row without mass turns to NaN in the division and stays NaN below
         # that block; the check after the loop finds the block.
         with np.errstate(divide="ignore", invalid="ignore"):
-            for first, length, count in reversed(self._pieces(1 if run is None else self.segment)):
-                if length == 1:
-                    steps = self._pulls[first : first + count]
-                    tops = priors[first + 1 : first + count + 1]
-                else:
-                    blocks, products = run
-                    p = priors[first + 1]
-                    steps, tops = products.swapaxes(-1, -2), [p] * count
-                starts = [beta]
-                for mat, prior in zip(steps[::-1], tops[::-1]):
-                    beta = (prior * beta) @ mat
-                    beta /= peak_of(beta, -1, keepdims=rows)
-                    starts.append(beta)
-                if length == 1:
-                    betas += starts[1:]
-                    continue
-                shape = (count,) + (beta.shape if rows else (1,) + beta.shape)
-                x = np.stack(starts[-2::-1]).reshape(shape)
-                messages = []
-                for mat in blocks[::-1].swapaxes(-1, -2):
-                    x = (p * x) @ mat
-                    x /= peak_of(x, -1, keepdims=True)
-                    messages.append(x)
-                messages = np.stack(messages[::-1], axis=1).reshape((count * length,) + beta.shape)
-                betas += list(messages[::-1])
+            for q in reversed(blocks):
+                beta = (priors[q + 1] * beta) @ self._pulls[q]
+                beta /= peak_of(beta, -1, keepdims=rows)
+                betas.append(beta)
         betas.reverse()
-        if np.isnan(beta).any():
-            block = max(k for k in range(self.num_blocks) if np.isnan(betas[k]).any())
+        if betas and np.isnan(betas[0]).any():
+            block = max(q for q, beta in zip(blocks, betas) if np.isnan(beta).any())
             raise H1Violated(f"zero posterior mass at block {block}")
         return betas
 
-    def _marginals(self, alphas: list, betas: list, lead: tuple) -> np.ndarray:
-        """``lead`` + (N, s) node marginals from every layer's forward and
-        backward messages, each (R, 1, S) rows or one (S,) vector; the lists
-        are emptied as it goes.
+    def _run_sweep(self, priors: list, lead: tuple) -> tuple:
+        """(marginals, (K,) log-likelihoods) of one dataset's K >= 1 rows,
+        its run of n blocks swept in C = n // L segments of L = ``segment``.
 
-        Per distinct layer width, each row's gammas alpha_q * beta_q of that
-        width are stacked and row-normalized, and one ``bincount`` per
-        position sums each layer into its node's bins.  Raises ``H1Violated``
-        at the first layer, per width and then per row, whose gamma sum is
-        zero or not finite.
+        The blocks around the run and its remainder go block by block.  In
+        the run both directions take one step, x -> (x @ B) * p scaled by its
+        sum, with p the run's layer prior: forward x is alpha and B a block,
+        backward x is beta' = p * beta and B a transposed block.  All segment
+        products T_j = M diag(p) M ... diag(p) M are built at once, each
+        partial product scaled to peak 1; the C segment starts of both
+        directions go through [T_i, T_(C-1-i)^T], one stacked ``@`` per
+        segment; then all 2C segments step through their L blocks at once.
+        A run layer's gamma is alpha * beta' / p (0 where p is 0).  Raises
+        ``H1Violated`` if a partial product has an entry below the smallest
+        normal float (its segment would lose mass or precision that the
+        block-by-block sweep keeps) or if a row loses mass anywhere."""
+        first, length = self._run
+        L, p = self.segment, priors[first]
+        C, S, end = length // L, p.shape[-1], first + length // L * L
+        K, row = (len(p), p.shape) if p.ndim > 1 else (1, (1, S))
+        blocks = self._run_blocks() if p.ndim == 1 else self._run_blocks()[:, :, :, None]
+        total, lows = np.add.reduce, []
+        alphas, head_cs = self._forward_rows(priors, priors[0], range(first))
+        top = np.ones(priors[-1].shape)
+        tail_betas = self._backward_rows(priors, top, range(end, self.num_blocks)) + [top]
+
+        def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            out = (a * p) @ b
+            out /= np.maximum.reduce(out, axis=(-2, -1), keepdims=True)
+            lows.append(np.minimum.reduce(out, axis=None))
+            return out
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # T_j = left diag(p) right: left from its first L - L // 2 blocks,
+            # right^T from its last L // 2 transposed, both built at once.
+            half = blocks[0]
+            for mat in blocks[1 : L // 2]:
+                half = times(half, mat)
+            left, right = half
+            product = times(times(left, blocks[L // 2, 0]) if L % 2 else left, right.swapaxes(-1, -2))
+            if not np.min(lows) >= np.finfo(float).smallest_normal:
+                raise H1Violated("segment product underflows")
+            # Each T_j is one row's, so p folds into it.
+            pairs = np.stack((product, product[::-1].swapaxes(-1, -2)), axis=1) * p
+            starts = np.empty((C, 2) + row)
+            starts[0, 0], starts[0, 1] = alphas[-1], p * tail_betas[0]
+            for i in range(C - 1):
+                x = np.matmul(starts[i], pairs[i], out=starts[i + 1])
+                x /= total(x, -1, keepdims=True)
+            # steps[m, 0, j] is alpha of layer first + j L + m, and
+            # steps[m, 1, j] beta' of layer first + j L + L - m.
+            steps = np.empty((L + 1, 2, C) + row)
+            steps[0] = starts[:, 0], starts[::-1, 1]
+            norms = np.empty((L, 2, C) + row[:-1] + (1,))
+            for i in range(L):
+                x = np.matmul(steps[i], blocks[i], out=steps[i + 1])
+                x *= p
+                x /= total(x, -1, keepdims=True, out=norms[i])
+            tail_alphas, tail_cs = self._forward_rows(
+                priors, steps[L, 0, -1].reshape(p.shape), range(end, self.num_blocks)
+            )
+            # beta' of layer first already carries its prior
+            beta = steps[L, 1, 0].reshape(p.shape)
+            head_betas = self._backward_rows(priors[:first] + [1.0], beta, range(first))
+            inverse = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0)
+            run = (steps[:L, 0] * inverse * steps[L:0:-1, 1]).swapaxes(0, 1).reshape(-1, K, S)
+        ends = [*range(first), *range(end, self.num_blocks + 1)]
+        edges = dict(zip(ends, map(np.multiply, alphas[:-1] + tail_alphas, head_betas + tail_betas)))
+
+        def gammas(qs: list[int]) -> np.ndarray:
+            # qs is sorted, so its run layers are qs[a:b].
+            a, b = bisect.bisect_left(qs, first), bisect.bisect_left(qs, end)
+            size = self.s ** self.widths[qs[0]]
+            parts = [np.reshape([edges[q] for q in qs[:a]], (-1, K, size))]
+            parts += [run] if b > a else []
+            parts.append(np.reshape([edges[q] for q in qs[b:]], (-1, K, size)))
+            return np.concatenate(parts).transpose(1, 0, 2).copy()
+
+        marginals = self._marginals(gammas, lead)  # raises where a row lost mass
+        cs = (head_cs.reshape(-1, K), norms[:, 0].swapaxes(0, 1).reshape(-1, K), tail_cs.reshape(-1, K))
+        return marginals, np.cumsum(np.log(np.concatenate(cs)) + self._shifts[:, None], axis=0)[-1]
+
+    def _marginals(self, gammas, lead: tuple) -> np.ndarray:
+        """``lead`` + (N, s) node marginals from the gammas alpha_q * beta_q
+        of every layer q: ``gammas(qs)`` gives those of the layers qs of one
+        width as (K, len(qs), S) rows, which this normalizes in place.
+
+        Per distinct layer width, one ``bincount`` per position sums each
+        row's layers into their nodes' bins, each bin in state order, so a
+        row's marginals do not depend on the other rows.  Raises
+        ``H1Violated`` at the first layer, per width and then per row, whose
+        gamma sum is zero or not finite.
         """
         s, N = self.s, self.dataset.graph.N
         out = np.empty(lead + (N, s))
-        # Rows (R, 1, S) join along their middle axis, one row (S,) along its only one.
-        axis = -2 if alphas[0].ndim > 1 else -1
         for width, qs, nodes in self._width_groups:
-            shape = (-1, len(qs), s**width)
-            gammas = np.concatenate([alphas[q] for q in qs], axis=axis).reshape(shape)
-            gammas *= np.concatenate([betas[q] for q in qs], axis=axis).reshape(shape)
-            # Drop each layer's messages once stacked, so they are freed
-            # width by width.
-            for q in qs:
-                alphas[q] = betas[q] = None
-            rows = np.arange(len(qs))[:, None] * s
+            gamma = gammas(qs)
+            sums = gamma.sum(axis=-1)
+            bad = ~(np.isfinite(sums) & (sums > 0.0))
+            if bad.any():
+                first = bad[int(np.argmax(bad.any(axis=1)))]
+                raise H1Violated(f"zero posterior mass at layer {qs[int(np.argmax(first))]}")
+            gamma /= sums[..., None]
+            bins = np.arange(sums.size)[:, None] * s
             digits = self._width_digits[width]
-            for row_gammas, marginals in zip(gammas, out.reshape(-1, N, s)):
-                sums = row_gammas.sum(axis=1)
-                bad = ~(np.isfinite(sums) & (sums > 0.0))
-                if bad.any():
-                    raise H1Violated(f"zero posterior mass at layer {qs[int(np.argmax(bad))]}")
-                row_gammas /= sums[:, None]
-                weights = row_gammas.ravel()
-                for pos in range(width):
-                    marginals[nodes[:, pos]] = np.bincount(
-                        (rows + digits[:, pos]).ravel(), weights=weights, minlength=len(qs) * s
-                    ).reshape(-1, s)
+            for pos in range(width):
+                out.reshape(-1, N, s)[:, nodes[:, pos]] = np.bincount(
+                    (bins + digits[:, pos]).ravel(), weights=gamma.ravel(), minlength=bins.size * s
+                ).reshape(len(gamma), len(qs), s)
         return out
 
     def _conditional_sweep(self, probs: np.ndarray, horizons: np.ndarray, bottom: int):

@@ -1443,7 +1443,14 @@ def test_segment_sweep_matches_enumeration(kernel_index, segment, pieces):
     ds = simulate(pi, kernel, 18, 2, seed=kernel_index + 1)
     model = LayerChainModel(ds, kernel, pi.support)
     model.segment = segment
-    assert model._pieces(segment) == pieces
+    # head blocks 0..first-1, C segments of L blocks, tail blocks end..
+    (_, _, first), (_, L, C), (end, _, tail) = pieces
+    blocks = model._run_blocks()
+    assert model._run[0] == first and blocks.shape[:3] == (L, 2, C)
+    assert first + C * L == end and end + tail == model.num_blocks
+    for i, j in itertools.product(range(L), range(C)):
+        assert np.array_equal(blocks[i, 0, j], model._mats[first + j * L + i])
+        assert np.array_equal(blocks[i, 1, j], model._mats[first + j * L + L - 1 - i].T)
     marginals, loglik = model.posterior_pass(pi.probs)
     _assert_close_to_per_block_sweep(model, pi.probs, marginals, loglik)
     assert abs(loglik - brute_force_log_likelihood(ds, pi, kernel)) <= 1e-10
@@ -1451,7 +1458,7 @@ def test_segment_sweep_matches_enumeration(kernel_index, segment, pieces):
 
 
 @given(
-    K=st.integers(2, 5),
+    K=st.integers(2, 9),
     n_s=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
     extra=st.integers(0, 6),
     kernel_index=st.integers(0, 3),
