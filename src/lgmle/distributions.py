@@ -82,7 +82,7 @@ def point_mass_on(support, index: int) -> DiscreteDistribution:
 
 def uniform(support) -> DiscreteDistribution:
     support = np.asarray(support, dtype=float)
-    return DiscreteDistribution(support, np.full(support.size, 1.0 / support.size))
+    return DiscreteDistribution(support, np.full(support.size, 1.0 / max(support.size, 1)))
 
 
 def random_simplex(support, rng: np.random.Generator) -> DiscreteDistribution:

@@ -51,6 +51,7 @@ class FitConfig:
     candidates: list[DiscreteDistribution] | None = None
 
     def __post_init__(self):
+        uniform(self.support)  # raises for a support no distribution can have
         if not 0 < self.tol < np.inf:
             raise InvalidValue(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:

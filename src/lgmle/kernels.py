@@ -107,8 +107,8 @@ def bradley_terry() -> Kernel:
 
 def bt_home_advantage(theta: float) -> Kernel:
     """Home player's weight is scaled by theta; first argument is home."""
-    if theta <= 0:
-        raise InvalidValue(f"home-advantage parameter must be positive, got {theta}")
+    if not 0 < theta < np.inf:
+        raise InvalidValue(f"home-advantage parameter must be positive and finite, got {theta}")
 
     def log_fn(xi, v, w):
         denom = np.log(theta * v + w)
@@ -121,8 +121,8 @@ def bt_home_advantage(theta: float) -> Kernel:
 
 def bt_ties(theta: float) -> Kernel:
     """Win/tie/loss outcomes (1/0/-1); theta > 1 controls the tie mass."""
-    if theta <= 1:
-        raise InvalidValue(f"ties parameter must exceed 1, got {theta}")
+    if not (theta > 1 and np.isfinite(theta * theta)):
+        raise InvalidValue(f"ties parameter must exceed 1 and have a finite square, got {theta}")
 
     def log_fn(xi, v, w):
         x = (-1, 0, 1)[xi]

@@ -648,7 +648,8 @@ class LayerChainModel(_ChainStructure):
         against its dataset's block matrix, which keeps it bit-identical to a
         sweep of that row alone (a (K, S) matrix product is not).  Mass is
         checked once after the loop; ``H1Violated`` names the first block at
-        which any row of the first dataset to lose mass lost it.
+        which any row of the first dataset to lose mass lost it.  A segmented
+        run goes through ``_run_sweep``, where betas are scaled by their sum too.
         """
         total = np.add.reduce
         # One row divides by a scalar, which is faster than by a (1, 1) array.

@@ -6,8 +6,10 @@ import logging
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -690,7 +692,13 @@ def test_fit_explicit_init_from_config(tmp_path, base_config, capsys):
 
 
 @pytest.mark.parametrize(
-    "fit, message", [({"mode": "em", "bogus": 1}, "unknown key fit.bogus"), ([1], "fit must be")]
+    "fit, message",
+    [
+        ({"mode": "em", "bogus": 1}, "unknown key fit.bogus"),
+        ([1], "fit must be"),
+        ({"support": []}, "support must be non-empty"),
+        ({"support": [3.0, 1.0]}, "support values must be strictly increasing"),
+    ],
 )
 def test_fit_section_validated_exit_2(base_config, capsys, fit, message):
     assert run(["fit", "--config", base_config(extra={"fit": fit})]) == 2
@@ -1060,3 +1068,101 @@ def test_json_outputs_write_numpy_values_as_python_ones(tmp_path):
     assert (tmp_path / "out.json").read_text() == json.dumps(plain, indent=1, sort_keys=True) + "\n"
     with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
         _write_json(tmp_path / "bad.json", {"s": {1}})
+
+
+# -- config fuzz ----------------------------------------------------------------
+
+_FUZZ_BASE = {
+    "model": {
+        "kernel": {"variant": "bt_ties", "theta": 2.0},
+        "support": [1.0, 3.0],
+        "pi_star": [0.4, 0.6],
+        "pi": [0.5, 0.5],
+    },
+    "graph": {"N": 24, "n": 2},
+    "sim": {"seed": 1},
+    "fit": {"max_iters": 5, "restarts": 2},
+    "analysis": {"N": 24, "replicates": 2, "min_q_max": 4},
+    "candidates": [[0.5, 0.5]],
+}
+# Small valid values of the keys that size a run: N <= 40, n <= 4.
+_FUZZ_INTS = {"N": st.integers(-2, 40), "n": st.integers(0, 4), "replicates": st.integers(0, 3),
+              "max_iters": st.integers(0, 5), "restarts": st.integers(0, 3)}
+_FUZZ_WORDS = ["bradley_terry", "bt_home_advantage", "bt_ties", "degree_model", "uniform",
+               "custom_table", "em", "grid", "random", "explicit", "missing.json", "", "x"]
+_FUZZ_INVALID = [None, "x", [], {}, 1.5, True, [1.0], [[1.0]]]
+
+
+def _fuzz_values(kind, name=""):
+    """Values of a config key of JSON kind ``kind`` (a ``_CONFIG`` entry):
+    valid ones of that kind, kept small, and invalid ones of other kinds."""
+    if isinstance(kind, dict):
+        valid = st.fixed_dictionaries({}, optional={k: _fuzz_values(v, k) for k, v in kind.items()})
+    elif isinstance(kind, list):
+        valid = st.lists(_fuzz_values(kind[0], name), max_size=3)
+    elif kind is int:
+        valid = _FUZZ_INTS.get(name, st.integers(-2, 6))
+        valid = valid | valid.map(float)
+    elif kind is float:
+        special = [0.0, 1e-300, 1e300, math.inf, -math.inf, math.nan]
+        valid = st.integers(-2, 4) | st.floats(-4.0, 4.0) | st.sampled_from(special)
+    elif kind is bool:
+        valid = st.booleans()
+    else:
+        valid = st.sampled_from(_FUZZ_WORDS)
+    invalid = st.sampled_from([v for v in _FUZZ_INVALID if _kind_of(v) != _kind_of_config(kind)])
+    return valid | invalid
+
+
+def _kind_of(value):
+    return type(value).__name__ if not isinstance(value, list) else "list"
+
+
+def _kind_of_config(kind):
+    return "dict" if isinstance(kind, dict) else "list" if isinstance(kind, list) else kind.__name__
+
+
+def _dotted_keys(table, prefix=()):
+    for name, kind in table.items():
+        yield prefix + (name,), kind
+        if isinstance(kind, dict):
+            yield from _dotted_keys(kind, prefix + (name,))
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    """The small valid base config with one to three keys set, each to a
+    value of its kind or of another, or dropped."""
+    doc = json.loads(json.dumps(_FUZZ_BASE))
+    keys = list(_dotted_keys(_CONFIG))
+    for path, kind in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3)):
+        section = doc
+        for name in path[:-1]:
+            if not isinstance(section.get(name), dict):
+                section[name] = {}
+            section = section[name]
+        if draw(st.integers(0, 9)) == 0:
+            section.pop(path[-1], None)
+        else:
+            section[path[-1]] = draw(_fuzz_values(kind, path[-1]))
+    return doc
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_fuzzed_configs())
+def test_fuzzed_config_exits_0_or_2_quietly(tmp_path, capsys, doc):
+    cfg = tmp_path / "fuzz.json"
+    cfg.write_text(json.dumps(doc))
+    for command in ("simulate", "loglik", "fit", "risk", "diagnose"):
+        out = tmp_path / f"out-{command}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run([command, "--config", cfg, "--out", out])
+        err = capsys.readouterr().err
+        assert code in (0, 2), (command, doc, err)
+        assert not caught, (command, doc, [str(w.message) for w in caught])
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (command, doc, err)
+            assert not out.exists(), (command, doc)
+        else:
+            shutil.rmtree(out)

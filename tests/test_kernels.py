@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,17 @@ def test_block_log_kernel_shape_errors():
 def test_uniform_kernel_needs_an_outcome(num_outcomes):
     with pytest.raises(InvalidValue, match=f"^num_outcomes must be at least 1, got {num_outcomes}$"):
         uniform_kernel(num_outcomes)
+
+
+@pytest.mark.parametrize(
+    "variant, theta",
+    [("bt_ties", 1.0), ("bt_ties", math.inf), ("bt_ties", math.nan), ("bt_ties", 1e300),
+     ("bt_home_advantage", 0.0), ("bt_home_advantage", math.inf), ("bt_home_advantage", math.nan)],
+)
+def test_kernel_parameter_out_of_range_raises(variant, theta):
+    # theta = 1e300 would overflow the ties table's theta**2
+    with pytest.raises(InvalidValue, match=f"parameter must .*, got {re.escape(str(theta))}$"):
+        kernel_from_config({"variant": variant, "theta": theta})
 
 
 def test_custom_table_file_errors_name_the_path(tmp_path):
