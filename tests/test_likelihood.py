@@ -1409,10 +1409,11 @@ def _assert_close_to_per_block_sweep(model, probs, marginals, loglik):
     extra=st.integers(0, 10),
     kernel_index=st.integers(0, 3),
     floored=st.integers(0, 2),
+    floor=st.sampled_from([WEIGHT_FLOOR, 0.0]),
     seed=st.integers(1, 2**31 - 1),
 )
 @settings(max_examples=30, deadline=None)
-def test_segment_sweep_matches_per_block_oracle(n_s, extra, kernel_index, floored, seed):
+def test_segment_sweep_matches_per_block_oracle(n_s, extra, kernel_index, floored, floor, seed):
     n, s = n_s
     rng = np.random.default_rng(seed)
     kernel = kernel_variants()[kernel_index]
@@ -1421,7 +1422,7 @@ def test_segment_sweep_matches_per_block_oracle(n_s, extra, kernel_index, floore
     model = _segmented(lambda: _model(ds, pi, kernel, "dense"))
     assert model.segment > 1
     probs = rng.dirichlet(np.ones(s))
-    probs[: min(floored, s - 1)] = WEIGHT_FLOOR
+    probs[: min(floored, s - 1)] = floor  # a zero weight keeps the segment sweep
     probs /= probs.sum()
     marginals, loglik = model.posterior_pass(probs)
     _assert_close_to_per_block_sweep(model, probs, marginals, loglik)
