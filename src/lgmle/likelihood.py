@@ -33,6 +33,13 @@ tracked in log scale (the standard scaled forward-backward scheme), so block
 kernels as small as epsilon^(n(n-1)) cause no underflow and the returned
 log-likelihood is exact to float64 roundoff.
 
+Backward messages are beta' = p * beta: the layer prior p times beta, the
+probability of the outcomes above the layer given its state.  One step,
+x -> p * (x @ M^T) scaled by its sum (``_pull_rows``), pulls them down the
+chain: from the top layer's prior in ``posterior_pass``, where a layer's
+gamma is alpha * beta' / p, and from each row's horizon in
+``conditional_profiles``.
+
 The forward-backward sweep of ``posterior_pass`` (the EM E-step) on a long
 dense chain of small blocks goes in two levels, which cuts its sequential
 Python steps from one per block and direction to about 2.5 sqrt(n) for both
@@ -40,13 +47,13 @@ directions together (about 100 for n = 1,500 blocks), in the spirit of the
 temporal-parallel smoother of Sarkka & Garcia-Fernandez (IEEE TAC 2021).
 Its longest run of n equal-shape blocks is cut into C = n // L segments of
 L = isqrt(n // 2) blocks.  The backward recursion never reads the forward
-one, and carrying beta' = p * beta (p the layer prior) gives both the same
-step, x -> (x @ [M, M^T]) * p scaled by its sum, so the two directions share
-every batched numpy step: the segments' L-block products are built for all
-segments at once, the C segment starts of both directions are swept through
-them together, and then all 2C segments step through their blocks at once.
-Run betas are scaled by their sum, not their peak.  At L = 1 the sweep is
-block by block.  Scoring (``forward_constants``) stays block by block.
+one, and in the run both take the same step, x -> (x @ [M, M^T]) * p scaled
+by its sum, so the two directions share every batched numpy step: the
+segments' L-block products are built for all segments at once, the C
+segment starts of both directions are swept through them together, and then
+all 2C segments step through their L blocks at once.  The blocks around the
+run go block by block, and at L = 1 the whole sweep does.  Scoring
+(``forward_constants``) stays block by block.
 
 Block states enumerate the support indices of a layer's nodes in row-major
 order of node id within the layer (first node varies slowest); serialized
@@ -424,16 +431,16 @@ class LayerChainModel(_ChainStructure):
     without one raises ``H1Violated``), and :meth:`block_nus` gives each
     block's Doeblin coefficient from it, for the mixing envelopes.
 
-    ``forward_constants`` and ``posterior_pass`` sweep K rows of simplex
-    weights in one recursion (``_forward_rows`` forward), each row pushed and
-    pulled as its own vector-matrix product against the shared block
-    matrices, so every row's result is bit-identical to a sweep of that row
-    alone.  The model picks the sweep shape from the row count: on a
-    one-dataset model a batch of one row, (s,) or (1, s), sweeps as a plain
-    vector, and outputs keep the shape of the input.  The per-block loops do
-    the recursion alone; logs, shifts, gammas and node marginals follow for
-    all blocks at once, in the floating-point order of a per-block
-    computation.
+    ``forward_constants``, ``posterior_pass`` and ``conditional_profiles``
+    sweep K rows of simplex weights in one recursion (``_forward_rows``
+    forward, ``_pull_rows`` backward), each row pushed and pulled as its own
+    vector-matrix product against the shared block matrices, so every row's
+    result is bit-identical to a sweep of that row alone.  The model picks
+    the sweep shape from the row count: on a one-dataset model a batch of one
+    row, (s,) or (1, s), sweeps as a plain vector, and outputs keep the shape
+    of the input.  The per-block loops do the recursion alone; logs, shifts,
+    gammas and node marginals follow for all blocks at once, in the
+    floating-point order of a per-block computation.
 
     ``segment`` is the segment length L of ``posterior_pass``'s sweep (see
     the module docstring), picked from what the chain shows: L =
@@ -570,10 +577,6 @@ class LayerChainModel(_ChainStructure):
     def _block_log_matrix(self, q: int) -> np.ndarray:
         return self._log_matrix(self._type_of(self._filled[q]))
 
-    def _pull(self, q: int, x: np.ndarray) -> np.ndarray:
-        """M_q @ x for layer-(q+1) state vectors x, (..., s**w_{q+1}), row by row."""
-        return (x[..., None, :] @ self._pulls[q])[..., 0, :]
-
     # -- priors ---------------------------------------------------------------
 
     def _prior(self, probs: np.ndarray, q: int) -> np.ndarray:
@@ -648,8 +651,7 @@ class LayerChainModel(_ChainStructure):
         against its dataset's block matrix, which keeps it bit-identical to a
         sweep of that row alone (a (K, S) matrix product is not).  Mass is
         checked once after the loop; ``H1Violated`` names the first block at
-        which any row of the first dataset to lose mass lost it.  A segmented
-        run goes through ``_run_sweep``, where betas are scaled by their sum too.
+        which any row of the first dataset to lose mass lost it.
         """
         total = np.add.reduce
         # One row divides by a scalar, which is faster than by a (1, 1) array.
@@ -667,6 +669,27 @@ class LayerChainModel(_ChainStructure):
         cs = np.reshape(cs, (len(blocks), self.replicates, w.shape[-3] if rows else 1))
         _raise_lost(~(cs > 0.0).all(axis=2), blocks, "likelihood")
         return alphas, cs
+
+    def _pull_rows(self, priors, x: np.ndarray, blocks: range) -> tuple[list, np.ndarray]:
+        """``_forward_rows`` mirrored: K rows on each of the model's R datasets,
+        each a (1, S) row on its own, pulled down through ``blocks`` from beta'
+        x of layer blocks.stop by x -> p_q * (x @ M_q^T) divided by its sum:
+        (betas' of layers blocks.start to blocks.stop, their (len(blocks), R,
+        K) sums in sweep order), with ``priors[q]`` shaped like x.  A row
+        without mass turns to NaN and stays NaN; callers check the sums with
+        ``_raise_lost``."""
+        total = np.add.reduce
+        rows = x.ndim > 1
+        messages, cs = [x], []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for q in reversed(blocks):
+                x = (x @ self._pulls[q]) * priors[q]
+                c = total(x, -1, keepdims=rows)
+                x /= c
+                cs.append(c)
+                messages.append(x)
+        messages.reverse()
+        return messages, np.asarray(cs).reshape(len(blocks), self.replicates, x.shape[-3] if rows else 1)
 
     def forward_constants(self, probs) -> tuple:
         """(log-likelihood, per-block log normalizers) for simplex ``probs``.
@@ -693,21 +716,21 @@ class LayerChainModel(_ChainStructure):
         """(node marginals, log-likelihood) from one forward-backward sweep.
 
         ``probs`` of shape (s,) gives (N, s) marginals and a float; shape
-        (R, s) gives (R, N, s) marginals and (R,) log-likelihoods from one
+        (K, s) gives (K, N, s) marginals and (K,) log-likelihoods from one
         sweep over all rows.  Each row stays a (1, S) row both ways, pushed
         and pulled on its own against the shared block matrices, so every
-        row is bit-identical to a sweep of that row alone.  Block by block,
-        alphas are scaled by their sum and betas by their peak.
+        row is bit-identical to a sweep of that row alone.  Alphas and
+        betas' are scaled by their sum.
 
         A model with ``segment`` L > 1 sweeps its longest run in segments of
-        L blocks (``_run_sweep``), where run betas are scaled by their sum;
-        its log-likelihood then agrees with ``log_likelihood`` within about
-        1e-13 relative, not bit for bit.  If a segment sweep loses mass
-        anywhere, the rows that lose it rerun at L = 1, so a failure raises
-        what that sweep raises: ``H1Violated`` naming the block or layer
-        where the mass underflows to zero or is not finite, the first place
-        in sweep order (forward blocks upward, backward blocks downward, then
-        layers) where any row fails, with the message of that row's own sweep.
+        L blocks (``_run_sweep``); its log-likelihood then agrees with
+        ``log_likelihood`` within about 1e-13 relative, not bit for bit.  If
+        a segment sweep loses mass anywhere, the rows that lose it rerun at
+        L = 1, so a failure raises what that sweep raises: ``H1Violated``
+        naming the block or layer where the mass underflows to zero or is not
+        finite, the first place in sweep order (forward blocks upward,
+        backward blocks downward, then layers) where any row fails, with the
+        message of that row's own sweep.
         """
         self._single("posterior_pass")
         probs = self._simplex(probs)
@@ -734,135 +757,104 @@ class LayerChainModel(_ChainStructure):
 
     def _posterior(self, probs: np.ndarray, segment: int) -> tuple:
         """``posterior_pass`` of simplex rows ``probs`` at segment length ``segment``."""
-        priors = self._priors(self._rows(probs))
-        if segment > 1:
-            marginals, totals = self._run_sweep(priors, probs.shape[:-1])
-            return marginals, totals if probs.ndim > 1 else totals[0]
-        alphas, cs = self._forward_rows(priors, priors[0], range(self.num_blocks))
-        ones = np.ones(priors[-1].shape)
-        betas = self._backward_rows(priors, ones, range(self.num_blocks)) + [ones]
-        totals = np.cumsum(np.log(cs) + self._shifts[:, None, None], axis=0)[-1, 0]
-        # Rows (K, 1, S) join along their middle axis, one row (S,) along its only one.
-        axis = -2 if priors[0].ndim > 1 else -1
+        marginals, totals = self._run_sweep(self._priors(self._rows(probs)), probs.shape[:-1], segment)
+        return marginals, totals if probs.ndim > 1 else totals[0]
 
-        def gammas(qs: list[int]) -> np.ndarray:
-            shape = (-1, len(qs), alphas[qs[0]].shape[-1])
-            gamma = np.concatenate([alphas[q] for q in qs], axis=axis).reshape(shape)
-            gamma *= np.concatenate([betas[q] for q in qs], axis=axis).reshape(shape)
-            for q in qs:  # freed width by width
-                alphas[q] = betas[q] = None
-            return gamma
+    def _run_sweep(self, priors: list, lead: tuple, segment: int) -> tuple:
+        """(marginals, (K,) log-likelihoods) of one dataset's K rows: its run of
+        n blocks in C = n // L segments of L = ``segment``, or no run at L = 1,
+        and the blocks around it one by one, pushed up from layer 0
+        (``_forward_rows``) and pulled down from the top layer's prior
+        (``_pull_rows``).
 
-        return self._marginals(gammas, probs.shape[:-1]), totals if probs.ndim > 1 else totals[0]
-
-    def _backward_rows(self, priors: list, beta: np.ndarray, blocks: range) -> list:
-        """The peak-scaled backward recursion of one dataset's rows, block by
-        block, down through ``blocks`` from beta of layer blocks.stop: the
-        betas of layers blocks.start to blocks.stop - 1, in layer order.
-        Raises ``H1Violated`` at the highest block whose beta has no mass
-        when the lowest one has none."""
-        peak_of = np.maximum.reduce
-        rows = beta.ndim > 1
-        betas = []
-        # A row without mass turns to NaN in the division and stays NaN below
-        # that block; the check after the loop finds the block.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for q in reversed(blocks):
-                beta = (priors[q + 1] * beta) @ self._pulls[q]
-                beta /= peak_of(beta, -1, keepdims=rows)
-                betas.append(beta)
-        betas.reverse()
-        if betas and np.isnan(betas[0]).any():
-            block = max(q for q, beta in zip(blocks, betas) if np.isnan(beta).any())
-            raise H1Violated(f"zero posterior mass at block {block}")
-        return betas
-
-    def _run_sweep(self, priors: list, lead: tuple) -> tuple:
-        """(marginals, (K,) log-likelihoods) of one dataset's K >= 1 rows,
-        its run of n blocks swept in C = n // L segments of L = ``segment``.
-
-        The blocks around the run and its remainder go block by block.  In
-        the run both directions take one step, x -> (x @ B) * p scaled by its
-        sum, with p the run's layer prior: forward x is alpha and B a block,
-        backward x is beta' = p * beta and B a transposed block.  All segment
-        products T_j = M diag(p) M ... diag(p) M are built at once, each
-        partial product scaled to peak 1; the C segment starts of both
-        directions go through [T_i, T_(C-1-i)^T], one stacked ``@`` per
-        segment; then all 2C segments step through their L blocks at once.
-        A run layer's gamma is alpha * beta' / p (0 where p is 0).  Raises
+        In the run both directions take one step, x -> (x @ B) * p scaled by
+        its sum (p the run's layer prior, B a block for alpha and a
+        transposed block for beta').  All segment products T_j = M diag(p) M
+        ... diag(p) M are built at once, each partial product scaled to peak
+        1; the C segment starts of both directions go through [T_i,
+        T_(C-1-i)^T], one stacked ``@`` per segment; then all 2C segments
+        step through their L blocks at once.  A layer's gamma is alpha * beta'
+        / p, with 1/p formed once per layer width (0 where p is 0).  Raises
         ``H1Violated`` if a partial product has an entry below the smallest
         normal float (its segment would lose mass or precision that the
-        block-by-block sweep keeps) or if a row loses mass anywhere."""
-        first, length = self._run
-        L, p = self.segment, priors[first]
+        block-by-block sweep keeps), or where a row loses mass: at the first
+        forward block, else the highest pulled block, else a layer."""
+        first, length = self._run if segment > 1 else (0, 0)
+        L, p = segment, priors[first]
         C, S, end = length // L, p.shape[-1], first + length // L * L
         K, row = (len(p), p.shape) if p.ndim > 1 else (1, (1, S))
-        blocks = self._run_blocks() if p.ndim == 1 else self._run_blocks()[:, :, :, None]
-        total, lows = np.add.reduce, []
         alphas, head_cs = self._forward_rows(priors, priors[0], range(first))
-        top = np.ones(priors[-1].shape)
-        tail_betas = self._backward_rows(priors, top, range(end, self.num_blocks)) + [top]
+        tail_betas, tail_sums = self._pull_rows(priors, priors[-1], range(end, self.num_blocks))
+        alpha, beta, cs = alphas[-1], tail_betas[0], [head_cs[:, 0]]
+        if C:
+            blocks = self._run_blocks() if p.ndim == 1 else self._run_blocks()[:, :, :, None]
+            total, lows = np.add.reduce, []
 
-        def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            out = (a * p) @ b
-            out /= np.maximum.reduce(out, axis=(-2, -1), keepdims=True)
-            lows.append(np.minimum.reduce(out, axis=None))
-            return out
+            def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+                out = (a * p) @ b
+                out /= np.maximum.reduce(out, axis=(-2, -1), keepdims=True)
+                lows.append(np.minimum.reduce(out, axis=None))
+                return out
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # T_j = left diag(p) right: left from its first L - L // 2 blocks,
-            # right^T from its last L // 2 transposed, both built at once.
-            half = blocks[0]
-            for mat in blocks[1 : L // 2]:
-                half = times(half, mat)
-            left, right = half
-            product = times(times(left, blocks[L // 2, 0]) if L % 2 else left, right.swapaxes(-1, -2))
-            if not np.min(lows) >= np.finfo(float).smallest_normal:
-                raise H1Violated("segment product underflows")
-            # Each T_j is one row's, so p folds into it.
-            pairs = np.stack((product, product[::-1].swapaxes(-1, -2)), axis=1) * p
-            starts = np.empty((C, 2) + row)
-            starts[0, 0], starts[0, 1] = alphas[-1], p * tail_betas[0]
-            for i in range(C - 1):
-                x = np.matmul(starts[i], pairs[i], out=starts[i + 1])
-                x /= total(x, -1, keepdims=True)
-            # steps[m, 0, j] is alpha of layer first + j L + m, and
-            # steps[m, 1, j] beta' of layer first + j L + L - m.
-            steps = np.empty((L + 1, 2, C) + row)
-            steps[0] = starts[:, 0], starts[::-1, 1]
-            norms = np.empty((L, 2, C) + row[:-1] + (1,))
-            for i in range(L):
-                x = np.matmul(steps[i], blocks[i], out=steps[i + 1])
-                x *= p
-                x /= total(x, -1, keepdims=True, out=norms[i])
-            tail_alphas, tail_cs = self._forward_rows(
-                priors, steps[L, 0, -1].reshape(p.shape), range(end, self.num_blocks)
-            )
-            # beta' of layer first already carries its prior
-            beta = steps[L, 1, 0].reshape(p.shape)
-            head_betas = self._backward_rows(priors[:first] + [1.0], beta, range(first))
-            inverse = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0)
-            run = (steps[:L, 0] * inverse * steps[L:0:-1, 1]).swapaxes(0, 1).reshape(-1, K, S)
-        ends = [*range(first), *range(end, self.num_blocks + 1)]
-        edges = dict(zip(ends, map(np.multiply, alphas[:-1] + tail_alphas, head_betas + tail_betas)))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # T_j = left diag(p) right: left from its first L - L // 2 blocks,
+                # right^T from its last L // 2 transposed, both built at once.
+                half = blocks[0]
+                for mat in blocks[1 : L // 2]:
+                    half = times(half, mat)
+                left, right = half
+                product = times(times(left, blocks[L // 2, 0]) if L % 2 else left, right.swapaxes(-1, -2))
+                if not np.min(lows) >= np.finfo(float).smallest_normal:
+                    raise H1Violated("segment product underflows")
+                # Each T_j is one row's, so p folds into it.
+                pairs = np.stack((product, product[::-1].swapaxes(-1, -2)), axis=1) * p
+                starts = np.empty((C, 2) + row)
+                starts[0, 0], starts[0, 1] = alpha, beta
+                for i in range(C - 1):
+                    x = np.matmul(starts[i], pairs[i], out=starts[i + 1])
+                    x /= total(x, -1, keepdims=True)
+                # steps[m, 0, j] is alpha of layer first + j L + m, and
+                # steps[m, 1, j] beta' of layer first + j L + L - m.
+                steps = np.empty((L + 1, 2, C) + row)
+                steps[0] = starts[:, 0], starts[::-1, 1]
+                norms = np.empty((L, 2, C) + row[:-1] + (1,))
+                for i in range(L):
+                    x = np.matmul(steps[i], blocks[i], out=steps[i + 1])
+                    x *= p
+                    x /= total(x, -1, keepdims=True, out=norms[i])
+            alpha, beta = steps[L, 0, -1].reshape(p.shape), steps[L, 1, 0].reshape(p.shape)
+            # alphas and betas' of layers first to end - 1, laid out as ``stack`` joins layers
+            run = [x.swapaxes(0, 1).reshape((-1,) + p.shape[1:]) for x in (steps[:L, 0], steps[L:0:-1, 1])]
+            cs.append(norms[:, 0].swapaxes(0, 1).reshape(C * L, K))
+        tail_alphas, tail_cs = self._forward_rows(priors, alpha, range(end, self.num_blocks))
+        head_betas, head_sums = self._pull_rows(priors, beta, range(first))
+        pulled = [*reversed(range(end, self.num_blocks)), *reversed(range(first))]
+        _raise_lost(~(np.concatenate((tail_sums, head_sums)) > 0.0).all(axis=2), pulled, "posterior")
+        gap = [None] * (end - first)  # the run's layers, stacked in ``run``
+        alphas, betas = alphas[:-1] + gap + tail_alphas, head_betas[:-1] + gap + tail_betas
 
         def gammas(qs: list[int]) -> np.ndarray:
-            # qs is sorted, so its run layers are qs[a:b].
+            # qs is sorted, so its run layers are qs[a:b]: the whole run or none.
             a, b = bisect.bisect_left(qs, first), bisect.bisect_left(qs, end)
-            size = self.s ** self.widths[qs[0]]
-            parts = [np.reshape([edges[q] for q in qs[:a]], (-1, K, size))]
-            parts += [run] if b > a else []
-            parts.append(np.reshape([edges[q] for q in qs[b:]], (-1, K, size)))
-            return np.concatenate(parts).transpose(1, 0, 2).copy()
+            p = priors[qs[0]]
+            size = p.shape[-1]
+
+            def stack(messages: list, i: int) -> np.ndarray:
+                parts = [messages[q] for q in qs[:a]] + ([run[i]] if b > a else [])
+                parts += [messages[q] for q in qs[b:]]
+                return np.concatenate(parts).reshape(len(qs), K, size)
+
+            inverse = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0).reshape(-1, size)
+            return np.ascontiguousarray((stack(alphas, 0) * stack(betas, 1) * inverse).transpose(1, 0, 2))
 
         marginals = self._marginals(gammas, lead)  # raises where a row lost mass
-        cs = (head_cs.reshape(-1, K), norms[:, 0].swapaxes(0, 1).reshape(-1, K), tail_cs.reshape(-1, K))
-        return marginals, np.cumsum(np.log(np.concatenate(cs)) + self._shifts[:, None], axis=0)[-1]
+        cs = np.concatenate(cs + [tail_cs[:, 0]])
+        return marginals, np.cumsum(np.log(cs) + self._shifts[:, None], axis=0)[-1]
 
     def _marginals(self, gammas, lead: tuple) -> np.ndarray:
-        """``lead`` + (N, s) node marginals from the gammas alpha_q * beta_q
-        of every layer q: ``gammas(qs)`` gives those of the layers qs of one
-        width as (K, len(qs), S) rows, which this normalizes in place.
+        """``lead`` + (N, s) node marginals from the gammas alpha_q * beta'_q /
+        p_q of every layer q: ``gammas(qs)`` gives those of the layers qs of
+        one width as (K, len(qs), S) rows, which this normalizes in place.
 
         Per distinct layer width, one ``bincount`` per position sums each
         row's layers into their nodes' bins, each bin in state order, so a
@@ -888,48 +880,53 @@ class LayerChainModel(_ChainStructure):
                 ).reshape(len(gamma), len(qs), s)
         return out
 
-    def _conditional_sweep(self, probs: np.ndarray, horizons: np.ndarray, bottom: int):
-        """Yield (k, rows, P(V_k | X_{k:m_r}), log P(X_{k:m_r})) for the rows r
-        with m_r = ``horizons[r]`` >= k, k = max(horizons) down to ``bottom``;
-        ``probs`` is (s,) or (K, s), and a model of R > 1 datasets puts a
-        leading R axis on the yielded values.  Row r starts from its
-        layer-(m_r + 1) prior and is pulled and normalized alone, bit-identical
-        to its own sweep.  A row without mass turns to NaN and stays NaN; after
-        the sweep, ``H1Violated`` names the first block in sweep order at which
-        any row of the first dataset to lose mass lost it."""
+    def _conditional_sweep(self, probs: np.ndarray, horizons: np.ndarray):
+        """Yield (k, rows, log P(X_{k:m_r})) for the rows r with m_r =
+        ``horizons[r]`` >= k, k = max(horizons) down to 2; ``probs`` is (s,)
+        or (K, s), and a model of R > 1 datasets puts a leading R axis on the
+        yielded values.  Row r joins at its horizon with its layer-(m_r + 1)
+        prior, and ``_pull_rows`` pulls the rows joined so far from one
+        horizon to the next, each row alone, bit-identical to its own sweep.
+        If a row loses its mass, ``H1Violated`` names the first block in sweep
+        order at which any row of the first dataset to lose mass lost it,
+        before anything is yielded."""
         order = np.argsort(-horizons, kind="stable")
         horizons = horizons[order]
         lead = () if self.replicates == 1 else (self.replicates,)
-        priors = self._priors(np.broadcast_to(probs, lead + (order.size, self.s))[..., order, :])
-        log_z, n = np.zeros(lead + (order.size,)), 0
-        blocks = range(int(horizons.max(initial=bottom - 1)), bottom - 1, -1)
-        lost = np.zeros((len(blocks), self.replicates), dtype=bool)
-        for step, k in enumerate(blocks):
-            # Rows join at their horizon: the first join starts the batch.
-            start, n = n, int(np.searchsorted(-horizons, -k, side="right"))
-            if n > start:
-                joining = priors[k + 1][..., start:n, :]
-                x = np.concatenate((x, joining), axis=-2) if start else joining
-            x = priors[k][..., :n, :] * self._pull(k, x)
-            c = x.sum(axis=-1)
-            lost[step] = ~(c > 0.0).all(axis=-1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x /= c[..., None]
-                log_z[..., :n] += np.log(c) + self._shifts[..., k, None]
-            yield k, order[:n], x, log_z[..., :n].copy()
-        _raise_lost(lost, blocks, "conditional")
+        priors = self._priors(np.broadcast_to(probs, lead + (order.size, self.s))[..., order, None, :])
+        blocks = range(int(horizons.max(initial=1)), 1, -1)
+        joined = horizons >= np.array(blocks, dtype=int)[:, None]  # (block, row)
+        counts = joined.sum(axis=1).tolist()
+        sums, n = np.ones((len(blocks), self.replicates, order.size)), 0
+        joins = sorted(set(horizons.tolist()), reverse=True)
+        for k, below in zip(joins, joins[1:] + [1]):
+            # Rows join at their horizon k and are pulled down to the next.
+            start, n = n, counts[blocks.start - k]
+            joining = priors[k + 1][..., start:n, :, :]
+            x = np.concatenate((x, joining), axis=-3) if start else joining
+            span = range(below + 1, k + 1)
+            pulled, cs = self._pull_rows({q: priors[q][..., :n, :, :] for q in span}, x, span)
+            sums[blocks.start - k : blocks.start - below, :, :n] = cs
+            x = pulled[0]
+        _raise_lost(~(sums > 0.0).all(axis=2), blocks, "conditional")
+        terms = np.log(sums) + self._shifts.T[list(blocks)].reshape(len(blocks), self.replicates, 1)
+        # Each row's sum starts at its horizon, from 0.0, as its own sweep's does.
+        log_z = np.cumsum(np.where(joined[:, None], terms, 0.0), axis=0)
+        for k, n, z in zip(blocks, counts, log_z):
+            yield k, order[:n], z.reshape(lead + (-1,))[..., :n]
 
     def backward_messages(self, probs, q: int, m: int) -> BackwardMessages:
-        """Messages P(V_k | X_{k:m}) and log P(X_{k:m}) for k = q..m+1."""
+        """Messages P(V_k | X_{k:m}) and log P(X_{k:m}) for k = q..m+1, pulled
+        down from the layer-(m + 1) prior (``_pull_rows``)."""
         self._single("backward_messages")
         self._check_window(q, m)
-        probs = self._simplex(probs, rows=False)
+        priors = self._priors(self._simplex(probs, rows=False))
+        messages, cs = self._pull_rows(priors, priors[m + 1], range(q, m + 1))
+        _raise_lost(~(cs > 0.0).all(axis=2), range(m, q - 1, -1), "conditional")
+        log_z = np.cumsum(np.log(cs[:, 0, 0]) + self._shifts[q : m + 1][::-1])
         with np.errstate(divide="ignore"):
-            messages, normalizers = [np.log(self._prior(probs, m + 1))], [0.0]
-            for _, _, x, log_z in self._conditional_sweep(probs, np.array([m]), q):
-                messages.append(np.log(x[0]))
-                normalizers.append(log_z[0])
-        return BackwardMessages((q, m), tuple(messages[::-1]), tuple(normalizers[::-1]))
+            messages = tuple(map(np.log, messages))
+        return BackwardMessages((q, m), messages, tuple(log_z[::-1]) + (0.0,))
 
     def conditional_profiles(self, probs, horizons) -> np.ndarray:
         """(K, q_max): log P(X_q | X_{q+1:m_r}) at columns 2 <= q <= m_r, else NaN.
@@ -943,7 +940,7 @@ class LayerChainModel(_ChainStructure):
         lead = () if self.replicates == 1 else (self.replicates,)
         z = np.full(lead + (horizons.size, self.layers.q_max + 1), np.nan)
         z[..., np.arange(horizons.size), horizons + 1] = 0.0
-        for k, rows, _, log_z in self._conditional_sweep(probs, horizons, 2):
+        for k, rows, log_z in self._conditional_sweep(probs, horizons):
             z[..., rows, k] = log_z
         return z[..., :-1] - z[..., 1:]
 

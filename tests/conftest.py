@@ -145,7 +145,7 @@ def oracle_backward_messages(model, probs, q: int, m: int):
     messages = [np.log(u)]
     normalizers = [0.0]
     for k in range(m, q - 1, -1):
-        u = priors[k] * model._pull(k, u)
+        u = priors[k] * (u @ model._pulls[k])
         c = float(u.sum())
         if c <= 0.0:
             raise H1Violated(f"zero conditional mass at block {k}")
@@ -163,6 +163,34 @@ def oracle_conditional_profile(model, probs, m: int) -> dict[int, float]:
     """log P(X_q | X_{q+1:m}) for every q in [2, m], from one single-vector sweep."""
     _, z = oracle_backward_messages(model, probs, 2, m)
     return {2 + k: z[k] - z[k + 1] for k in range(m - 1)}
+
+
+# -- the posterior in log space --------------------------------------------------
+# No scaling, so it reaches chains where the scaled sweeps underflow.
+
+
+def log_domain_node_marginals(model, probs) -> np.ndarray:
+    """(N, s) logs of the node marginals of one dataset's posterior, from a
+    forward-backward sweep in log space (log-sum-exp over each block's log
+    matrix), so no message underflows where the posterior exists."""
+    with np.errstate(divide="ignore"):
+        log_priors = [np.log(p) for p in model._priors(np.asarray(probs, dtype=float))]
+    log_mats = [model._block_log_matrix(q) for q in range(model.num_blocks)]
+    alphas = [log_priors[0]]
+    for q, log_mat in enumerate(log_mats):
+        alphas.append(np.logaddexp.reduce(alphas[-1][:, None] + log_mat, axis=0) + log_priors[q + 1])
+    betas = [np.zeros_like(log_priors[-1])]
+    for q in range(model.num_blocks - 1, -1, -1):
+        betas.append(np.logaddexp.reduce(log_mats[q] + log_priors[q + 1] + betas[-1], axis=1))
+    betas.reverse()
+    out = np.empty((model.dataset.graph.N, model.s))
+    for q, nodes in enumerate(model.layers.node_layers):
+        log_gamma = alphas[q] + betas[q]
+        log_gamma -= np.logaddexp.reduce(log_gamma)
+        digits = likelihood._digits(model.s, model.widths[q])
+        for pos, node in enumerate(nodes):
+            out[node - 1] = [np.logaddexp.reduce(log_gamma[digits[:, pos] == i]) for i in range(model.s)]
+    return out
 
 
 # -- one EM run per restart, the loop the lockstep restarts replaced -----------

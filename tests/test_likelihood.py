@@ -45,6 +45,7 @@ from conftest import (
     block_log_kernel,
     enumerate_window_logprob,
     kernel_variants,
+    log_domain_node_marginals,
     model_on_engine as _model,
     oracle_backward_messages,
     oracle_conditional_profile,
@@ -296,9 +297,11 @@ def test_backward_messages_normalized():
 
 def test_posterior_marginals_match_brute_force():
     for ds, pi, kernel in small_instances(6, rng_seed=11):
-        exact, _ = LayerChainModel(ds, kernel, pi.support).posterior_pass(pi.probs)
+        model = LayerChainModel(ds, kernel, pi.support)
+        exact, _ = model.posterior_pass(pi.probs)
         oracle = brute_force_node_marginals(ds, pi, kernel)
         assert np.max(np.abs(exact - oracle)) < 1e-10
+        assert np.max(np.abs(np.exp(log_domain_node_marginals(model, pi.probs)) - oracle)) < 1e-10
         assert np.allclose(exact.sum(axis=1), 1.0, atol=1e-10)
 
 
@@ -741,8 +744,19 @@ def _oracle_forward_constants(model, probs):
     return total, constants
 
 
+def _oracle_betas(model, priors):
+    """beta' = p * beta of every layer, pulled down from the top layer's prior
+    one vector and one block at a time, each scaled by its sum."""
+    betas = [priors[-1]]
+    for q in range(model.num_blocks - 1, -1, -1):
+        beta = (betas[0] @ model._pulls[q]) * priors[q]
+        betas.insert(0, beta / beta.sum())
+    return betas
+
+
 def _oracle_posterior_pass(model, probs):
-    """The per-block, per-node posterior sweep that ``posterior_pass`` replaced."""
+    """The per-block, per-node posterior sweep that ``posterior_pass`` replaced,
+    on one vector: the betas' of ``_oracle_betas``, and gamma = alpha * beta' / p."""
     priors = model._priors(np.asarray(probs, dtype=float))
     alphas = []
     w = priors[0]
@@ -757,16 +771,13 @@ def _oracle_posterior_pass(model, probs):
         alphas.append(w)
         loglik += np.log(c) + model._shifts[q]
     out = np.empty((model.dataset.graph.N, model.s))
-    beta = np.ones(model.s ** model.widths[-1])
-    for q in range(model.num_blocks, -1, -1):
-        gamma = alphas[q] * beta
+    for q, beta in enumerate(_oracle_betas(model, priors)):
+        inverse = np.divide(1.0, priors[q], out=np.zeros_like(priors[q]), where=priors[q] > 0.0)
+        gamma = alphas[q] * beta * inverse
         gamma /= gamma.sum()
         digits = likelihood._digits(model.s, model.widths[q])
         for pos, node in enumerate(model.layers.node_layers[q]):
             out[node - 1] = np.bincount(digits[:, pos], weights=gamma, minlength=model.s)
-        if q > 0:
-            beta = model._pull(q - 1, priors[q] * beta)
-            beta /= beta.max()
     return out, loglik
 
 
@@ -929,13 +940,19 @@ def test_batched_forward_with_extreme_tables_matches_per_row_oracle(K, n, s, eng
     _assert_batch_matches_oracle_outcomes(model, rows)
 
 
-def _extreme_posterior(n, s, engine, floored, seed):
-    """posterior_pass of an ``_extreme_model``."""
+def _extreme_draw(n, s, engine, floored, seed):
+    """An ``_extreme_model`` and simplex weights with ``floored`` floored entries."""
     rng = np.random.default_rng(seed)
     model = _extreme_model(n, s, engine, seed, rng)
     probs = rng.dirichlet(np.ones(s))
     probs[: min(floored, s - 1)] = WEIGHT_FLOOR
     probs /= probs.sum()
+    return model, probs
+
+
+def _extreme_posterior(n, s, engine, floored, seed):
+    """posterior_pass of an ``_extreme_draw``."""
+    model, probs = _extreme_draw(n, s, engine, floored, seed)
     return model.posterior_pass(probs)
 
 
@@ -958,13 +975,15 @@ def test_posterior_pass_with_extreme_tables_is_finite_or_raises(n, s, engine, fl
 
 
 @pytest.mark.parametrize(
-    "s, seed, where", [(2, 13, "block 2"), (3, 99, "layer 2")]
+    "s, seed, where", [(2, 13, "block 2"), (3, 99, "layer 3")]
 )
 def test_backward_underflow_raises_not_nan(s, seed, where):
     # These draws underflow the backward mass to zero although the forward
     # sweep keeps positive mass; the marginals used to come back NaN.
     with pytest.raises(H1Violated, match=f"zero posterior mass at {where}$"):
         _extreme_posterior(3, s, "dense", 1, seed)
+    # Yet the posterior exists: in log space every node marginal is positive.
+    assert np.isfinite(log_domain_node_marginals(*_extreme_draw(3, s, "dense", 1, seed))).all()
 
 
 def _posterior_outcome(model, probs):
@@ -1059,7 +1078,7 @@ def test_batched_posterior_with_extreme_tables_is_finite_or_raises(R, n, s, engi
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("s, seed, where", [(2, 13, "block 2"), (3, 99, "layer 2")])
+@pytest.mark.parametrize("s, seed, where", [(2, 13, "block 2"), (3, 99, "layer 3")])
 def test_batched_posterior_raises_where_one_row_underflows(s, seed, where):
     # The one-row draws of test_backward_underflow_raises_not_nan, with other rows around them.
     rng = np.random.default_rng(seed)
@@ -1069,6 +1088,7 @@ def test_batched_posterior_raises_where_one_row_underflows(s, seed, where):
     probs /= probs.sum()
     rows = np.array([np.full(s, 1.0 / s), probs, np.full(s, 1.0 / s)])
     assert _assert_posterior_batch_matches_rows(model, rows) == f"zero posterior mass at {where}"
+    assert np.isfinite(log_domain_node_marginals(model, probs)).all()
 
 
 def test_backward_messages_log_no_zero_weight_warning():
@@ -1087,15 +1107,15 @@ def test_backward_messages_log_no_zero_weight_warning():
 
 
 def _assert_conditional_sweep_matches_oracle(model, rng, K):
-    """The K-row pull and conditional sweep against one-vector pulls and the
-    single-vector sweep of ``conftest.oracle_backward_messages``."""
+    """The pull of K (K, 1, S) rows and the conditional sweep against one-vector
+    pulls and the single-vector sweep of ``conftest.oracle_backward_messages``."""
     for q in range(model.num_blocks):
-        rows = rng.random((K, model.s ** model.widths[q + 1]))
-        pulled = model._pull(q, rows)
+        rows = rng.random((K, 1, model.s ** model.widths[q + 1]))
+        pulled = rows @ model._pulls[q]
         for r in range(K):
-            assert np.array_equal(pulled[r], model._pull(q, rows[r]))
+            assert np.array_equal(pulled[r, 0], rows[r, 0] @ model._pulls[q])
             if model.engine == "dense":
-                assert np.array_equal(pulled[r], model._mats[q] @ rows[r])
+                assert np.array_equal(pulled[r, 0], model._mats[q] @ rows[r, 0])
     top = model.layers.q_max - 1
     if top < 2:
         return
@@ -1396,12 +1416,17 @@ def _segmented(build, min_run=2):
 
 
 def _assert_close_to_per_block_sweep(model, probs, marginals, loglik):
-    """The segment sweep's result, not a rerun's, within roundoff of the oracle."""
+    """The segment sweep's result, not a rerun's, within roundoff of the oracle;
+    the blocks above its run are pulled as the oracle pulls them, bit for bit."""
     segmented = model._posterior(probs, model.segment)
     assert np.array_equal(marginals, segmented[0]) and loglik == segmented[1]
     marginals_o, loglik_o = _oracle_posterior_pass(model, probs)
     assert abs(loglik - loglik_o) <= 1e-13 * abs(loglik_o)
     assert np.max(np.abs(marginals - marginals_o)) <= 1e-15
+    priors = model._priors(np.asarray(probs, dtype=float))
+    end = model._run[0] + model._run[1] // model.segment * model.segment
+    tail, _ = model._pull_rows(priors, priors[-1], range(end, model.num_blocks))
+    assert all(map(np.array_equal, tail, _oracle_betas(model, priors)[end:]))
 
 
 @given(
