@@ -27,7 +27,7 @@ ds = simulate(pi_star, kernel, N=2000, n=2, seed=12)
 
 result = fit_mle(ds, kernel, FitConfig(support=(0.5, 2.0), mode="em", tol=1e-9, max_iters=300))
 print(f"EM fit: probs={np.round(result.pi_hat.probs, 4)} (truth {pi_star.probs})")
-print(f"  final loglik {result.final_log_lik:.3f}, {len(result.trajectory)} evaluations, "
+print(f"  final loglik {result.final_log_lik:.3f}, {len(result.trajectory) - 1} SQUAREM cycles, "
       f"converged={result.converged}")
 print(f"  tv error {tv_distance(result.pi_hat, pi_star):.4f}")
 

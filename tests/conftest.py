@@ -17,12 +17,14 @@ from lgmle import (
     bradley_terry,
     bt_home_advantage,
     bt_ties,
+    custom_table,
     degree_model,
     epsilon_floor,
     fit_mle,
     risk_bound_rhs,
     simplex_entropy_integral,
     simulate,
+    uniform,
 )
 from lgmle import likelihood
 from lgmle.analysis import (
@@ -30,7 +32,7 @@ from lgmle.analysis import (
     ScalingRow,
     ZProcessSummary,
 )
-from lgmle.estimator import _m_step
+from lgmle.estimator import WEIGHT_FLOOR, _m_step
 
 
 def kernel_variants():
@@ -75,6 +77,22 @@ def model_on_engine(ds, pi, kernel, engine):
         model = LayerChainModel(ds, kernel, pi.support)
     assert model.engine == engine
     return model
+
+
+def extreme_model(n, s, engine, seed, rng, N=None):
+    """A model of a binary custom_table whose rare outcome, per weight pair,
+    has probability down to 1e-300, on data simulated from a fair coin
+    (N nodes, or 4n + 2 to 4n + 8)."""
+    support = np.arange(1.0, s + 1.0)
+    rare = 10.0 ** -rng.uniform(0.3, 300.0, size=(s, s))
+    swap = rng.random((s, s)) < 0.5
+    table = np.stack([np.where(swap, 1.0 - rare, rare), np.where(swap, rare, 1.0 - rare)])
+    extreme = custom_table((0, 1), support, table)
+    fair = custom_table((0, 1), support, np.full((2, s, s), 0.5))
+    pi = uniform(support)
+    N = 4 * n + 2 + 2 * int(rng.integers(0, 4)) if N is None else N
+    ds = simulate(pi, fair, N, n, seed=seed)
+    return model_on_engine(ds, pi, extreme, engine)
 
 
 def block_log_kernel(kernel, edges, outcomes, nodes_q, nodes_q1, v_block, w_block) -> float:
@@ -193,23 +211,67 @@ def log_domain_node_marginals(model, probs) -> np.ndarray:
     return out
 
 
-# -- one EM run per restart, the loop the lockstep restarts replaced -----------
-# Verbatim apart from its DEBUG line.
+# -- one EM run per restart ---------------------------------------------------
+# Plain EM, the loop SQUAREM replaced, is the reference a fit must reach; the
+# SQUAREM run is what each row of the lockstep batch must equal.
 
 
-def oracle_em_run(model, start, config):
-    """(probs, log-likelihood, trajectory, converged) of one restart alone."""
+def oracle_plain_em_run(model, start, config):
+    """(probs, log-likelihood, trajectory, converged) of plain EM from one start:
+    one M-step and one sweep per iteration."""
     probs = np.asarray(start, dtype=float)
     marginals, ll = model.posterior_pass(probs)
     trajectory = [ll]
     converged = False
-    clipped = 0
     for _ in range(config.max_iters):
-        probs, clipped = _m_step(marginals)
+        probs, _ = _m_step(marginals)
         marginals, ll_new = model.posterior_pass(probs)
         trajectory.append(ll_new)
         converged = bool(ll_new - ll < config.tol * max(1.0, abs(ll)))
         ll = ll_new
+        if converged:
+            break
+    return probs, ll, trajectory, converged
+
+
+def oracle_squarem_run(model, start, config):
+    """(probs, log-likelihood, trajectory, converged) of SQUAREM from one start,
+    one vector at a time: per cycle the EM point p1 and its sweep, p2 = M(p1),
+    the point p + 2a r + a^2 v with a = |r| / |v| in [1, cap], floored, and
+    its sweep; p1 where that point's log-likelihood is lower or not finite,
+    or its sweep raises ``H1Violated``."""
+    probs = np.asarray(start, dtype=float)
+    marginals, ll = model.posterior_pass(probs)
+    trajectory = [ll]
+    converged = False
+    cap = 1.0
+    budget = config.max_iters
+    while budget:
+        p1, _ = _m_step(marginals)
+        marginals1, ll1 = model.posterior_pass(p1)
+        budget -= 1
+        if budget:
+            p2, _ = _m_step(marginals1)
+            r = p1 - probs
+            v = p2 - 2.0 * p1 + probs
+            r_norm, v_norm = np.sqrt(np.sum(r * r)), np.sqrt(np.sum(v * v))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                a = min(max(r_norm / v_norm if v_norm > 0.0 else 1.0, 1.0), cap)
+                point = np.maximum(probs + 2.0 * a * r + (a * a) * v, WEIGHT_FLOOR)
+                point = point / point.sum()
+            budget -= 1
+            try:
+                marginals_x, ll_x = model.posterior_pass(point)
+            except H1Violated:
+                ll_x = -np.inf
+            if ll_x >= ll1:
+                p1, marginals1, ll1 = point, marginals_x, ll_x
+                cap = cap * 4.0 if a == cap else cap
+            else:
+                cap = max(a / 4.0, 1.0)
+        trajectory.append(ll1)
+        converged = bool(ll1 - ll < config.tol * max(1.0, abs(ll)))
+        probs, marginals, ll = p1, marginals1, ll1
         if converged:
             break
     return probs, ll, trajectory, converged

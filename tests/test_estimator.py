@@ -1,19 +1,24 @@
+import dataclasses
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgmle import (
     DiscreteDistribution,
     FitConfig,
     InvalidValue,
+    H1Violated,
     LayerChainModel,
     NoCandidates,
     bradley_terry,
     brute_force_node_marginals,
+    bt_ties,
+    custom_table,
     degree_model,
     fit_mle,
     point_mass_on,
@@ -22,12 +27,15 @@ from lgmle import (
     uniform,
     uniform_kernel,
 )
-from lgmle.estimator import WEIGHT_FLOOR, _em_lockstep, _em_starts
+from lgmle import estimator
+from lgmle.estimator import WEIGHT_FLOOR, _em_lockstep, _em_starts, _sweep_extrapolated
 
 from conftest import (
+    extreme_model,
     kernel_variants,
     model_on_engine,
-    oracle_em_run,
+    oracle_plain_em_run,
+    oracle_squarem_run,
     random_distribution,
     small_instances,
 )
@@ -213,30 +221,145 @@ def test_profile_peaks_near_truth():
     assert abs(best_p - 0.3) <= 0.1
 
 
+def _fallback_fit():
+    """bt_ties on 20 nodes, from uniform, at most 13 sweeps: the steps at caps
+    1, 4 and 16 use their cap and are kept, the fourth stays under 64, and the
+    fifth, at 64, lands near the point mass on 0.5 and is rejected."""
+    support = (0.5, 2.0)
+    k = bt_ties(2.0)
+    ds = simulate(DiscreteDistribution(support, [0.7, 0.3]), k, 20, 2, seed=51)
+    return LayerChainModel(ds, k, support), FitConfig(support=support, tol=1e-12, max_iters=12)
+
+
 def test_em_logs_sweeps_stop_reason_and_clipping(caplog):
     k = bradley_terry()
     truth = point_mass_on([1.0, 3.0], 0)
     ds = simulate(truth, k, 16, 3, seed=2)
-    # From the point mass the marginals put exactly 0 on 3.0: one weight is
-    # clipped and the log-likelihood stays put, so EM stops on tol.
+    # From the point mass the marginals put exactly 0 on 3.0, so p1 and p2
+    # are the floored point mass, and so is the kept extrapolated point: one
+    # weight clipped, and the log-likelihood stays put, so stop on tol.
     absorbed = FitConfig(support=(1.0, 3.0), init="explicit", init_list=[truth])
-    # From uniform, two updates at a tol no step meets: stop on max_iters.
+    # From uniform, a budget of two sweeps is one cycle at a tol no cycle
+    # meets: stop on max_iters.
     capped = FitConfig(support=(1.0, 3.0), max_iters=2, tol=1e-300, restarts=2, seed=5)
+    # A budget of one sweep ends at p1, and the stop test still runs on it.
+    one_step = FitConfig(support=(1.0, 3.0), init="explicit", init_list=[truth], max_iters=1)
     with caplog.at_level(logging.DEBUG, logger="lgmle.estimator"):
         fit_mle(ds, k, absorbed)
         fit_mle(ds, k, capped)
+        fit_mle(ds, k, one_step)
+        model, config = _fallback_fit()
+        fit_mle(model.dataset, model.kernel, config)
     assert [r.getMessage() for r in caplog.records] == [
-        "em restart: sweeps=2 stop=tol clipped=1",
-        "em restart: sweeps=3 stop=max_iters clipped=0",
-        "em restart: sweeps=3 stop=max_iters clipped=0",
+        "em restart: sweeps=3 stop=tol clipped=1 fallbacks=0",
+        "em restart: sweeps=3 stop=max_iters clipped=0 fallbacks=0",
+        "em restart: sweeps=3 stop=max_iters clipped=0 fallbacks=0",
+        "em restart: sweeps=2 stop=tol clipped=1 fallbacks=0",
+        "em restart: sweeps=13 stop=max_iters clipped=0 fallbacks=1",
     ]
 
 
+def test_rejected_extrapolation_keeps_em_point_and_quarters_cap():
+    model, config = _fallback_fit()
+    swept = []
+    sweep = model.posterior_pass
+
+    def recorded(probs):
+        marginals, ll = sweep(probs)
+        swept.append(float(np.squeeze(ll)))
+        return marginals, ll
+
+    with (
+        mock.patch.object(model, "posterior_pass", recorded),
+        mock.patch.object(estimator, "_extrapolate", wraps=estimator._extrapolate) as extrapolate,
+    ):
+        [(_, ll, trajectory, converged)] = _em_lockstep(model, _em_starts(config), config)
+    # One sweep for the start and two per cycle, the fallback's included.
+    assert len(swept) == config.max_iters + 1
+    assert [float(c.args[3][0]) for c in extrapolate.call_args_list] == [1, 4, 16, 64, 64, 16]
+    # Cycle c sweeps p1 at 2c - 1 and the extrapolated point at 2c; cycle 5
+    # falls to p1, whose value is kept as it was swept.
+    assert swept[10] < swept[9]
+    assert trajectory == [swept[0], swept[2], swept[4], swept[6], swept[8], swept[9], swept[12]]
+    assert ll == trajectory[-1] and not converged
+    assert np.all(np.diff(trajectory) > 0)
+
+
+def _lossy_model():
+    """Outcome 1 between two index-0 nodes has probability 1e-200, so the
+    point mass on index 0 loses its mass; rows with weight on index 1 keep
+    theirs."""
+    support = [1.0, 2.0]
+    table = np.full((2, 2, 2), 0.5)
+    table[:, 0, 0] = [1.0 - 1e-200, 1e-200]
+    kernel = custom_table((0, 1), support, table)
+    fair = custom_table((0, 1), support, np.full((2, 2, 2), 0.5))
+    ds = simulate(uniform(support), fair, 40, 2, seed=4)
+    return LayerChainModel(ds, kernel, support)
+
+
+def test_extrapolated_rows_that_raise_or_are_not_finite_get_minus_inf():
+    model = _lossy_model()
+    rows = np.array([[0.5, 0.5], [1.0, 0.0], [0.3, 0.7], [np.nan, np.nan]])
+    for row in (rows[:3], rows[3]):
+        with pytest.raises(H1Violated):
+            model.posterior_pass(row)
+    marginals, lls = _sweep_extrapolated(model, rows)
+    assert lls[1] == lls[3] == -np.inf
+    for k in (0, 2):
+        marginals_k, ll_k = model.posterior_pass(rows[k])
+        assert lls[k] == ll_k
+        assert np.array_equal(marginals[k], marginals_k)
+
+
+def test_restart_whose_extrapolated_sweep_raises_keeps_its_em_point(caplog):
+    model = _lossy_model()
+    starts = [np.array([0.5, 0.5]), np.array([0.3, 0.7])]
+    config = FitConfig(
+        support=(1.0, 2.0), init="explicit", init_list=starts, restarts=2, max_iters=2, tol=1e-300
+    )
+    extrapolate = estimator._extrapolate
+
+    def lost_second_row(p, p1, p2, cap):
+        probs, clipped, a = extrapolate(p, p1, p2, cap)
+        probs[1] = [1.0, 0.0]
+        return probs, clipped, a
+
+    with (
+        mock.patch.object(estimator, "_extrapolate", lost_second_row),
+        caplog.at_level(logging.DEBUG, logger="lgmle.estimator"),
+    ):
+        [(probs, _, trajectory, _), (probs_lost, _, trajectory_lost, _)] = _em_lockstep(
+            model, starts, config
+        )
+    # One cycle: the first row keeps its extrapolated point, the second its
+    # EM point, as one plain EM step gives it.
+    probs_o, _, trajectory_o, _ = oracle_squarem_run(model, starts[0], config)
+    assert np.array_equal(probs, probs_o) and trajectory == trajectory_o
+    one_step = dataclasses.replace(config, max_iters=1)
+    probs_em, _, trajectory_em, _ = oracle_plain_em_run(model, starts[1], one_step)
+    assert np.array_equal(probs_lost, probs_em) and trajectory_lost == trajectory_em
+    assert [r.getMessage() for r in caplog.records] == [
+        "em restart: sweeps=3 stop=max_iters clipped=0 fallbacks=0",
+        "em restart: sweeps=3 stop=max_iters clipped=0 fallbacks=1",
+    ]
+
+
+def _counted_run(run, model, start, config):
+    """``run(model, start, config)`` and the number of sweeps it made."""
+    with mock.patch.object(model, "posterior_pass", wraps=model.posterior_pass) as sweep:
+        out = run(model, start, config)
+    return out, sweep.call_count
+
+
 def _assert_lockstep_matches_oracle(model, config):
-    """Every restart of the lockstep loop `==` its own oracle run; returns the oracle runs."""
+    """Every restart of the lockstep loop `==` its own one-restart SQUAREM
+    run; returns those runs and the sweeps each made."""
     starts = _em_starts(config)
     runs = _em_lockstep(model, starts, config)
-    oracle = [oracle_em_run(model, start, config) for start in starts]
+    oracle, sweeps = zip(
+        *(_counted_run(oracle_squarem_run, model, start, config) for start in starts)
+    )
     assert len(runs) == len(oracle) == config.restarts
     for (probs, ll, trajectory, converged), (probs_o, ll_o, trajectory_o, converged_o) in zip(
         runs, oracle
@@ -245,7 +368,9 @@ def _assert_lockstep_matches_oracle(model, config):
         assert ll == ll_o == trajectory[-1]
         assert trajectory == trajectory_o
         assert converged == converged_o
-    return oracle
+    for (_, _, trajectory, _), count in zip(oracle, sweeps):
+        assert len(trajectory) <= count <= config.max_iters + 1
+    return oracle, sweeps
 
 
 @pytest.mark.parametrize("init", ["random", "explicit"])
@@ -254,20 +379,20 @@ def test_lockstep_restarts_match_oracle_runs(restarts, init, caplog):
     k = degree_model()
     support = (0.5, 2.0)
     ds = simulate(uniform(support), k, 60, 2, seed=3)
-    # From the point mass EM stops on tol at sweep 2 with one weight
-    # clipped; the random starts stop on tol at sweeps 4 and 5 or run into
-    # max_iters (7 sweeps).
+    # From the point mass SQUAREM stops on tol after one cycle (3 sweeps);
+    # the random starts use their 6 sweeps, two cycles and a last p1, and
+    # stop on tol there or run into max_iters.
     starts = [point_mass_on(support, 0)] + list(np.random.default_rng(3).dirichlet([1, 1], size=4))
     config = FitConfig(
         support=support,
         init=init,
         init_list=starts[:restarts] if init == "explicit" else None,
         restarts=restarts,
-        max_iters=6,
-        tol=1e-3,
+        max_iters=5,
+        tol=1e-5,
         seed=7,
     )
-    oracle = _assert_lockstep_matches_oracle(LayerChainModel(ds, k, support), config)
+    oracle, sweeps = _assert_lockstep_matches_oracle(LayerChainModel(ds, k, support), config)
     with caplog.at_level(logging.DEBUG, logger="lgmle.estimator"):
         result = fit_mle(ds, k, config)
     finals = [ll for _, ll, _, _ in oracle]
@@ -280,11 +405,9 @@ def test_lockstep_restarts_match_oracle_runs(restarts, init, caplog):
     assert result.restart_index == best
     assert result.restart_final_logliks == finals
     lines = [r.getMessage() for r in caplog.records]
-    assert [int(line.split()[2][len("sweeps=") :]) for line in lines] == [
-        len(t) for _, _, t, _ in oracle
-    ]
+    assert [int(line.split()[2][len("sweeps=") :]) for line in lines] == list(sweeps)
     if init == "explicit":
-        assert lines[0] == "em restart: sweeps=2 stop=tol clipped=1"
+        assert lines[0] == "em restart: sweeps=3 stop=tol clipped=0 fallbacks=0"
         assert not all(converged for *_, converged in oracle)
 
 
@@ -319,3 +442,79 @@ def test_lockstep_matches_oracle_runs_on_both_engines(
         tol=tol,
     )
     _assert_lockstep_matches_oracle(model_on_engine(ds, pi, kernel, engine), config)
+
+
+@given(
+    n=st.integers(2, 3),
+    s=st.integers(2, 3),
+    kernel_index=st.integers(0, 3),
+    engine=st.sampled_from(["dense", "factored"]),
+    seed=st.integers(1, 2**31 - 1),
+)
+# A boundary MLE where a cap that shrinks only after capped steps crawls:
+# steps of about 150 under a cap of 256 were rejected 188 times.
+@example(n=2, s=3, kernel_index=3, engine="dense", seed=424105)
+@settings(max_examples=6, deadline=None)
+def test_squarem_is_monotone_within_budget_and_reaches_plain_em(n, s, kernel_index, engine, seed):
+    rng = np.random.default_rng(seed)
+    kernel = kernel_variants()[kernel_index]
+    pi = random_distribution(rng, s)
+    model = model_on_engine(simulate(pi, kernel, 4 * n + 6, n, seed=seed), pi, kernel, engine)
+    start = rng.dirichlet(np.ones(s))
+    config = FitConfig(
+        support=tuple(pi.support), init="explicit", init_list=[start], max_iters=400, tol=1e-13
+    )
+    ([(_, ll, trajectory, _)], sweeps) = _counted_run(
+        lambda model, start, config: _em_lockstep(model, [start], config), model, start, config
+    )
+    assert len(trajectory) <= sweeps <= config.max_iters + 1
+    trajectory = np.array(trajectory)
+    assert np.all(np.diff(trajectory) >= -1e-9 * np.abs(trajectory[:-1]))
+    # Plain EM with five times the budget: at a boundary MLE it crawls.
+    reference = dataclasses.replace(config, max_iters=2000)
+    _, ll_plain, _, _ = oracle_plain_em_run(model, start, reference)
+    assert ll >= ll_plain - 1e-6
+
+
+def _raises(run, model, start, config) -> bool:
+    """Whether ``run(model, start, config)`` raises ``H1Violated``."""
+    try:
+        run(model, start, config)
+    except H1Violated:
+        return True
+    return False
+
+
+@given(
+    n=st.integers(2, 3),
+    s=st.integers(2, 3),
+    engine=st.sampled_from(["dense", "factored"]),
+    floored=st.integers(0, 2),
+    seed=st.integers(1, 2**31 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_fit_on_extreme_tables_raises_only_where_plain_em_raises(n, s, engine, floored, seed):
+    # Extrapolated points with floored weights on tables down to 1e-300: a
+    # sweep there that raises falls back to p1, so only an EM point's sweep
+    # can raise, as in plain EM.
+    rng = np.random.default_rng(seed)
+    model = extreme_model(n, s, engine, seed, rng)
+    starts = rng.dirichlet(np.ones(s), size=2)
+    starts[0, : min(floored, s - 1)] = WEIGHT_FLOOR
+    starts /= starts.sum(axis=1, keepdims=True)
+    config = FitConfig(
+        support=tuple(model.support),
+        init="explicit",
+        init_list=list(starts),
+        restarts=2,
+        max_iters=10,
+        tol=1e-12,
+    )
+    squarem = [_raises(oracle_squarem_run, model, start, config) for start in starts]
+    plain = [_raises(oracle_plain_em_run, model, start, config) for start in starts]
+    assert all(p or not q for q, p in zip(squarem, plain))
+    if any(squarem):
+        with pytest.raises(H1Violated):
+            _em_lockstep(model, list(starts), config)
+    else:
+        _assert_lockstep_matches_oracle(model, config)

@@ -44,6 +44,7 @@ from lgmle.simulator import _simulate_replicates
 from conftest import (
     block_log_kernel,
     enumerate_window_logprob,
+    extreme_model as _extreme_model,
     kernel_variants,
     log_domain_node_marginals,
     model_on_engine as _model,
@@ -810,22 +811,6 @@ def test_sweeps_match_per_block_oracle_exactly(n, s, extra, kernel_index, engine
     marginals_o, loglik_o = _oracle_posterior_pass(model, probs)
     assert np.array_equal(marginals, marginals_o)
     assert loglik == loglik_o == total
-
-
-def _extreme_model(n, s, engine, seed, rng, N=None):
-    """A model of a binary custom_table whose rare outcome, per weight pair,
-    has probability down to 1e-300, on data simulated from a fair coin
-    (N nodes, or 4n + 2 to 4n + 8)."""
-    support = np.arange(1.0, s + 1.0)
-    rare = 10.0 ** -rng.uniform(0.3, 300.0, size=(s, s))
-    swap = rng.random((s, s)) < 0.5
-    table = np.stack([np.where(swap, 1.0 - rare, rare), np.where(swap, rare, 1.0 - rare)])
-    extreme = custom_table((0, 1), support, table)
-    fair = custom_table((0, 1), support, np.full((2, s, s), 0.5))
-    pi = uniform(support)
-    N = 4 * n + 2 + 2 * int(rng.integers(0, 4)) if N is None else N
-    ds = simulate(pi, fair, N, n, seed=seed)
-    return _model(ds, pi, extreme, engine)
 
 
 @given(
