@@ -6,8 +6,11 @@ chain) and the maximization step for an i.i.d. prior averages them.  EM runs
 as SQUAREM (Varadhan and Roland, Scand. J. Stat. 2008): each cycle takes two
 EM maps, extrapolates along them, and keeps the extrapolated point only if it
 beats the first EM point, so the log-likelihood never decreases and the fixed
-points are EM's.  It needs far fewer posterior sweeps than plain EM, which
-converges linearly, and only sublinearly at an MLE on the simplex boundary.
+points are EM's.  The tol stop waits while a weight of the kept point below
+``SMALL_WEIGHT`` still grows under EM, so an extrapolation that lands on the
+weight floor past an interior MLE does not end the fit there.  SQUAREM needs
+far fewer posterior sweeps than plain EM, which converges linearly, and only
+sublinearly at an MLE on the simplex boundary.
 Grid mode simply scans an explicit candidate list and takes the argmax (ties
 broken by lowest candidate index).
 """
@@ -40,6 +43,13 @@ WEIGHT_FLOOR = 1e-12
 # steps leaves a cap far above the steps that keep failing, and the fit then
 # crawls at half EM's speed.
 STEP_GROWTH = 4.0
+
+# The tol stop waits while the kept point has a weight below this that its EM
+# map raises (its raw mean marginal exceeds it).  An extrapolation can jump
+# past an interior MLE onto the floor and still beat p1; EM then lifts that
+# weight by a few percent per sweep, gaining less log-likelihood than any
+# tol, and the fit would stop there, below the MLE.  sqrt(WEIGHT_FLOOR).
+SMALL_WEIGHT = 1e-6
 
 
 @dataclass
@@ -144,8 +154,9 @@ def _em_lockstep(model: LayerChainModel, starts: list[np.ndarray], config: FitCo
     of ``_extrapolate``.  It keeps that point unless its log-likelihood is
     below p1's or not finite, and then keeps p1 at no extra sweep, so the
     log-likelihood never falls.  Each row has its own step cap
-    (``STEP_GROWTH``).  The stop test compares the kept
-    log-likelihood with the one before, once per cycle.  ``max_iters``
+    (``STEP_GROWTH``).  The stop test compares the kept log-likelihood with
+    the one before, once per cycle, and does not fire while a weight of the
+    kept point below ``SMALL_WEIGHT`` grows under its EM map.  ``max_iters``
     caps the posterior sweeps after the start's; a row whose budget runs
     out after its p1 sweep ends at p1.  A trajectory holds the start's
     log-likelihood and then one kept value per cycle.
@@ -192,6 +203,9 @@ def _em_lockstep(model: LayerChainModel, starts: list[np.ndarray], config: FitCo
         # large a tol asks for.
         with np.errstate(over="ignore"):
             stop = lls1 - lls < config.tol * np.maximum(1.0, np.abs(lls))
+        small = p1 < SMALL_WEIGHT
+        if small.any():  # the raw EM map costs a pass over the marginals
+            stop &= ~(small & (marginals1.mean(axis=-2) > p1)).any(axis=-1)
         converged[active] = stop
         active, marginals, lls = active[~stop], marginals1[~stop], lls1[~stop]
     for row_sweeps, stop, row_clipped, row_fallbacks in zip(sweeps, converged, clipped, fallbacks):

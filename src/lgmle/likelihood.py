@@ -38,7 +38,9 @@ probability of the outcomes above the layer given its state.  One step,
 x -> p * (x @ M^T) scaled by its sum (``_pull_rows``), pulls them down the
 chain: from the top layer's prior in ``posterior_pass``, where a layer's
 gamma is alpha * beta' / p, and from each row's horizon in
-``conditional_profiles``.
+``conditional_profiles``.  The realized backward kernels step rows mu down a
+block by the same pull between forward messages alpha and d = alpha @ M:
+mu -> alpha * ((mu / d) @ M^T), so no S x S kernel is formed.
 
 The forward-backward sweep of ``posterior_pass`` (the EM E-step) on a long
 dense chain of small blocks goes in two levels, which cuts its sequential
@@ -953,31 +955,36 @@ class LayerChainModel(_ChainStructure):
 
     # -- realized backward kernels and their contraction -------------------------
 
+    def _realized(self, probs, q: int, m: int) -> list[tuple]:
+        """(k, alpha_k, d_k) for k = q..m-1: alpha_k is layer k's forward message
+        pushed up from layer q's prior (``_forward_rows``) and d_k = alpha_k @
+        M_k; R_k[w, a] = alpha_k[a] M_k[a, w] / d_k[w].  ``H1Violated`` names
+        the first block where the forward sweep loses mass, else the first
+        whose d_k is not all positive (NaN included)."""
+        self._check_window(q, m)
+        priors = self._priors(self._simplex(probs, rows=False))
+        alphas, _ = self._forward_rows(priors, priors[q], range(q, m - 1))
+        ds = [alpha @ self._mats[k] for k, alpha in zip(range(q, m), alphas)]
+        _raise_lost(~np.array([[(d > 0.0).all()] for d in ds], dtype=bool), range(q, m), "likelihood")
+        return list(zip(range(q, m), alphas, ds))
+
     def backward_kernels(self, probs, q: int, m: int) -> list[np.ndarray]:
         """Row-stochastic matrices R_k mapping layer k+1 states to layer k states.
 
         R_k[w, a] = P(V_k = a | V_{k+1} = w, X_{q:k}), for k = q..m-1, i.e. the
         realized one-step kernels of the latent chain run backward under the
-        conditioning window starting at q.
+        conditioning window starting at q: the identity's rows stepped back
+        as in ``_realized``.  Only tests read them; ``contraction_profile``
+        steps its two rows without forming any.
         """
         self._single("backward_kernels")
-        self._check_window(q, m)
-        priors = self._priors(self._simplex(probs, rows=False))
-        kernels = []
-        g = np.ones(self.s ** self.widths[q])  # P(X_{q:k-1} | V_k), scaled
-        for k in range(q, m):
-            mat = np.eye(self.s ** self.widths[k]) @ self._mats[k]
-            weighted = priors[k][:, None] * g[:, None] * mat
-            denom = weighted.sum(axis=0)
-            if np.any(denom <= 0.0):
-                raise H1Violated(f"zero conditional mass at block {k}")
-            kernels.append(np.ascontiguousarray(weighted.T / denom[:, None]))
-            g = denom / denom.max()
-        return kernels
+        realized = self._realized(probs, q, m)
+        return [alpha * ((np.eye(d.size) / d) @ self._pulls[k]) for k, alpha, d in realized]
 
     def contraction_profile(self, probs, q: int, m: int) -> ContractionProfile:
         """Propagate two block distributions of layer m backward to layer q:
-        the point masses on its first and last block states.
+        the point masses on its first and last block states, as one (2, S)
+        array, one pull per realized kernel (``_realized``): no S x S array.
 
         Records the total-variation distance (full-sum convention, range
         [0, 2]) after each realized kernel application, the per-step Doeblin
@@ -985,27 +992,20 @@ class LayerChainModel(_ChainStructure):
         initial_tv * prod(1 - nu_i).
         """
         self._single("contraction_profile")
-        self._check_window(q, m)
-        size_m = self.s ** self.widths[m]
-        mu1 = np.zeros(size_m)
-        mu1[0] = 1.0
-        mu2 = np.zeros(size_m)
-        mu2[-1] = 1.0
-        kernels = self.backward_kernels(probs, q, m)
+        mu = np.zeros((2, self.s ** self.widths[m]))
+        mu[0, 0] = mu[1, -1] = 1.0
         nus = self.block_nus()
-        initial_tv = float(np.abs(mu1 - mu2).sum())
+        initial_tv = float(np.abs(mu[0] - mu[1]).sum())
         steps = []
         cumulative = initial_tv
-        for k in range(m - 1, q - 1, -1):
-            kern = kernels[k - q]
-            mu1 = mu1 @ kern
-            mu2 = mu2 @ kern
+        for k, alpha, d in reversed(self._realized(probs, q, m)):
+            mu = alpha * ((mu / d) @ self._pulls[k])
             factor = 1.0 - nus[k]
             cumulative *= factor
             steps.append(
                 ContractionStep(
                     layer=k,
-                    tv=float(np.abs(mu1 - mu2).sum()),
+                    tv=float(np.abs(mu[0] - mu[1]).sum()),
                     step_factor=factor,
                     cumulative_bound=cumulative,
                 )

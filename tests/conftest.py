@@ -32,7 +32,7 @@ from lgmle.analysis import (
     ScalingRow,
     ZProcessSummary,
 )
-from lgmle.estimator import WEIGHT_FLOOR, _m_step
+from lgmle.estimator import SMALL_WEIGHT, WEIGHT_FLOOR, _m_step
 
 
 def kernel_variants():
@@ -183,6 +183,43 @@ def oracle_conditional_profile(model, probs, m: int) -> dict[int, float]:
     return {2 + k: z[k] - z[k + 1] for k in range(m - 1)}
 
 
+# -- the realized backward kernels as dense matrices ------------------------------
+# The loop that the forward messages and the pull replaced: its own forward
+# recursion, scaled to peak 1, and every block read as a dense S x S matrix.
+
+
+def oracle_backward_kernels(model, probs, q: int, m: int) -> list[np.ndarray]:
+    """``LayerChainModel.backward_kernels``: R_k[w, a] = P(V_k = a | V_{k+1} =
+    w, X_{q:k}) for k = q..m-1, from g = P(X_{q:k-1} | V_k) scaled to peak 1."""
+    priors = model._priors(np.asarray(probs, dtype=float))
+    kernels = []
+    g = np.ones(model.s ** model.widths[q])
+    for k in range(q, m):
+        mat = np.eye(model.s ** model.widths[k]) @ model._mats[k]
+        weighted = priors[k][:, None] * g[:, None] * mat
+        denom = weighted.sum(axis=0)
+        if np.any(denom <= 0.0):
+            raise H1Violated(f"zero conditional mass at block {k}")
+        kernels.append(np.ascontiguousarray(weighted.T / denom[:, None]))
+        g = denom / denom.max()
+    return kernels
+
+
+def oracle_contraction_tvs(model, probs, q: int, m: int) -> list[float]:
+    """The initial and per-step total variations of
+    ``LayerChainModel.contraction_profile``: the point masses on layer m's
+    first and last states, stepped through ``oracle_backward_kernels`` from
+    k = m-1 down to q."""
+    kernels = oracle_backward_kernels(model, probs, q, m)
+    states = np.eye(model.s ** model.widths[m])
+    mu1, mu2 = states[0], states[-1]
+    tvs = [float(np.abs(mu1 - mu2).sum())]
+    for kern in reversed(kernels):
+        mu1, mu2 = mu1 @ kern, mu2 @ kern
+        tvs.append(float(np.abs(mu1 - mu2).sum()))
+    return tvs
+
+
 # -- the posterior in log space --------------------------------------------------
 # No scaling, so it reaches chains where the scaled sweeps underflow.
 
@@ -239,7 +276,8 @@ def oracle_squarem_run(model, start, config):
     one vector at a time: per cycle the EM point p1 and its sweep, p2 = M(p1),
     the point p + 2a r + a^2 v with a = |r| / |v| in [1, cap], floored, and
     its sweep; p1 where that point's log-likelihood is lower or not finite,
-    or its sweep raises ``H1Violated``."""
+    or its sweep raises ``H1Violated``.  The tol stop waits while a weight of
+    the kept point below ``SMALL_WEIGHT`` grows under its EM map."""
     probs = np.asarray(start, dtype=float)
     marginals, ll = model.posterior_pass(probs)
     trajectory = [ll]
@@ -270,7 +308,8 @@ def oracle_squarem_run(model, start, config):
             else:
                 cap = max(a / 4.0, 1.0)
         trajectory.append(ll1)
-        converged = bool(ll1 - ll < config.tol * max(1.0, abs(ll)))
+        rising = np.any((p1 < SMALL_WEIGHT) & (marginals1.mean(axis=0) > p1))
+        converged = bool(ll1 - ll < config.tol * max(1.0, abs(ll))) and not rising
         probs, marginals, ll = p1, marginals1, ll1
         if converged:
             break
@@ -489,16 +528,19 @@ def oracle_magnitude_rows(ds, pi, kernel):
     return rows
 
 
-def oracle_contraction_rows(ds, pi, kernel):
-    """(layer, tv, step bound) per backward step of ``lgmle diagnose``: the
-    step bound is 1 - nu_k times the total variation before the step."""
-    model, _, top, _ = _oracle_diagnose_model(ds, pi, kernel)
-    contraction = model.contraction_profile(pi.probs, 2, top)
+def oracle_contraction_rows(ds, pi, kernel, nus=None):
+    """(layer, tv, step bound) per backward step of ``lgmle diagnose``, from
+    ``oracle_contraction_tvs``: the step bound is 1 - nu_k times the total
+    variation before the step; ``nus`` (indexed by block) defaults to
+    epsilon^|X_k|."""
+    model, epsilon, top, _ = _oracle_diagnose_model(ds, pi, kernel)
+    if nus is None:
+        nus = {k: epsilon**size for k, size in enumerate(model.block_sizes)}
+    prev, *tvs = oracle_contraction_tvs(model, pi.probs, 2, top)
     rows = []
-    prev = contraction.initial_tv
-    for step in contraction.steps:
-        rows.append((step.layer, step.tv, step.step_factor * prev))
-        prev = step.tv
+    for layer, tv in zip(range(top - 1, 1, -1), tvs):
+        rows.append((layer, tv, (1.0 - nus[layer]) * prev))
+        prev = tv
     return rows
 
 
@@ -507,7 +549,7 @@ def oracle_diagnose_violations(ds, pi, kernel, nus=None, tol=1e-9) -> int:
     forgetting = oracle_forgetting_rows(ds, pi, kernel, nus=nus)
     count = sum(r.gap > r.bound + tol for r in forgetting)
     count += sum(value > bound + tol for _, _, value, bound in oracle_magnitude_rows(ds, pi, kernel))
-    count += sum(tv > bound + tol for _, tv, bound in oracle_contraction_rows(ds, pi, kernel))
+    count += sum(tv > bound + tol for _, tv, bound in oracle_contraction_rows(ds, pi, kernel, nus=nus))
     return count
 
 

@@ -337,7 +337,14 @@ def test_diagnose_logs_tightest_envelopes(caplog):
         analysis._diagnose(ds, pi, k)
     forgetting = [((r.q, r.m, r.ell), r.gap, r.bound) for r in oracle_forgetting_rows(ds, pi, k)]
     magnitude = [((q, m), value, bound) for q, m, value, bound in oracle_magnitude_rows(ds, pi, k)]
-    contraction = [((layer,), tv, bound) for layer, tv, bound in oracle_contraction_rows(ds, pi, k)]
+    # The log prints diagnose's own values, which the oracle rows match only
+    # to roundoff, so the contraction rows come from the method.
+    profile = LayerChainModel(ds, k, pi.support).contraction_profile(pi.probs, 2, ds.layers.q_max - 1)
+    before = [profile.initial_tv] + [step.tv for step in profile.steps[:-1]]
+    contraction = [((step.layer,), step.tv, step.step_factor * tv) for step, tv in zip(profile.steps, before)]
+    oracle = oracle_contraction_rows(ds, pi, k)
+    assert [window[0] for window, _, _ in contraction] == [layer for layer, _, _ in oracle]
+    np.testing.assert_allclose([row[1:] for row in contraction], [row[1:] for row in oracle], rtol=0, atol=1e-13)
     parts = []
     for name, keys, rows in (
         ("forgetting", ("q", "m", "ell"), forgetting),

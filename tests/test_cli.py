@@ -32,7 +32,7 @@ from lgmle import (
 from lgmle.cli import _CONFIG, _check, main
 from lgmle.likelihood import LayerChainModel
 
-from conftest import oracle_diagnose_violations, oracle_forgetting_rows
+from conftest import oracle_contraction_rows, oracle_diagnose_violations, oracle_forgetting_rows
 
 
 def run(args):
@@ -317,6 +317,30 @@ def test_diagnose_contraction_csv_equals_csv_writer(tmp_path, base_config):
     header = [f.name for f in dataclasses.fields(likelihood.ContractionStep)]
     expected = _csv_bytes(header, [dataclasses.astuple(step) for step in profile.steps])
     assert (out / "contraction.csv").read_bytes() == expected
+
+
+def test_diagnose_on_a_wide_factored_chain_forms_no_kernel_matrix(tmp_path, base_config, monkeypatch):
+    # n=4, s=3: layers of 6 nodes have 729 states and the chain runs
+    # factored; the contraction steps its two rows through the pull alone.
+    def refuse(*args):
+        raise AssertionError("diagnose formed the realized kernel matrices")
+
+    monkeypatch.setattr(LayerChainModel, "backward_kernels", refuse)
+    pi = DiscreteDistribution([1.0, 2.0, 4.0], [0.2, 0.5, 0.3])
+    model_doc = {"kernel": {"variant": "bradley_terry"}, "support": list(pi.support), "pi_star": list(pi.probs)}
+    config = base_config(model=model_doc, graph={"N": 60, "n": 4}, sim={"seed": 3})
+    out = tmp_path / "diag"
+    assert run(["diagnose", "--config", config, "--out", out]) == 0
+    ds = simulate(pi, bradley_terry(), 60, 4, seed=3)
+    assert LayerChainModel(ds, bradley_terry(), pi.support).engine == "factored"
+    with open(out / "contraction.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["layer", "tv", "step_factor", "cumulative_bound"]
+    oracle = oracle_contraction_rows(ds, pi, bradley_terry())
+    assert [int(row[0]) for row in rows] == [layer for layer, _, _ in oracle]
+    before = [2.0] + [float(row[1]) for row in rows[:-1]]
+    got = [(float(row[1]), float(row[2]) * tv) for row, tv in zip(rows, before)]
+    np.testing.assert_allclose(got, [row[1:] for row in oracle], rtol=0, atol=1e-13)
 
 
 def test_loglik_normalizers_csv_equals_csv_writer(tmp_path, base_config):

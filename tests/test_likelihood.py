@@ -48,8 +48,10 @@ from conftest import (
     kernel_variants,
     log_domain_node_marginals,
     model_on_engine as _model,
+    oracle_backward_kernels,
     oracle_backward_messages,
     oracle_conditional_profile,
+    oracle_contraction_tvs,
     random_distribution,
     small_instances,
 )
@@ -403,6 +405,98 @@ def test_contraction_envelope():
         assert step.tv <= step.step_factor * prev + 1e-12
         assert step.tv <= step.cumulative_bound + 1e-12
         prev = step.tv
+
+
+@pytest.mark.parametrize("engine", ["dense", "factored"])
+@pytest.mark.parametrize("kernel", kernel_variants(), ids=lambda kernel: kernel.name)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_realized_kernels_match_dense_oracle(engine, kernel, n):
+    rng = np.random.default_rng(n)
+    pi = random_distribution(rng, 3 if n < 4 else 2)
+    ds = simulate(pi, kernel, 8 * n + 6, n, seed=int(rng.integers(1, 2**31)))
+    model = _model(ds, pi, kernel, engine)
+    top = ds.layers.q_max - 1
+    for q in (2, 3):
+        kernels = model.backward_kernels(pi.probs, q, top)
+        oracle = oracle_backward_kernels(model, pi.probs, q, top)
+        assert len(kernels) == len(oracle) == top - q
+        for got, want in zip(kernels, oracle):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13
+        profile = model.contraction_profile(pi.probs, q, top)
+        initial, *tvs = oracle_contraction_tvs(model, pi.probs, q, top)
+        assert profile.initial_tv == initial
+        assert [step.layer for step in profile.steps] == list(range(top - 1, q - 1, -1))
+        np.testing.assert_allclose([step.tv for step in profile.steps], tvs, rtol=0, atol=1e-13)
+
+
+def _enumerated_kernel(ds, pi, kernel, q: int, k: int) -> np.ndarray:
+    """R_k[w, a] = P(V_k = a | V_{k+1} = w, X_{q:k}) by enumeration: the sum
+    over every weight assignment of layers q..k+1 of the layer priors times
+    the kernels of blocks q..k."""
+    layers = ds.layers
+    nodes = [layers.node_layers[j] for j in range(q, k + 2)]
+    joint = np.zeros((pi.size ** len(nodes[-1]), pi.size ** len(nodes[-2])))
+    for assign in itertools.product(*[itertools.product(range(pi.size), repeat=len(ns)) for ns in nodes]):
+        weight_of = {}
+        prob = 1.0
+        for layer_nodes, idxs in zip(nodes, assign):
+            for node, ai in zip(layer_nodes, idxs):
+                weight_of[node] = pi.support[ai]
+                prob *= pi.probs[ai]
+        for j in range(q, k + 1):
+            for i, jj in layers.block_edges(j):
+                prob *= kernel.prob(ds.outcomes[(i, jj)], weight_of[i], weight_of[jj])
+        # block states: first node of a layer slowest
+        w = np.ravel_multi_index(assign[-1], (pi.size,) * len(assign[-1]))
+        a = np.ravel_multi_index(assign[-2], (pi.size,) * len(assign[-2]))
+        joint[w, a] += prob
+    return joint / joint.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("engine", ["dense", "factored"])
+def test_realized_kernels_match_enumeration(engine):
+    kernel = bt_ties(2.0)
+    pi = DiscreteDistribution([0.5, 1.0, 3.0], [0.2, 0.5, 0.3])
+    ds = simulate(pi, kernel, 12, 2, seed=5)
+    model = _model(ds, pi, kernel, engine)
+    top = ds.layers.q_max - 1
+    assert top - 2 >= 2
+    for q in range(2, top):
+        for k, got in zip(range(q, top), model.backward_kernels(pi.probs, q, top)):
+            np.testing.assert_allclose(got, _enumerated_kernel(ds, pi, kernel, q, k), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("engine", ["dense", "factored"])
+def test_realized_kernels_raise_where_mass_is_lost(engine):
+    # The chain of test_batched_forward_raises_where_one_row_loses_mass: under
+    # the point mass on index 0 a block with two rare outcomes has no mass.
+    support = [1.0, 2.0]
+    table = np.full((2, 2, 2), 0.5)
+    table[:, 0, 0] = [1.0 - 1e-200, 1e-200]
+    kernel = custom_table((0, 1), support, table)
+    fair = custom_table((0, 1), support, np.full((2, 2, 2), 0.5))
+    pi = uniform(support)
+    ds = simulate(pi, fair, 40, 2, seed=4)
+    model = _model(ds, pi, kernel, engine)
+    top = model.layers.q_max - 1
+    lost = [q for q in range(2, top) if sum(ds.outcomes[e] == 1 for e in ds.layers.block_edges(q)) >= 2]
+    assert len(lost) >= 2
+    point = [1.0, 0.0]
+    # The dense loop said "conditional" for the same block; the realized
+    # kernels use the forward sweep's word.
+    with pytest.raises(H1Violated, match=f"^zero conditional mass at block {lost[0]}$"):
+        oracle_backward_kernels(model, point, 2, top)
+    for method in (model.backward_kernels, model.contraction_profile):
+        with pytest.raises(H1Violated, match=f"^zero likelihood mass at block {lost[0]}$"):
+            method(point, 2, top)
+        # the last block of the window is checked through d_k alone
+        with pytest.raises(H1Violated, match=f"^zero likelihood mass at block {lost[1]}$"):
+            method(point, lost[1], lost[1] + 1)
+        method([0.5, 0.5], 2, top)  # these weights keep their mass
+        # NaN weights: d_k is NaN, which the dense loop's denom <= 0 let through
+        with pytest.raises(H1Violated, match="^zero likelihood mass at block 2$"):
+            method([np.nan, 1.0], 2, 3)
 
 
 @pytest.mark.parametrize("engine", ["dense", "factored"])
