@@ -48,10 +48,11 @@ model = LayerChainModel(ds, kernel, pi.support)
 profile = model.contraction_profile(pi.probs, 2, ds.layers.q_max - 1)
 print(f"\ncontraction from layer {profile.window[1]} down to {profile.window[0]} "
       f"(initial tv {profile.initial_tv}):")
-for step in profile.steps[:10]:
-    print(f"  after kernel {step.layer:2d}: tv={step.tv:.3e}  envelope={step.cumulative_bound:.3e}")
+for layer, tv, bound in zip(profile.layer[:10], profile.tv, profile.cumulative_bound):
+    print(f"  after kernel {layer:2d}: tv={tv:.3e}  envelope={bound:.3e}")
+columns = (profile.layer, profile.tv, profile.step_factor, profile.cumulative_bound)
 with open("contraction_profile.csv", "w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(["layer", "tv", "step_factor", "cumulative_bound"])
-    writer.writerows((s.layer, s.tv, s.step_factor, s.cumulative_bound) for s in profile.steps)
+    writer.writerows(zip(*(column.tolist() for column in columns)))
 print("wrote contraction_profile.csv")

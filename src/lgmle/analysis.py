@@ -266,7 +266,10 @@ def risk_bound_rhs(n: int, epsilon: float, N: int, entropy_integral: float, t: f
     if not 0 < epsilon <= 1:
         raise InvalidValue(f"epsilon must lie in (0, 1], got {epsilon}")
     _require_counts(N=N)
-    return n * epsilon ** (-6 * n * n) / math.sqrt(N) * (entropy_integral + t)
+    try:
+        return n * epsilon ** (-6 * n * n) / math.sqrt(N) * (entropy_integral + t)
+    except OverflowError:  # epsilon^(-6 n^2) is past the float range: the bound is vacuous
+        return math.inf
 
 
 def simplex_entropy_integral(s: int, resolution: int = 4096) -> float:
@@ -423,11 +426,8 @@ def _magnitude_envelope(model, profiles) -> Envelope:
 def _contraction_envelope(profile: ContractionProfile) -> Envelope:
     """Each backward step's total variation against 1 - nu_k times the total
     variation before the step."""
-    steps = profile.steps
-    tv = np.array([s.tv for s in steps])
-    before = np.concatenate(([profile.initial_tv], tv[:-1]))
-    bound = np.array([s.step_factor for s in steps]) * before
-    return Envelope({"layer": np.array([s.layer for s in steps], dtype=int)}, tv, bound)
+    before = np.concatenate(([profile.initial_tv], profile.tv[:-1]))
+    return Envelope({"layer": profile.layer}, profile.tv, profile.step_factor * before)
 
 
 def forgetting_profile(
@@ -517,7 +517,8 @@ def increment_envelope(nu: float, q: int, m: int, block_tv: float) -> float:
     inequality) or computed exactly.
     """
     total = sum((1.0 - nu) ** (ell - 1) for ell in range(0, m + 2 - q))
-    return 2.0 * block_tv * total / nu**3
+    cube = nu**3  # 0.0 where nu^3 underflows: the bound is vacuous
+    return 2.0 * block_tv * total / cube if cube else math.inf
 
 
 def increment_rows(
@@ -539,8 +540,7 @@ def increment_rows(
     n = dataset.graph.n
     nu = model.floor.nu(n * (n - 1))
     width = 2 * (n - 1)
-    tv = tv_distance(pi, pi_prime)
-    tv_product_bound = width * tv
+    tv_product_bound = width * tv_distance(pi, pi_prime)
     tv_exact = product_tv_distance(pi, pi_prime, width)
     prof_a, prof_b = model.conditional_profiles([pi.probs, pi_prime.probs], m)
     qs = range(2, m + 1)

@@ -370,12 +370,11 @@ def cmd_diagnose(args) -> int:
     ):
         env = envelopes[key]
         _write_table(os.path.join(out, name), header, [*env.windows.values(), env.value, env.bound])
-    steps = diagnosis.contraction.steps
-    fields = [f.name for f in dataclasses.fields(likelihood.ContractionStep)]
+    contraction = diagnosis.contraction
     _write_table(
         os.path.join(out, "contraction.csv"),
-        fields,
-        [np.array([getattr(step, name) for step in steps]) for name in fields],
+        ["layer", "tv", "step_factor", "cumulative_bound"],
+        [contraction.layer, contraction.tv, contraction.step_factor, contraction.cumulative_bound],
     )
     _write_json(
         os.path.join(out, "diagnose_config.json"),
@@ -388,7 +387,7 @@ def cmd_diagnose(args) -> int:
         print(f"{violations} bound violations{note}; see CSVs in {out}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"diagnostics clean: {len(envelopes['forgetting'])} forgetting rows, "
-          f"{len(envelopes['magnitude'])} magnitude rows, {len(steps)} contraction steps{note}")
+          f"{len(envelopes['magnitude'])} magnitude rows, {len(contraction.tv)} contraction steps{note}")
     return EXIT_OK
 
 

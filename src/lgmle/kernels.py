@@ -187,7 +187,7 @@ def custom_table(outcomes, support, table) -> Kernel:
             f"table shape {table.shape} != (|X|, s, s) = "
             f"({len(outcomes)}, {support.size}, {support.size})"
         )
-    if np.any(table < 0) or np.any(table > 1):
+    if not np.all((table >= 0) & (table <= 1)):  # NaN fails both comparisons
         raise InvalidValue("table entries must be probabilities in [0, 1]")
     sums = table.sum(axis=0)
     if np.max(np.abs(sums - 1.0)) > PROB_NORMALIZATION_TOL:

@@ -220,20 +220,18 @@ class BackwardMessages:
 
 
 @dataclass(frozen=True)
-class ContractionStep:
-    """One backward step of two propagated block distributions."""
-
-    layer: int  # transition kernel index k (maps layer k+1 -> k)
-    tv: float
-    step_factor: float  # 1 - nu_k
-    cumulative_bound: float  # initial tv * prod (1 - nu_i)
-
-
-@dataclass(frozen=True)
 class ContractionProfile:
+    """Two block distributions of layer m pulled back to layer q, as columns
+    over the realized kernels k = m-1 down to q: ``layer`` k (maps layer k+1
+    -> k), ``tv`` after the step, ``step_factor`` 1 - nu_k, and
+    ``cumulative_bound`` initial_tv * prod (1 - nu_i)."""
+
     window: tuple[int, int]
     initial_tv: float
-    steps: tuple[ContractionStep, ...]
+    layer: np.ndarray
+    tv: np.ndarray
+    step_factor: np.ndarray
+    cumulative_bound: np.ndarray
 
 
 class _ChainStructure:
@@ -882,16 +880,22 @@ class LayerChainModel(_ChainStructure):
                 ).reshape(len(gamma), len(qs), s)
         return out
 
-    def _conditional_sweep(self, probs: np.ndarray, horizons: np.ndarray):
-        """Yield (k, rows, log P(X_{k:m_r})) for the rows r with m_r =
-        ``horizons[r]`` >= k, k = max(horizons) down to 2; ``probs`` is (s,)
-        or (K, s), and a model of R > 1 datasets puts a leading R axis on the
-        yielded values.  Row r joins at its horizon with its layer-(m_r + 1)
-        prior, and ``_pull_rows`` pulls the rows joined so far from one
-        horizon to the next, each row alone, bit-identical to its own sweep.
-        If a row loses its mass, ``H1Violated`` names the first block in sweep
-        order at which any row of the first dataset to lose mass lost it,
-        before anything is yielded."""
+    def conditional_profiles(self, probs, horizons) -> np.ndarray:
+        """(K, q_max): log P(X_q | X_{q+1:m_r}) at columns 2 <= q <= m_r, else NaN.
+        Row r has horizon m_r = ``horizons[r]`` (or the one given) and
+        ``probs`` or ``probs[r]``.  A model of R > 1 datasets gives (R, K, q_max).
+
+        One sweep from max(horizons) down to block 2: row r joins at its
+        horizon with its layer-(m_r + 1) prior, and ``_pull_rows`` pulls the
+        rows joined so far down to the next horizon, each row alone and
+        bit-identical to its own sweep.  ``H1Violated`` names the first block
+        in sweep order at which a row of the first dataset to lose mass lost it."""
+        probs = self._simplex(probs)
+        horizons = np.zeros(probs.shape[:-1], dtype=int) + np.array(horizons, dtype=int, ndmin=1)
+        # a set, not np.unique: numpy >= 2 imports numpy.ma on that call
+        joins = sorted(set(horizons.tolist()), reverse=True)
+        for m in reversed(joins):
+            self._check_window(2, m)
         order = np.argsort(-horizons, kind="stable")
         horizons = horizons[order]
         lead = () if self.replicates == 1 else (self.replicates,)
@@ -900,7 +904,6 @@ class LayerChainModel(_ChainStructure):
         joined = horizons >= np.array(blocks, dtype=int)[:, None]  # (block, row)
         counts = joined.sum(axis=1).tolist()
         sums, n = np.ones((len(blocks), self.replicates, order.size)), 0
-        joins = sorted(set(horizons.tolist()), reverse=True)
         for k, below in zip(joins, joins[1:] + [1]):
             # Rows join at their horizon k and are pulled down to the next.
             start, n = n, counts[blocks.start - k]
@@ -914,8 +917,11 @@ class LayerChainModel(_ChainStructure):
         terms = np.log(sums) + self._shifts.T[list(blocks)].reshape(len(blocks), self.replicates, 1)
         # Each row's sum starts at its horizon, from 0.0, as its own sweep's does.
         log_z = np.cumsum(np.where(joined[:, None], terms, 0.0), axis=0)
-        for k, n, z in zip(blocks, counts, log_z):
-            yield k, order[:n], z.reshape(lead + (-1,))[..., :n]
+        z = np.full(lead + (order.size, self.layers.q_max + 1), np.nan)
+        log_z = np.where(joined[:, None], log_z, np.nan)  # (block, R, row)
+        z[..., order[:, None], list(blocks)] = np.moveaxis(log_z, 0, -1).reshape(lead + joined.T.shape)
+        z[..., order, horizons + 1] = 0.0
+        return z[..., :-1] - z[..., 1:]
 
     def backward_messages(self, probs, q: int, m: int) -> BackwardMessages:
         """Messages P(V_k | X_{k:m}) and log P(X_{k:m}) for k = q..m+1, pulled
@@ -929,22 +935,6 @@ class LayerChainModel(_ChainStructure):
         with np.errstate(divide="ignore"):
             messages = tuple(map(np.log, messages))
         return BackwardMessages((q, m), messages, tuple(log_z[::-1]) + (0.0,))
-
-    def conditional_profiles(self, probs, horizons) -> np.ndarray:
-        """(K, q_max): log P(X_q | X_{q+1:m_r}) at columns 2 <= q <= m_r, else NaN.
-        Row r has horizon ``horizons[r]`` (or the one given) and ``probs`` or
-        ``probs[r]``.  A model of R > 1 datasets gives (R, K, q_max)."""
-        probs = self._simplex(probs)
-        horizons = np.zeros(probs.shape[:-1], dtype=int) + np.array(horizons, dtype=int, ndmin=1)
-        # a set, not np.unique: numpy >= 2 imports numpy.ma on that call
-        for m in sorted(set(horizons.ravel().tolist())):
-            self._check_window(2, m)
-        lead = () if self.replicates == 1 else (self.replicates,)
-        z = np.full(lead + (horizons.size, self.layers.q_max + 1), np.nan)
-        z[..., np.arange(horizons.size), horizons + 1] = 0.0
-        for k, rows, log_z in self._conditional_sweep(probs, horizons):
-            z[..., rows, k] = log_z
-        return z[..., :-1] - z[..., 1:]
 
     def _check_window(self, q: int, m: int) -> None:
         if not 2 <= q <= m <= self.layers.q_max - 1:
@@ -986,31 +976,23 @@ class LayerChainModel(_ChainStructure):
         the point masses on its first and last block states, as one (2, S)
         array, one pull per realized kernel (``_realized``): no S x S array.
 
-        Records the total-variation distance (full-sum convention, range
-        [0, 2]) after each realized kernel application, the per-step Doeblin
-        factor 1 - nu_k (:meth:`block_nus`), and the cumulative envelope
-        initial_tv * prod(1 - nu_i).
+        Records, in step order, the total-variation distance (full-sum
+        convention, range [0, 2]) after each realized kernel application, the
+        per-step Doeblin factor 1 - nu_k (:meth:`block_nus`), and the
+        cumulative envelope initial_tv * prod(1 - nu_i).
         """
         self._single("contraction_profile")
         mu = np.zeros((2, self.s ** self.widths[m]))
         mu[0, 0] = mu[1, -1] = 1.0
-        nus = self.block_nus()
         initial_tv = float(np.abs(mu[0] - mu[1]).sum())
-        steps = []
-        cumulative = initial_tv
+        tv = []
         for k, alpha, d in reversed(self._realized(probs, q, m)):
             mu = alpha * ((mu / d) @ self._pulls[k])
-            factor = 1.0 - nus[k]
-            cumulative *= factor
-            steps.append(
-                ContractionStep(
-                    layer=k,
-                    tv=float(np.abs(mu[0] - mu[1]).sum()),
-                    step_factor=factor,
-                    cumulative_bound=cumulative,
-                )
-            )
-        return ContractionProfile(window=(q, m), initial_tv=initial_tv, steps=tuple(steps))
+            tv.append(np.abs(mu[0] - mu[1]).sum())
+        layers = np.arange(m - 1, q - 1, -1)
+        factors = 1.0 - np.array(self.block_nus())[layers]
+        bound = np.cumprod([initial_tv, *factors])[1:]
+        return ContractionProfile((q, m), initial_tv, layers, np.array(tv), factors, bound)
 
 
 # -- module-level operations ------------------------------------------------------

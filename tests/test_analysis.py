@@ -17,6 +17,7 @@ from lgmle import (
     RiskParams,
     bradley_terry,
     bt_ties,
+    custom_table,
     degree_model,
     epsilon_floor,
     estimate_limit_likelihood,
@@ -340,8 +341,9 @@ def test_diagnose_logs_tightest_envelopes(caplog):
     # The log prints diagnose's own values, which the oracle rows match only
     # to roundoff, so the contraction rows come from the method.
     profile = LayerChainModel(ds, k, pi.support).contraction_profile(pi.probs, 2, ds.layers.q_max - 1)
-    before = [profile.initial_tv] + [step.tv for step in profile.steps[:-1]]
-    contraction = [((step.layer,), step.tv, step.step_factor * tv) for step, tv in zip(profile.steps, before)]
+    before = np.concatenate(([profile.initial_tv], profile.tv[:-1]))
+    bounds = profile.step_factor * before
+    contraction = [((layer,), tv, bound) for layer, tv, bound in zip(profile.layer.tolist(), profile.tv, bounds)]
     oracle = oracle_contraction_rows(ds, pi, k)
     assert [window[0] for window, _, _ in contraction] == [layer for layer, _, _ in oracle]
     np.testing.assert_allclose([row[1:] for row in contraction], [row[1:] for row in oracle], rtol=0, atol=1e-13)
@@ -501,6 +503,29 @@ def test_increment_bounds_hold(rng):
         rows = increment_rows(ds, pi, other, k)
         assert len(rows["exact"]) and rows["exact"].violations(1e-12) == 0
         assert np.all(rows["exact"].bound <= rows["product"].bound + 1e-12)
+
+
+def test_increment_bound_is_inf_where_nu_cubed_underflows():
+    # epsilon = 1e-150 gives nu = 1e-300 at n = 2, and nu**3 underflows to 0.0
+    support = [1.0, 2.0]
+    table = np.full((2, 2, 2), 0.5)
+    table[:, 0, 0] = [1e-150, 1.0 - 1e-150]
+    fair = custom_table((0, 1), support, np.full((2, 2, 2), 0.5))
+    ds = simulate(uniform(support), fair, 40, 2, seed=4)
+    other = DiscreteDistribution(support, [0.3, 0.7])
+    rows = increment_rows(ds, uniform(support), other, custom_table((0, 1), support, table))
+    for envelope in rows.values():
+        assert len(envelope) and np.all(envelope.bound == math.inf)
+        assert np.all(np.isfinite(envelope.value)) and envelope.violations(0.0) == 0
+
+
+def test_scaling_rhs_is_inf_where_epsilon_power_overflows():
+    # bt_ties(1e6) on (1, 2) has epsilon of about 5e-7; epsilon**-54 is past the float range
+    pi_star = uniform([1.0, 2.0])
+    table = scaling_experiment(pi_star, bt_ties(1e6), [40], n=3, seeds_per_n=1, eval_N=40, eval_replicates=1)
+    assert 4e-7 < table.epsilon < 6e-7
+    assert [row.rhs for row in table.rows] == [math.inf]
+    assert risk_bound_rhs(3, table.epsilon, 40, 1.0, 1.0) == math.inf
 
 
 def test_scaling_singleton_family_zero_excess():

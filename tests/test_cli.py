@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import logging
@@ -314,8 +313,9 @@ def test_diagnose_contraction_csv_equals_csv_writer(tmp_path, base_config):
     assert run(["diagnose", "--config", base_config(), "--out", out]) == 0
     ds, pi, kernel = _base_dataset()
     profile = LayerChainModel(ds, kernel, pi.support).contraction_profile(pi.probs, 2, ds.layers.q_max - 1)
-    header = [f.name for f in dataclasses.fields(likelihood.ContractionStep)]
-    expected = _csv_bytes(header, [dataclasses.astuple(step) for step in profile.steps])
+    header = ["layer", "tv", "step_factor", "cumulative_bound"]
+    columns = (profile.layer, profile.tv, profile.step_factor, profile.cumulative_bound)
+    expected = _csv_bytes(header, zip(*(column.tolist() for column in columns)))
     assert (out / "contraction.csv").read_bytes() == expected
 
 
@@ -735,6 +735,18 @@ def _with_fit(**fit):
 
 def _with_kernel(kernel):
     return {"model": _model_with_kernel(kernel)}
+
+
+@pytest.mark.parametrize("command", ["simulate", "loglik", "fit", "risk", "diagnose"])
+def test_table_kernel_with_a_nan_entry_exit_2(tmp_path, base_config, capsys, command):
+    # JSON configs may spell NaN; simulate used to draw a dataset from such a table
+    table = [[[math.nan, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]
+    kernel = {**_TABLE_KERNEL, "support": [1.0, 2.0], "table": table}
+    model = {"kernel": kernel, "support": [1.0, 2.0], "pi_star": [0.4, 0.6], "pi": [0.5, 0.5]}
+    cfg = base_config(model=model, graph={"N": 16, "n": 3}, candidates=[[0.5, 0.5]], **_TABLE_RISK)
+    assert run([command, "--config", cfg, "--out", tmp_path / command]) == 2
+    assert capsys.readouterr().err == "error: table entries must be probabilities in [0, 1]\n"
+    assert not (tmp_path / command).exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "loglik", "fit", "risk", "diagnose"])

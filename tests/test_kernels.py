@@ -137,6 +137,13 @@ def test_custom_table_normalization_enforced():
         custom_table((0, 1), [1.0], [[[0.6]], [[0.3]]])
 
 
+def test_custom_table_rejects_nan_entries():
+    # NaN is false against every bound, so only a check that NaN fails rejects it
+    table = [[[float("nan"), 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]
+    with pytest.raises(InvalidValue, match=r"^table entries must be probabilities in \[0, 1\]$"):
+        custom_table((0, 1), [1.0, 2.0], table)
+
+
 def test_custom_table_support_mismatch():
     k = custom_table((0, 1), [1.0, 2.0], [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]])
     with pytest.raises(SupportMismatch):
