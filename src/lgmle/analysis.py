@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution
-from .errors import InvalidValue, LayerOutOfRange
+from .errors import InvalidValue, LayerOutOfRange, TooLargeForBruteForce
 from .estimator import FitConfig, fit_mle
 from .kernels import Kernel, epsilon_floor
 from .likelihood import (
+    _BRUTE_FORCE_CAP,
     ContractionProfile,
     LayerChainModel,
     _digits,
@@ -82,11 +83,15 @@ def tv_log_of_tv(tv: float) -> float:
 def product_tv_distance(
     pi: DiscreteDistribution, pi_prime: DiscreteDistribution, m: int
 ) -> float:
-    """Exact total variation between the m-fold product measures."""
+    """Exact total variation between the m-fold product measures, summed over
+    all support**m points: more than ``_BRUTE_FORCE_CAP`` raises
+    ``TooLargeForBruteForce``."""
     if m < 0:
         raise InvalidValue(f"product order m must be non-negative, got {m}")
     if not pi.same_support(pi_prime):
         raise InvalidValue("product TV requires a common support")
+    if pi.size**m > _BRUTE_FORCE_CAP:
+        raise TooLargeForBruteForce(f"support^m = {pi.size}^{m} exceeds the {_BRUTE_FORCE_CAP} point cap")
     digits = _digits(pi.size, m)
     p = pi.probs[digits].prod(axis=1)
     q = pi_prime.probs[digits].prod(axis=1)
@@ -516,9 +521,13 @@ def increment_envelope(nu: float, q: int, m: int, block_tv: float) -> float:
     priors; for layer width w it may be bounded by w * tv(pi, pi') (product
     inequality) or computed exactly.
     """
+    cube = nu**3
+    # nu^3 underflows to 0.0, or nu = 1 makes the ell = 0 term (1 - nu)^-1
+    # infinite: the bound is vacuous.
+    if not cube or nu == 1.0:
+        return math.inf
     total = sum((1.0 - nu) ** (ell - 1) for ell in range(0, m + 2 - q))
-    cube = nu**3  # 0.0 where nu^3 underflows: the bound is vacuous
-    return 2.0 * block_tv * total / cube if cube else math.inf
+    return 2.0 * block_tv * total / cube
 
 
 def increment_rows(

@@ -33,14 +33,15 @@ tracked in log scale (the standard scaled forward-backward scheme), so block
 kernels as small as epsilon^(n(n-1)) cause no underflow and the returned
 log-likelihood is exact to float64 roundoff.
 
-Backward messages are beta' = p * beta: the layer prior p times beta, the
-probability of the outcomes above the layer given its state.  One step,
-x -> p * (x @ M^T) scaled by its sum (``_pull_rows``), pulls them down the
-chain: from the top layer's prior in ``posterior_pass``, where a layer's
-gamma is alpha * beta' / p, and from each row's horizon in
-``conditional_profiles``.  The realized backward kernels step rows mu down a
-block by the same pull between forward messages alpha and d = alpha @ M:
-mu -> alpha * ((mu / d) @ M^T), so no S x S kernel is formed.
+Every sweep takes one step per block, x -> (x @ B) * p scaled by its sum
+(``_sweep_rows``): B = M with the prior p of the layer above pushes forward
+messages alpha up the chain, and B = M^T with the layer's own prior pulls
+backward messages beta' = p * beta down it (beta is the probability of the
+outcomes above the layer given its state): from the top layer's prior in
+``posterior_pass``, where a layer's gamma is alpha * beta' / p, and from each
+row's horizon in ``conditional_profiles``.  The realized backward kernels
+step rows mu down a block by the pull between forward messages alpha and
+d = alpha @ M: mu -> alpha * ((mu / d) @ M^T), so no S x S kernel is formed.
 
 The forward-backward sweep of ``posterior_pass`` (the EM E-step) on a long
 dense chain of small blocks goes in two levels, which cuts its sequential
@@ -432,8 +433,8 @@ class LayerChainModel(_ChainStructure):
     block's Doeblin coefficient from it, for the mixing envelopes.
 
     ``forward_constants``, ``posterior_pass`` and ``conditional_profiles``
-    sweep K rows of simplex weights in one recursion (``_forward_rows``
-    forward, ``_pull_rows`` backward), each row pushed and pulled as its own
+    sweep K rows of simplex weights with one step (``_sweep_rows``, given its
+    blocks and priors in push or pull order), each row stepped as its own
     vector-matrix product against the shared block matrices, so every row's
     result is bit-identical to a sweep of that row alone.  The model picks
     the sweep shape from the row count: on a one-dataset model a batch of one
@@ -639,72 +640,62 @@ class LayerChainModel(_ChainStructure):
             self._segment_stack = np.stack((blocks, blocks[::-1].swapaxes(-1, -2)), axis=1)
         return self._segment_stack
 
-    def _forward_rows(self, priors: list, w: np.ndarray, blocks: range) -> tuple[list, np.ndarray]:
-        """The scaled forward recursion, block by block, of K rows on each of
-        the model's R datasets through ``blocks`` from message w of layer
-        blocks.start: (alphas of layers blocks.start to blocks.stop,
-        (len(blocks), R, K) normalizers), with ``priors`` of shape (K, 1, S),
-        or (S,) for one row of one dataset.
+    def _sweep_rows(self, x: np.ndarray, steps) -> tuple[list, np.ndarray]:
+        """The scaled recursion of K rows on each of the model's R datasets
+        through ``steps``, (block, prior) pairs in sweep order: x -> (x @ block)
+        * prior divided by its sum.  A push ``(_mats[q], priors[q + 1])`` goes
+        up the chain and a pull ``(_pulls[q], priors[q])`` down it.  Returns
+        (x and each step's message, the step sums shaped (len(steps),) +
+        shape[:-1] of the last message).
 
-        Each alpha is normalized by its sum, of shape (R, K, 1, S) past the
-        first when R > 1.  Each row is a (1, S) matrix pushed on its own
-        against its dataset's block matrix, which keeps it bit-identical to a
-        sweep of that row alone (a (K, S) matrix product is not).  Mass is
-        checked once after the loop; ``H1Violated`` names the first block at
-        which any row of the first dataset to lose mass lost it.
+        Rows are (K, 1, S), or (S,) for one row of one dataset, and past the
+        first message (R, K, 1, S) when R > 1.  Each row is a (1, S) matrix
+        stepped on its own against its dataset's block, which keeps it
+        bit-identical to a sweep of that row alone (a (K, S) matrix product is
+        not).  A row that loses its mass turns to NaN in the division and stays
+        NaN; callers check the sums with :meth:`_raise_lost`.
         """
         total = np.add.reduce
         # One row divides by a scalar, which is faster than by a (1, 1) array.
-        rows = w.ndim > 1
-        alphas, cs = [w], []
-        # A row that lost its mass turns to NaN in the division and stays
-        # NaN; the check after the loop reports where it happened.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for mat, prior in zip(self._mats[blocks.start : blocks.stop], priors[blocks.start + 1 :]):
-                w = (w @ mat) * prior
-                c = total(w, -1, keepdims=rows)
-                w /= c
-                cs.append(c)
-                alphas.append(w)
-        cs = np.reshape(cs, (len(blocks), self.replicates, w.shape[-3] if rows else 1))
-        _raise_lost(~(cs > 0.0).all(axis=2), blocks, "likelihood")
-        return alphas, cs
-
-    def _pull_rows(self, priors, x: np.ndarray, blocks: range) -> tuple[list, np.ndarray]:
-        """``_forward_rows`` mirrored: K rows on each of the model's R datasets,
-        each a (1, S) row on its own, pulled down through ``blocks`` from beta'
-        x of layer blocks.stop by x -> p_q * (x @ M_q^T) divided by its sum:
-        (betas' of layers blocks.start to blocks.stop, their (len(blocks), R,
-        K) sums in sweep order), with ``priors[q]`` shaped like x.  A row
-        without mass turns to NaN and stays NaN; callers check the sums with
-        ``_raise_lost``."""
-        total = np.add.reduce
         rows = x.ndim > 1
         messages, cs = [x], []
         with np.errstate(divide="ignore", invalid="ignore"):
-            for q in reversed(blocks):
-                x = (x @ self._pulls[q]) * priors[q]
+            for block, prior in steps:
+                x = (x @ block) * prior
                 c = total(x, -1, keepdims=rows)
                 x /= c
                 cs.append(c)
                 messages.append(x)
-        messages.reverse()
-        return messages, np.asarray(cs).reshape(len(blocks), self.replicates, x.shape[-3] if rows else 1)
+        return messages, np.reshape(cs, (len(cs),) + x.shape[:-1])
+
+    def _raise_lost(self, sums: np.ndarray, blocks, what: str) -> None:
+        """Raise ``H1Violated`` if a dataset lost its ``what`` mass: ``sums``
+        holds a sweep's step sums along its first axis, in the order of
+        ``blocks``, then the dataset axis when R > 1.  The message names the
+        first lost block of the first dataset that lost any, as its own sweep
+        would."""
+        lost = ~(sums > 0.0).all(axis=tuple(range(1 if self.replicates == 1 else 2, sums.ndim)))
+        if lost.any():
+            lost = lost.reshape(len(blocks), -1)
+            r = int(np.argmax(lost.any(axis=0)))
+            raise H1Violated(f"zero {what} mass at block {blocks[int(np.argmax(lost[:, r]))]}")
 
     def forward_constants(self, probs) -> tuple:
         """(log-likelihood, per-block log normalizers) for simplex ``probs``.
 
         ``probs`` of shape (s,) gives a float and a (num_blocks,) array;
         shape (K, s) gives (K,) log-likelihoods and (K, num_blocks) normalizers
-        from one recursion over all rows (``_forward_rows``), each row
+        from one push up the chain over all rows (``_sweep_rows``), each row
         bit-identical to a sweep of that row alone.  A model of R > 1 datasets
         puts a leading R axis on both.  The log-likelihood sums the
         normalizers sequentially in block order.
         """
         probs = self._simplex(probs)
         priors = self._priors(self._rows(probs))
-        _, cs = self._forward_rows(priors, priors[0], range(self.num_blocks))
-        constants = np.log(cs) + self._shifts.T.reshape(self.num_blocks, -1, 1)
+        _, cs = self._sweep_rows(priors[0], zip(self._mats, priors[1:]))
+        self._raise_lost(cs, range(self.num_blocks), "likelihood")
+        constants = np.log(cs.reshape(self.num_blocks, self.replicates, -1))
+        constants += self._shifts.T.reshape(self.num_blocks, -1, 1)
         totals, constants = np.cumsum(constants, axis=0)[-1], np.moveaxis(constants, 0, -1)
         if probs.ndim == 1:
             totals, constants = totals[:, 0], constants[:, 0]
@@ -763,18 +754,16 @@ class LayerChainModel(_ChainStructure):
     def _run_sweep(self, priors: list, lead: tuple, segment: int) -> tuple:
         """(marginals, (K,) log-likelihoods) of one dataset's K rows: its run of
         n blocks in C = n // L segments of L = ``segment``, or no run at L = 1,
-        and the blocks around it one by one, pushed up from layer 0
-        (``_forward_rows``) and pulled down from the top layer's prior
-        (``_pull_rows``).
-
-        In the run both directions take one step, x -> (x @ B) * p scaled by
-        its sum (p the run's layer prior, B a block for alpha and a
-        transposed block for beta').  All segment products T_j = M diag(p) M
-        ... diag(p) M are built at once, each partial product scaled to peak
-        1; the C segment starts of both directions go through [T_i,
-        T_(C-1-i)^T], one stacked ``@`` per segment; then all 2C segments
-        step through their L blocks at once.  A layer's gamma is alpha * beta'
-        / p, with 1/p formed once per layer width (0 where p is 0).  Raises
+        and the blocks around it one by one, pushed up from layer 0 and pulled
+        down from the top layer's prior.  Every block, in the run too, is one
+        ``_sweep_rows`` step, x -> (x @ B) * p scaled by its sum (B a block
+        for alpha and a transposed block for beta').  All segment products
+        T_j = M diag(p) M ... diag(p) M (p the run's layer prior) are built at
+        once, each partial product scaled to peak 1; the C segment starts of
+        both directions go through [T_i, T_(C-1-i)^T], one stacked ``@`` per
+        segment; then all 2C segments step through their L blocks at once, in
+        one ``_sweep_rows`` call.  A layer's gamma is alpha * beta' / p, with
+        1/p formed once per layer width (0 where p is 0).  Raises
         ``H1Violated`` if a partial product has an entry below the smallest
         normal float (its segment would lose mass or precision that the
         block-by-block sweep keeps), or where a row loses mass: at the first
@@ -783,9 +772,12 @@ class LayerChainModel(_ChainStructure):
         L, p = segment, priors[first]
         C, S, end = length // L, p.shape[-1], first + length // L * L
         K, row = (len(p), p.shape) if p.ndim > 1 else (1, (1, S))
-        alphas, head_cs = self._forward_rows(priors, priors[0], range(first))
-        tail_betas, tail_sums = self._pull_rows(priors, priors[-1], range(end, self.num_blocks))
-        alpha, beta, cs = alphas[-1], tail_betas[0], [head_cs[:, 0]]
+        alphas, head_cs = self._sweep_rows(priors[0], zip(self._mats[:first], priors[1:]))
+        self._raise_lost(head_cs, range(first), "likelihood")
+        # Pulls run down the chain, their messages in sweep order: tail_betas[-1] is layer end.
+        tail = range(self.num_blocks - 1, end - 1, -1)
+        tail_betas, tail_sums = self._sweep_rows(priors[-1], [(self._pulls[q], priors[q]) for q in tail])
+        alpha, beta, cs = alphas[-1], tail_betas[-1], [head_cs]
         if C:
             blocks = self._run_blocks() if p.ndim == 1 else self._run_blocks()[:, :, :, None]
             total, lows = np.add.reduce, []
@@ -813,25 +805,22 @@ class LayerChainModel(_ChainStructure):
                 for i in range(C - 1):
                     x = np.matmul(starts[i], pairs[i], out=starts[i + 1])
                     x /= total(x, -1, keepdims=True)
-                # steps[m, 0, j] is alpha of layer first + j L + m, and
-                # steps[m, 1, j] beta' of layer first + j L + L - m.
-                steps = np.empty((L + 1, 2, C) + row)
-                steps[0] = starts[:, 0], starts[::-1, 1]
-                norms = np.empty((L, 2, C) + row[:-1] + (1,))
-                for i in range(L):
-                    x = np.matmul(steps[i], blocks[i], out=steps[i + 1])
-                    x *= p
-                    x /= total(x, -1, keepdims=True, out=norms[i])
+            # steps[m, 0, j] is alpha of layer first + j L + m, and
+            # steps[m, 1, j] beta' of layer first + j L + L - m.
+            steps, norms = self._sweep_rows(np.stack((starts[:, 0], starts[::-1, 1])), zip(blocks, [p] * L))
+            steps = np.stack(steps)
             alpha, beta = steps[L, 0, -1].reshape(p.shape), steps[L, 1, 0].reshape(p.shape)
             # alphas and betas' of layers first to end - 1, laid out as ``stack`` joins layers
             run = [x.swapaxes(0, 1).reshape((-1,) + p.shape[1:]) for x in (steps[:L, 0], steps[L:0:-1, 1])]
             cs.append(norms[:, 0].swapaxes(0, 1).reshape(C * L, K))
-        tail_alphas, tail_cs = self._forward_rows(priors, alpha, range(end, self.num_blocks))
-        head_betas, head_sums = self._pull_rows(priors, beta, range(first))
-        pulled = [*reversed(range(end, self.num_blocks)), *reversed(range(first))]
-        _raise_lost(~(np.concatenate((tail_sums, head_sums)) > 0.0).all(axis=2), pulled, "posterior")
+        tail_alphas, tail_cs = self._sweep_rows(alpha, zip(self._mats[end:], priors[end + 1 :]))
+        self._raise_lost(tail_cs, range(end, self.num_blocks), "likelihood")
+        head = range(first - 1, -1, -1)
+        head_betas, head_sums = self._sweep_rows(beta, [(self._pulls[q], priors[q]) for q in head])
+        self._raise_lost(np.concatenate((tail_sums, head_sums)), [*tail, *head], "posterior")
         gap = [None] * (end - first)  # the run's layers, stacked in ``run``
-        alphas, betas = alphas[:-1] + gap + tail_alphas, head_betas[:-1] + gap + tail_betas
+        # head_betas[:0:-1] holds layers 0..first-1, tail_betas[::-1] end..top.
+        alphas, betas = alphas[:-1] + gap + tail_alphas, head_betas[:0:-1] + gap + tail_betas[::-1]
 
         def gammas(qs: list[int]) -> np.ndarray:
             # qs is sorted, so its run layers are qs[a:b]: the whole run or none.
@@ -848,7 +837,7 @@ class LayerChainModel(_ChainStructure):
             return np.ascontiguousarray((stack(alphas, 0) * stack(betas, 1) * inverse).transpose(1, 0, 2))
 
         marginals = self._marginals(gammas, lead)  # raises where a row lost mass
-        cs = np.concatenate(cs + [tail_cs[:, 0]])
+        cs = np.concatenate([c.reshape(len(c), K) for c in cs + [tail_cs]])
         return marginals, np.cumsum(np.log(cs) + self._shifts[:, None], axis=0)[-1]
 
     def _marginals(self, gammas, lead: tuple) -> np.ndarray:
@@ -884,14 +873,18 @@ class LayerChainModel(_ChainStructure):
         """(K, q_max): log P(X_q | X_{q+1:m_r}) at columns 2 <= q <= m_r, else NaN.
         Row r has horizon m_r = ``horizons[r]`` (or the one given) and
         ``probs`` or ``probs[r]``.  A model of R > 1 datasets gives (R, K, q_max).
+        A horizon that is not an integer raises ``InvalidValue``.
 
         One sweep from max(horizons) down to block 2: row r joins at its
-        horizon with its layer-(m_r + 1) prior, and ``_pull_rows`` pulls the
-        rows joined so far down to the next horizon, each row alone and
+        horizon with its layer-(m_r + 1) prior, and one ``_sweep_rows`` pulls
+        the rows joined so far down to the next horizon, each row alone and
         bit-identical to its own sweep.  ``H1Violated`` names the first block
         in sweep order at which a row of the first dataset to lose mass lost it."""
         probs = self._simplex(probs)
-        horizons = np.zeros(probs.shape[:-1], dtype=int) + np.array(horizons, dtype=int, ndmin=1)
+        given = np.array(horizons, ndmin=1)
+        if given.size and given.dtype.kind not in "iu":
+            raise InvalidValue(f"horizons must be integers, got {given.tolist()}")
+        horizons = np.zeros(probs.shape[:-1], dtype=int) + given.astype(int)
         # a set, not np.unique: numpy >= 2 imports numpy.ma on that call
         joins = sorted(set(horizons.tolist()), reverse=True)
         for m in reversed(joins):
@@ -909,11 +902,11 @@ class LayerChainModel(_ChainStructure):
             start, n = n, counts[blocks.start - k]
             joining = priors[k + 1][..., start:n, :, :]
             x = np.concatenate((x, joining), axis=-3) if start else joining
-            span = range(below + 1, k + 1)
-            pulled, cs = self._pull_rows({q: priors[q][..., :n, :, :] for q in span}, x, span)
-            sums[blocks.start - k : blocks.start - below, :, :n] = cs
-            x = pulled[0]
-        _raise_lost(~(sums > 0.0).all(axis=2), blocks, "conditional")
+            steps = [(self._pulls[q], priors[q][..., :n, :, :]) for q in range(k, below, -1)]
+            pulled, cs = self._sweep_rows(x, steps)
+            sums[blocks.start - k : blocks.start - below, :, :n] = cs.reshape(k - below, self.replicates, n)
+            x = pulled[-1]
+        self._raise_lost(sums, blocks, "conditional")
         terms = np.log(sums) + self._shifts.T[list(blocks)].reshape(len(blocks), self.replicates, 1)
         # Each row's sum starts at its horizon, from 0.0, as its own sweep's does.
         log_z = np.cumsum(np.where(joined[:, None], terms, 0.0), axis=0)
@@ -925,15 +918,16 @@ class LayerChainModel(_ChainStructure):
 
     def backward_messages(self, probs, q: int, m: int) -> BackwardMessages:
         """Messages P(V_k | X_{k:m}) and log P(X_{k:m}) for k = q..m+1, pulled
-        down from the layer-(m + 1) prior (``_pull_rows``)."""
+        down from the layer-(m + 1) prior by ``_sweep_rows``."""
         self._single("backward_messages")
         self._check_window(q, m)
         priors = self._priors(self._simplex(probs, rows=False))
-        messages, cs = self._pull_rows(priors, priors[m + 1], range(q, m + 1))
-        _raise_lost(~(cs > 0.0).all(axis=2), range(m, q - 1, -1), "conditional")
-        log_z = np.cumsum(np.log(cs[:, 0, 0]) + self._shifts[q : m + 1][::-1])
+        blocks = range(m, q - 1, -1)
+        messages, cs = self._sweep_rows(priors[m + 1], [(self._pulls[k], priors[k]) for k in blocks])
+        self._raise_lost(cs, blocks, "conditional")
+        log_z = np.cumsum(np.log(cs) + self._shifts[q : m + 1][::-1])
         with np.errstate(divide="ignore"):
-            messages = tuple(map(np.log, messages))
+            messages = tuple(map(np.log, messages[::-1]))
         return BackwardMessages((q, m), messages, tuple(log_z[::-1]) + (0.0,))
 
     def _check_window(self, q: int, m: int) -> None:
@@ -947,15 +941,16 @@ class LayerChainModel(_ChainStructure):
 
     def _realized(self, probs, q: int, m: int) -> list[tuple]:
         """(k, alpha_k, d_k) for k = q..m-1: alpha_k is layer k's forward message
-        pushed up from layer q's prior (``_forward_rows``) and d_k = alpha_k @
+        pushed up from layer q's prior (``_sweep_rows``) and d_k = alpha_k @
         M_k; R_k[w, a] = alpha_k[a] M_k[a, w] / d_k[w].  ``H1Violated`` names
         the first block where the forward sweep loses mass, else the first
         whose d_k is not all positive (NaN included)."""
         self._check_window(q, m)
         priors = self._priors(self._simplex(probs, rows=False))
-        alphas, _ = self._forward_rows(priors, priors[q], range(q, m - 1))
+        alphas, cs = self._sweep_rows(priors[q], zip(self._mats[q : m - 1], priors[q + 1 :]))
+        self._raise_lost(cs, range(q, m - 1), "likelihood")
         ds = [alpha @ self._mats[k] for k, alpha in zip(range(q, m), alphas)]
-        _raise_lost(~np.array([[(d > 0.0).all()] for d in ds], dtype=bool), range(q, m), "likelihood")
+        self._raise_lost(np.array(ds), range(q, m), "likelihood")
         return list(zip(range(q, m), alphas, ds))
 
     def backward_kernels(self, probs, q: int, m: int) -> list[np.ndarray]:
@@ -996,15 +991,6 @@ class LayerChainModel(_ChainStructure):
 
 
 # -- module-level operations ------------------------------------------------------
-
-
-def _raise_lost(lost: np.ndarray, blocks, what: str) -> None:
-    """Raise ``H1Violated`` if a dataset lost its ``what`` mass: ``lost`` is
-    (len(blocks), R) flags in sweep order, and the message names the first
-    lost block of the first dataset that lost any, as its own sweep would."""
-    if lost.any():
-        r = int(np.argmax(lost.any(axis=0)))
-        raise H1Violated(f"zero {what} mass at block {blocks[int(np.argmax(lost[:, r]))]}")
 
 
 def _support_groups(dists) -> list[list[int]]:

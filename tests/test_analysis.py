@@ -15,6 +15,7 @@ from lgmle import (
     LayerChainModel,
     LayerOutOfRange,
     RiskParams,
+    TooLargeForBruteForce,
     bradley_terry,
     bt_ties,
     custom_table,
@@ -104,6 +105,12 @@ def test_product_tv_rejects_negative_order():
     pi = uniform([1.0, 2.0])
     with pytest.raises(InvalidValue, match=r"^product order m must be non-negative, got -1$"):
         product_tv_distance(pi, pi.with_probs([0.3, 0.7]), -1)
+
+
+def test_product_tv_refuses_orders_past_the_enumeration_cap():
+    pi = uniform([1.0, 2.0])
+    with pytest.raises(TooLargeForBruteForce, match=r"^support\^m = 2\^64 exceeds the 1000000 point cap$"):
+        product_tv_distance(pi, pi.with_probs([0.3, 0.7]), 64)
 
 
 def test_rhs_monotone_in_t():
@@ -517,6 +524,17 @@ def test_increment_bound_is_inf_where_nu_cubed_underflows():
     for envelope in rows.values():
         assert len(envelope) and np.all(envelope.bound == math.inf)
         assert np.all(np.isfinite(envelope.value)) and envelope.violations(0.0) == 0
+
+
+def test_increment_bound_is_inf_at_nu_one():
+    # the uniform kernel on one outcome has epsilon = 1, so nu = 1 and (1 - nu)^-1 is infinite
+    support = [1.0, 2.0]
+    pi, other = DiscreteDistribution(support, [0.3, 0.7]), DiscreteDistribution(support, [0.6, 0.4])
+    ds = simulate(pi, uniform_kernel(1), 40, 2, seed=1)
+    assert analysis.increment_envelope(1.0, 2, 5, 0.3) == math.inf
+    for envelope in increment_rows(ds, pi, other, uniform_kernel(1)).values():
+        assert len(envelope) and np.all(envelope.bound == math.inf)
+        assert np.all(envelope.value == 0.0) and envelope.violations(0.0) == 0
 
 
 def test_scaling_rhs_is_inf_where_epsilon_power_overflows():

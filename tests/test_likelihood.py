@@ -1295,6 +1295,19 @@ def test_conditional_profiles_without_interior_window_are_empty():
         model.conditional_profiles(pi.probs, [model.layers.q_max - 1])
 
 
+def test_conditional_profiles_refuse_non_integral_horizons():
+    pi = uniform([1.0, 2.0])
+    k = bradley_terry()
+    model = LayerChainModel(simulate(pi, k, 40, 2, seed=3), k, pi.support)
+    with pytest.raises(InvalidValue, match=r"^horizons must be integers, got \[5.9\]$"):
+        model.conditional_profiles(pi.probs, 5.9)
+    with pytest.raises(InvalidValue, match=r"^horizons must be integers, got \[5.0, 6.5\]$"):
+        model.conditional_profiles([pi.probs, pi.probs], [5, 6.5])
+    expected = model.conditional_profiles(pi.probs, [5])
+    for horizons in (5, np.int64(5), np.array([5], dtype=np.uint8), range(5, 6)):
+        assert np.array_equal(model.conditional_profiles(pi.probs, horizons), expected, equal_nan=True)
+
+
 def test_conditional_sweep_raises_at_highest_block_without_mass():
     # Outcome 1 between two nodes at support index 0 has probability 1e-200;
     # a block holding two of them has no conditional mass under the point
@@ -1527,8 +1540,9 @@ def _assert_close_to_per_block_sweep(model, probs, marginals, loglik):
     assert np.max(np.abs(marginals - marginals_o)) <= 1e-15
     priors = model._priors(np.asarray(probs, dtype=float))
     end = model._run[0] + model._run[1] // model.segment * model.segment
-    tail, _ = model._pull_rows(priors, priors[-1], range(end, model.num_blocks))
-    assert all(map(np.array_equal, tail, _oracle_betas(model, priors)[end:]))
+    pulls = [(model._pulls[q], priors[q]) for q in range(model.num_blocks - 1, end - 1, -1)]
+    tail, _ = model._sweep_rows(priors[-1], pulls)
+    assert all(map(np.array_equal, tail[::-1], _oracle_betas(model, priors)[end:]))
 
 
 @given(
