@@ -23,10 +23,14 @@ engines, picked from the layer widths:
   the state vector by variable elimination (Koller & Friedman 2009, ch. 9)
   in an order compiled once per positional plan: the source layer's nodes
   are summed out one at a time, smallest result first, each against the
-  product of the factors that touch it, folded once per block type from
-  edge tables scaled once per outcome.  A step loops over at most
-  s^(max(|V_q|, |V_q+1|)+1) index combinations, so chains whose dense blocks
-  would not fit in memory (n=4 and n=5 at small s) stay cheap.
+  product of the factors that touch it, folded in pairs from edge tables
+  scaled once per outcome, and built once per structure for each outcome
+  combination it folds.  Each step runs as one batched ``np.matmul``: the
+  running tensor, permuted to (batch, rows, summed axis), times the
+  operand, stored as (batch, summed axis, columns); the final factors over
+  the target layer alone multiply in by broadcasting.  A step loops over at
+  most s^(max(|V_q|, |V_q+1|)+1) index combinations, so chains whose dense
+  blocks would not fit in memory (n=4 and n=5 at small s) stay cheap.
 
 All arithmetic runs in rescaled probability space with per-block shifts
 tracked in log scale (the standard scaled forward-backward scheme), so block
@@ -97,7 +101,7 @@ _BLOCK_CACHE_BUDGET = 4_000_000
 # sweeps that run in segments in posterior_pass (LayerChainModel.segment).
 _SEGMENT_MIN_RUN = 32
 _SEGMENT_MAX_STATE = 16
-_SUBSCRIPTS = string.ascii_letters  # np.einsum's index alphabet
+_SUBSCRIPTS = string.ascii_letters  # axis names of a plan's einsum subscripts
 
 
 def _digits(s: int, width: int) -> np.ndarray:
@@ -116,95 +120,140 @@ def _placed(table: np.ndarray, a: int, b: int, ndim: int) -> np.ndarray:
     return (table if a < b else table.T).reshape(shape)
 
 
+# A broadcast product written in C order, whatever the order of its inputs'
+# strides, so the last step's output needs no copy to be laid out as a row.
+_broadcast_product = functools.partial(np.multiply, order="C")
+
+
+def _balanced_product(arrays: list[np.ndarray]) -> np.ndarray:
+    """The broadcast product of ``arrays``, multiplied in pairs level by
+    level, so that no factor is multiplied into a full-size product that a
+    later one widens again."""
+    while len(arrays) > 1:
+        arrays = [a * b for a, b in zip(arrays[::2], arrays[1::2])] + arrays[len(arrays) & ~1 :]
+    return arrays[0]
+
+
 @dataclass(frozen=True)
 class _ContractionPlan:
-    """A tensor x contracted with fixed factors, as two-operand einsum steps.
+    """A tensor x contracted with fixed factors, one operand per step.
 
-    Step k is ``(subscripts, fold)``: it contracts the running tensor with
-    one operand, the elementwise product of the factors that ``fold`` lists
-    as (factor index, transposed, broadcast shape).  :meth:`prepare` forms
-    the operands once per block, so a call runs only the steps.
+    ``steps[k] = (subscripts, fold)`` describes step k: the einsum
+    subscripts of contracting the running tensor with one operand, the
+    product of the factors that ``fold`` lists as (factor index, transposed,
+    shape), each placed in the operand's axis order (a lone factor is the
+    operand).  ``program[k] = (shape, perm, merged, op, operand shape)``
+    runs it: the running tensor, viewed with axes ``shape``, is permuted by
+    ``perm``, merged to ``merged`` and taken through ``op`` with the operand.
+    A step that sums an axis is one ``np.matmul`` of each row's (batch,
+    rows, summed) by the operand's (batch, summed, cols), and its result
+    keeps that (row, batch, rows, cols) order for the next permutation to
+    absorb; a step that sums none is a broadcast product written in the
+    output's axis order (``_broadcast_product``).  ``final = (shape, perm)``
+    lays the last result out in that order.  :meth:`operand` forms a step's
+    operand in the layout the step reads, once per structure
+    (``_ChainStructure._operands_of``), so a call runs only the program.
     """
 
     steps: tuple[tuple[str, tuple[tuple[int, bool, tuple[int, ...]], ...]], ...]
+    program: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], object, tuple[int, ...]], ...]
+    final: tuple[tuple[int, ...], tuple[int, ...]]
 
-    def prepare(self, factors: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-        """The operands of ``steps``, in order, for one block's factors."""
-        return tuple(
-            functools.reduce(
-                np.multiply,
-                [(factors[k].T if flip else factors[k]).reshape(shape) for k, flip, shape in fold],
-            )
-            for _, fold in self.steps
-        )
+    def operand(self, k: int, factors: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """Step k's operand for one block's factors, each given as (table, its
+        transpose), both C-contiguous: the operand is then C-contiguous, and a
+        lone factor a view of its table."""
+        (_, fold), (*_, shape) = self.steps[k], self.program[k]
+        parts = [factors[i][flip].reshape(placed) for i, flip, placed in fold]
+        return parts[0] if len(parts) == 1 else _balanced_product(parts).reshape(shape)
 
     def loop_axes(self) -> int:
-        """The most block axes that one step loops over, its batch axis aside."""
+        """The most block axes that one step loops over, its row axis aside."""
         return max(len(set(sub) - {",", "-", ">", _SUBSCRIPTS[0]}) for sub, _ in self.steps)
 
 
 @dataclass(frozen=True)
 class _FactoredBlock:
     """Edge factors that act as their block matrix: ``x @ block`` runs the
-    plan's steps on (..., S) state vectors x viewed as (..., *shape) tensors."""
+    plan's program on (..., S) state vectors x, each row one slice of the
+    running tensor's row axis, stepped by matrix products of its own."""
 
     plan: _ContractionPlan
     operands: tuple[np.ndarray, ...]
-    shape: tuple[int, ...]
 
     __array_ufunc__ = None  # numpy then hands ``x @ block`` to __rmatmul__
 
     def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
-        out = x.reshape((-1,) + self.shape)
-        for (sub, _), operand in zip(self.plan.steps, self.operands):
-            out = np.einsum(sub, out, operand)
-        return out.reshape(x.shape[:-1] + (-1,))
+        out = x
+        for (shape, perm, merged, op, _), operand in zip(self.plan.program, self.operands):
+            out = op(out.reshape(shape).transpose(perm).reshape(merged), operand)
+        shape, perm = self.plan.final
+        return out.reshape(shape).transpose(perm).reshape(x.shape[:-1] + (-1,))
 
 
 def _compile_plan(
     s: int, x_sub: str, out_sub: str, factor_subs: tuple[str, ...]
 ) -> _ContractionPlan:
     """Order the contraction ``x_sub,factor_subs... -> out_sub`` once, by
-    variable elimination over the block's factor graph.
+    variable elimination over the block's factor graph, and compile it.
 
-    x_sub is the batch axis, then the source layer's axes.  These are summed
+    x_sub is the row axis, then the source layer's axes.  These are summed
     out one at a time: each step takes the axis whose result tensor is
     smallest (the first in x_sub on ties) and contracts the running tensor
-    with the product of every factor not yet used that touches that axis.
-    The factors over target axes alone multiply in at the end, as one
-    elementwise operand; the last step writes out_sub's axis order.
+    with the product of every factor not yet used that touches that axis:
+    the axes both share and keep are the step's batch, the running tensor's
+    others its rows, and the operand's new axes its columns.  The factors
+    over target axes alone multiply in at the end, as one broadcast
+    operand; the last step writes out_sub's axis order.
     """
     unused = dict(enumerate(factor_subs))
-    running, left = x_sub, list(x_sub[1:])
+    row, running, left = x_sub[0], x_sub, list(x_sub[1:])
     steps: list[tuple[str, tuple]] = []
+    program: list[tuple] = []
+
+    def touching(axis: str) -> tuple[int, ...]:
+        return tuple(k for k, sub in unused.items() if axis in sub)
 
     def operand(ks: tuple[int, ...]) -> str:
         return "".join(dict.fromkeys("".join(unused[k] for k in ks)))
 
-    def eliminate(axis: str) -> tuple[str, tuple[int, ...]]:
-        ks = tuple(k for k, sub in unused.items() if axis in sub)
-        axes = dict.fromkeys(running + operand(ks))
-        del axes[axis]
-        return "".join(axes), ks
+    def sizes(axes: str) -> tuple[int, ...]:
+        return tuple(-1 if c == row else s for c in axes)
 
-    def step(result: str, ks: tuple[int, ...]) -> None:
-        sub = operand(ks)
+    def step(axis: str, ks: tuple[int, ...], last: bool) -> str:
+        both = operand(ks)
+        if axis:  # per row of x: (batch, rows, axis) @ (batch, axis, cols)
+            batch = "".join(c for c in running if c in both and c != axis)
+            rows = "".join(c for c in running[1:] if c not in both)
+            cols = "".join(c for c in both if c not in running)
+            lead = (s ** len(batch),) if batch else ()
+            order, sub, result = row + batch + rows + axis, batch + axis + cols, row + batch + rows + cols
+            merged, shape, op = (-1, *lead, s ** len(rows), s), lead + (s, s ** len(cols)), np.matmul
+        else:  # a broadcast product in out_sub's order
+            order = "".join(c for c in out_sub if c in running)
+            sub, result = "".join(c for c in out_sub if c in both), out_sub
+            merged = tuple(-1 if c == row else s if c in running else 1 for c in out_sub)
+            shape, op = tuple(s if c in both else 1 for c in out_sub), _broadcast_product
         fold = []
         for k in ks:
             at = [sub.index(c) for c in unused[k]]
-            fold.append((k, at != sorted(at), tuple(s if i in at else 1 for i in range(len(sub)))))
+            spread = tuple(s if i in at else 1 for i in range(len(sub)))
+            fold.append((k, at != sorted(at), shape if len(ks) == 1 else spread))
             del unused[k]
-        steps.append((f"{running},{sub}->{result}", tuple(fold)))
+        steps.append((f"{running},{sub}->{out_sub if last else result}", tuple(fold)))
+        program.append((sizes(running), tuple(map(running.index, order)), merged, op, shape))
+        return result
 
     while left:
-        axis = min(left, key=lambda c: len(eliminate(c)[0]))
-        result, ks = eliminate(axis)
+        # the smallest result: the axes of the running tensor and the operand
+        axis = min(left, key=lambda c: len(dict.fromkeys(running + operand(touching(c)))))
+        ks = touching(axis)
         left.remove(axis)
-        step(out_sub if not left and len(ks) == len(unused) else result, ks)
-        running = result
+        running = step(axis, ks, not left and len(ks) == len(unused))
     if unused:
-        step(out_sub, tuple(unused))
-    return _ContractionPlan(tuple(steps))
+        running = step("", tuple(unused), True)
+    final = (sizes(running), tuple(map(running.index, out_sub)))
+    return _ContractionPlan(tuple(steps), tuple(program), final)
 
 
 @dataclass(frozen=True)
@@ -253,8 +302,9 @@ class _ChainStructure:
     dense, and a model stacks the blocks of at most
     max(1, ``_BLOCK_CACHE_BUDGET`` // T) datasets, so a factored chain holds one.
     A factored structure also keeps each outcome's edge table scaled by its
-    maximum, and that maximum, for every block type's factors, and the
-    contraction plans compiled so far (``_plans``).
+    maximum, and that maximum, for every block type's factors, the
+    contraction plans compiled so far (``_plans``) and the step operands
+    built so far (``_operands``).
     """
 
     def __init__(self, layers: LayerStructure, kernel: Kernel, support):
@@ -287,15 +337,17 @@ class _ChainStructure:
             self.engine, self._build = "dense", self._build_dense
         else:
             self.engine, self._build = "factored", self._build_factored
-            # Per outcome index, its edge table scaled by its maximum, and
-            # that maximum; index -1 is the unit factor of a bare layer-q node.
+            # Per outcome index, its edge table scaled by its maximum (with a
+            # C-contiguous transpose), and that maximum; index -1 is the unit
+            # factor of a bare layer-q node.
             self._maxima = [float(t.max()) for t in self.log_table] + [0.0]
-            self._scaled = [np.exp(t - m) for t, m in zip(self.log_table, self._maxima)]
-            self._scaled.append(np.ones(self.s))
+            scaled = [np.exp(t - m) for t, m in zip(self.log_table, self._maxima)]
+            self._scaled = [(t, t.T.copy()) for t in scaled] + [(np.ones(self.s),) * 2]
         # A model of R datasets stacks R dense matrices per block, so the same
         # budget bounds R; a factored chain scores one dataset per model.
         self.max_replicates = max(1, _BLOCK_CACHE_BUDGET // total_entries)
         self._plans: dict[tuple, tuple[_ContractionPlan, _ContractionPlan]] = {}
+        self._operands: dict[tuple, np.ndarray] = {}
         self.blocks: list[tuple] = []
         self._type_index: dict[bytes, int] = {}
         # Per distinct layer width: its layers and their node rows (node id
@@ -367,9 +419,9 @@ class _ChainStructure:
     def _build_factored(self, block_type: tuple) -> tuple:
         """(push block, pull block, log shift) of one block type.
 
-        Einsum subscript 0 is the batch axis and subscript 1 + a the block
-        axis a.  A layer-q node without a cross edge gets the unit factor, so
-        every index of either layer occurs in some factor.  Factors are sorted
+        Subscript 0 is the row axis and subscript 1 + a the block axis a.  A
+        layer-q node without a cross edge gets the unit factor, so every
+        index of either layer occurs in some factor.  Factors are sorted
         by subscripts, so types with one positional plan share its plans
         (``_compile_plan``: push eliminates layer q's axes, pull layer q+1's).
         Each factor is its outcome's edge table scaled by the table's
@@ -393,12 +445,24 @@ class _ChainStructure:
             )
         push, pull = self._plans[key]
         ids = [factors[sub] for sub in subs]
-        scaled = [self._scaled[xi] for xi in ids]
         return (
-            _FactoredBlock(push, push.prepare(scaled), (self.s,) * wq),
-            _FactoredBlock(pull, pull.prepare(scaled), (self.s,) * wq1),
+            _FactoredBlock(push, self._operands_of(push, ids)),
+            _FactoredBlock(pull, self._operands_of(pull, ids)),
             sum(self._maxima[xi] for xi in ids),
         )
+
+    def _operands_of(self, plan: _ContractionPlan, ids: list[int]) -> tuple[np.ndarray, ...]:
+        """``plan``'s operands for factors of outcome indices ``ids``.  Step
+        k's depends only on the indices of the factors it folds, so it is
+        built once per structure and shared by every block type with them
+        (``_operands``, keyed by the plan's identity, which ``_plans`` keeps)."""
+        operands = []
+        for k, (_, fold) in enumerate(plan.steps):
+            key = (id(plan), k, *[ids[i] for i, _, _ in fold])
+            if key not in self._operands:
+                self._operands[key] = plan.operand(k, [self._scaled[xi] for xi in ids])
+            operands.append(self._operands[key])
+        return tuple(operands)
 
 
 class LayerChainModel(_ChainStructure):
@@ -953,6 +1017,14 @@ class LayerChainModel(_ChainStructure):
         self._raise_lost(np.array(ds), range(q, m), "likelihood")
         return list(zip(range(q, m), alphas, ds))
 
+    @staticmethod
+    def _raise_not_finite(finite, blocks) -> None:
+        """Raise ``H1Violated`` naming the first of ``blocks``, in step order,
+        whose realized-kernel step left rows that are not finite (``finite``
+        false): d = alpha @ M was positive but so small that mu / d overflowed."""
+        if not np.all(finite):
+            raise H1Violated(f"realized kernel not finite at block {blocks[int(np.argmin(finite))]}")
+
     def backward_kernels(self, probs, q: int, m: int) -> list[np.ndarray]:
         """Row-stochastic matrices R_k mapping layer k+1 states to layer k states.
 
@@ -960,11 +1032,15 @@ class LayerChainModel(_ChainStructure):
         realized one-step kernels of the latent chain run backward under the
         conditioning window starting at q: the identity's rows stepped back
         as in ``_realized``.  Only tests read them; ``contraction_profile``
-        steps its two rows without forming any.
+        steps its two rows without forming any.  ``H1Violated`` names the
+        first block whose kernel is not finite.
         """
         self._single("backward_kernels")
         realized = self._realized(probs, q, m)
-        return [alpha * ((np.eye(d.size) / d) @ self._pulls[k]) for k, alpha, d in realized]
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernels = [alpha * ((np.eye(d.size) / d) @ self._pulls[k]) for k, alpha, d in realized]
+        self._raise_not_finite([np.isfinite(kernel).all() for kernel in kernels], range(q, m))
+        return kernels
 
     def contraction_profile(self, probs, q: int, m: int) -> ContractionProfile:
         """Propagate two block distributions of layer m backward to layer q:
@@ -974,17 +1050,20 @@ class LayerChainModel(_ChainStructure):
         Records, in step order, the total-variation distance (full-sum
         convention, range [0, 2]) after each realized kernel application, the
         per-step Doeblin factor 1 - nu_k (:meth:`block_nus`), and the
-        cumulative envelope initial_tv * prod(1 - nu_i).
+        cumulative envelope initial_tv * prod(1 - nu_i).  ``H1Violated``
+        names the first block, in step order, whose distance is not finite.
         """
         self._single("contraction_profile")
         mu = np.zeros((2, self.s ** self.widths[m]))
         mu[0, 0] = mu[1, -1] = 1.0
         initial_tv = float(np.abs(mu[0] - mu[1]).sum())
         tv = []
-        for k, alpha, d in reversed(self._realized(probs, q, m)):
-            mu = alpha * ((mu / d) @ self._pulls[k])
-            tv.append(np.abs(mu[0] - mu[1]).sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, alpha, d in reversed(self._realized(probs, q, m)):
+                mu = alpha * ((mu / d) @ self._pulls[k])
+                tv.append(np.abs(mu[0] - mu[1]).sum())
         layers = np.arange(m - 1, q - 1, -1)
+        self._raise_not_finite(np.isfinite(tv), layers)
         factors = 1.0 - np.array(self.block_nus())[layers]
         bound = np.cumprod([initial_tv, *factors])[1:]
         return ContractionProfile((q, m), initial_tv, layers, np.array(tv), factors, bound)

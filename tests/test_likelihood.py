@@ -675,6 +675,11 @@ def _oracle_block_factors(model, q):
     return subs, [factors[sub] for sub in subs]
 
 
+def _operands(plan, factors):
+    """Every step's operand of ``plan``, built from ``factors`` alone."""
+    return tuple(plan.operand(k, factors) for k in range(len(plan.steps)))
+
+
 def _oracle_compile_factored(model):
     """The per-block factored build that block types replaced: per block,
     (push plan, its operands, pull plan, its operands), and the shifts."""
@@ -693,8 +698,8 @@ def _oracle_compile_factored(model):
             )
         push, pull = plans[key]
         maxima = [float(t.max()) for t in tables]
-        factors = [np.exp(t - m) for t, m in zip(tables, maxima)]
-        blocks.append((push, push.prepare(factors), pull, pull.prepare(factors)))
+        factors = [(f, f.T.copy()) for f in (np.exp(t - m) for t, m in zip(tables, maxima))]
+        blocks.append((push, _operands(push, factors), pull, _operands(pull, factors)))
         shifts.append(sum(maxima))
     return blocks, shifts
 
@@ -792,18 +797,80 @@ def test_factored_blocks_equal_dense_oracle_and_bound_each_step(n, s, extra, ker
         np.testing.assert_allclose((y @ pull) * scale, y @ mat.T, rtol=1e-12, atol=0)
 
 
-def test_factored_build_runs_no_einsum_path(monkeypatch):
-    # N=300, n=4, s=3 (perfbench's wide_layers loglik): no plan may search for a path
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.einsum_path called")
+def _einsum_oracle(block, x):
+    """``x @ block`` as the plan's own subscripts run by ``np.einsum``, one
+    step at a time, each operand viewed with one axis per subscript."""
+    shape = block.plan.program[0][0]  # (-1, s, ..., s): the rows, then x's axes
+    out = x.reshape(shape)
+    for (sub, _), operand in zip(block.plan.steps, block.operands):
+        width = len(sub.split(",")[1].split("->")[0])
+        out = np.einsum(sub, out, operand.reshape((shape[1],) * width))
+    return out.reshape(x.shape[:-1] + (-1,))
 
-    monkeypatch.setattr(np, "einsum_path", refuse)
-    monkeypatch.setattr(sys.modules[np.einsum.__module__], "einsum_path", refuse)
+
+def _step_kinds(plan):
+    """The kinds of ``plan``'s steps: "batch" for a product that keeps an
+    axis of both operands, "elementwise" for one that sums none and adds none."""
+    kinds = set()
+    for sub, _ in plan.steps:
+        running, rest = sub.split(",")
+        operand, result = rest.split("->")
+        if set(running) & set(operand) & set(result) and len(set(running) | set(operand)) > len(result):
+            kinds.add("batch")
+        if set(operand) <= set(running) and set(result) == set(running):
+            kinds.add("elementwise")
+    return kinds
+
+
+# (N, n): the shortest chains at n = 2..5, and N=18, n=4, which ends in a
+# (6, 1) block where two layer-q nodes get the unit factor
+_PROGRAM_CHAINS = [(10, 2), (14, 3), (18, 4), (22, 5)]
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+@pytest.mark.parametrize("N, n", _PROGRAM_CHAINS)
+def test_compiled_program_equals_einsum_on_its_subscripts(N, n, s):
+    # every plan the chain compiles, push and pull, on random factors and
+    # 1 to 3 rows, matches np.einsum run on the plan's own subscripts
+    rng = np.random.default_rng(100 * n + s)
+    kernel = kernel_variants()[2]
+    pi = random_distribution(rng, s)
+    model = _model(simulate(pi, kernel, N, n, seed=n + s), pi, kernel, "factored")
+    kinds = set()
+    for wq, wq1, subs in model._plans:
+        tables = [rng.uniform(0.1, 1.0, size=(s,) * len(sub)) for sub in subs]
+        factors = [(t, t.T.copy()) for t in tables]
+        for plan, width in zip(model._plans[wq, wq1, subs], (wq, wq1)):
+            kinds |= _step_kinds(plan)
+            block = likelihood._FactoredBlock(plan, _operands(plan, factors))
+            for rows in (1, 2, 3):
+                x = rng.uniform(0.1, 1.0, size=(rows, s**width))
+                np.testing.assert_allclose(x @ block, _einsum_oracle(block, x), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(x[0] @ block, _einsum_oracle(block, x[0]), rtol=1e-12, atol=0)
+    # the n=2 chains have no edge within a layer, so no step is elementwise
+    assert kinds == ({"batch", "elementwise"} if n >= 3 else {"batch"})
+    if N == 18:
+        assert (6, 1) in {key[:2] for key in model._plans}
+
+
+def test_factored_build_runs_no_einsum_path(monkeypatch):
+    # N=300, n=4, s=3 (perfbench's wide_layers loglik): neither the build nor
+    # a forward or posterior sweep may fall back to np.einsum or its path search
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    einsumfunc = sys.modules[np.einsum.__module__]
+    for name in ("einsum", "einsum_path"):
+        monkeypatch.setattr(einsumfunc, name, refuse)
+        monkeypatch.setattr(np, name, refuse)
     pi = DiscreteDistribution([1.0, 2.0, 4.0], [0.2, 0.5, 0.3])
     k = bradley_terry()
     model = LayerChainModel(simulate(pi, k, 300, 4, seed=7), k, pi.support)
     assert model.engine == "factored"
-    assert np.isfinite(model.log_likelihood(pi.probs))
+    total, constants = model.forward_constants(pi.probs)
+    assert np.isfinite(total) and np.isfinite(constants).all()
+    marginals, loglik = model.posterior_pass(pi.probs)
+    assert np.isfinite(marginals).all() and np.isfinite(loglik)
 
 
 @pytest.mark.parametrize("bad", [7, [1], float("nan")], ids=["int", "unhashable", "nan"])
@@ -1086,6 +1153,17 @@ def test_posterior_pass_on_an_extreme_chain_raises_or_matches_enumeration():
         return
     oracle = brute_force_node_marginals(model.dataset, pi, model.kernel)
     assert np.max(np.abs(marginals - oracle)) <= 1e-9
+
+
+def test_realized_kernels_that_overflow_raise_without_warning():
+    # N=20, n=3, s=2: d = alpha @ M underflows far enough that mu / d overflows
+    model = _extreme_model(3, 2, "dense", 11, np.random.default_rng(11))
+    pi = uniform(model.support)
+    window = (2, model.layers.q_max - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(H1Violated, match=r"^realized kernel not finite at block 2$"):
+            model.backward_kernels(pi.probs, *window)
 
 
 def _posterior_outcome(model, probs):
